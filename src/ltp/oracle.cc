@@ -1,6 +1,9 @@
 #include "ltp/oracle.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "common/logging.hh"
 #include "isa/reg.hh"
@@ -11,17 +14,23 @@ OracleClassification
 oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
                const MemConfig &mem_cfg, const OracleParams &params)
 {
-    OracleClassification out;
-    out.flags_.assign(n, 0);
     if (n == 0)
-        return out;
+        return OracleClassification();
+    std::vector<std::uint8_t> flags(n, 0);
 
     // ---- Pass 1 (forward): functional cache simulation marks the
     // long-latency seeds, and per-register "non-ready horizons"
     // propagate descendant status.
     auto mem = std::make_unique<MemSystem>(mem_cfg);
     workload.reset(seed);
-    std::vector<MicroOp> trace(n);
+    // Pass 2 needs only each op's register operands: keep those, not
+    // the whole micro-op.
+    struct Operands
+    {
+        RegId dst;
+        RegId srcs[kMaxSrcs];
+    };
+    std::vector<Operands> trace(n);
 
     // nr_until[reg]: consumers of this register are Non-Ready while
     // their seq is below this horizon.
@@ -29,7 +38,8 @@ oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
 
     for (SeqNum s = 0; s < n; ++s) {
         MicroOp op = workload.next();
-        trace[s] = op;
+        trace[s].dst = op.dst;
+        std::copy(std::begin(op.srcs), std::end(op.srcs), trace[s].srcs);
 
         bool long_lat = false;
         if (op.isMem()) {
@@ -41,7 +51,7 @@ oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
         if (isFixedLongLat(op.opc))
             long_lat = true;
         if (long_lat)
-            out.flags_[s] |= OracleClassification::kLongLat;
+            flags[s] |= OracleClassification::kLongLat;
 
         // Non-Ready: reads a register whose value is still in flight.
         SeqNum horizon = 0;
@@ -49,7 +59,7 @@ oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
             if (src.valid())
                 horizon = std::max(horizon, nr_until[src.flat()]);
         if (horizon > s)
-            out.flags_[s] |= OracleClassification::kNonReady;
+            flags[s] |= OracleClassification::kNonReady;
 
         if (op.hasDst()) {
             SeqNum h = horizon > s ? horizon : 0;
@@ -65,10 +75,10 @@ oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
     std::vector<SeqNum> need_at(kTotalArchRegs, kSeqNone);
 
     for (SeqNum s = n; s-- > 0;) {
-        const MicroOp &op = trace[s];
-        bool urgent = (out.flags_[s] & OracleClassification::kLongLat) != 0;
+        const Operands &op = trace[s];
+        bool urgent = (flags[s] & OracleClassification::kLongLat) != 0;
 
-        if (op.hasDst()) {
+        if (op.dst.valid()) {
             SeqNum consumer = need_at[op.dst.flat()];
             if (consumer != kSeqNone &&
                 consumer - s <= static_cast<SeqNum>(params.urgencyWindow))
@@ -78,14 +88,16 @@ oracleClassify(Workload &workload, std::uint64_t seed, std::uint64_t n,
         }
 
         if (urgent) {
-            out.flags_[s] |= OracleClassification::kUrgent;
+            flags[s] |= OracleClassification::kUrgent;
             for (const auto &src : op.srcs)
                 if (src.valid())
                     need_at[src.flat()] = s;
         }
     }
 
-    return out;
+    return OracleClassification(
+        std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(flags)));
 }
 
 } // namespace ltp

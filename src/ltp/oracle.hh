@@ -25,6 +25,8 @@
 #define LTP_LTP_ORACLE_HH
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/mem_system.hh"
@@ -32,13 +34,29 @@
 
 namespace ltp {
 
-/** Per-dynamic-instruction oracle classification flags. */
+/**
+ * Per-dynamic-instruction oracle classification flags.
+ *
+ * A cheap read-only handle: copies share one immutable flag array
+ * (limit-study sweeps hand the same classification to many cells and
+ * Runner threads), while each handle keeps its own lookup base, so
+ * setBase on one holder never moves another's lookups.
+ */
 class OracleClassification
 {
   public:
     static constexpr std::uint8_t kUrgent = 1 << 0;
     static constexpr std::uint8_t kNonReady = 1 << 1;
     static constexpr std::uint8_t kLongLat = 1 << 2;
+
+    OracleClassification() = default;
+
+    /** Wrap computed flags (one byte per trace position). */
+    explicit OracleClassification(
+        std::shared_ptr<const std::vector<std::uint8_t>> flags)
+        : flags_(std::move(flags))
+    {
+    }
 
     /**
      * Shift lookups by a trace offset: the simulator's seq 0 maps to
@@ -51,19 +69,18 @@ class OracleClassification
     bool nonReady(SeqNum seq) const { return flag(seq, kNonReady); }
     bool longLatency(SeqNum seq) const { return flag(seq, kLongLat); }
 
-    bool valid() const { return !flags_.empty(); }
-    std::size_t size() const { return flags_.size(); }
-
-    std::vector<std::uint8_t> flags_;
+    bool valid() const { return size() != 0; }
+    std::size_t size() const { return flags_ ? flags_->size() : 0; }
 
   private:
     bool
     flag(SeqNum seq, std::uint8_t bit) const
     {
         SeqNum pos = seq + base_;
-        return pos < flags_.size() && (flags_[pos] & bit);
+        return pos < size() && ((*flags_)[pos] & bit);
     }
 
+    std::shared_ptr<const std::vector<std::uint8_t>> flags_;
     SeqNum base_ = 0;
 };
 

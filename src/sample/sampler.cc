@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "cpu/core.hh"
+#include "sim/oracle_memo.hh"
 #include "sim/simulator.hh"
 #include "trace/suite.hh"
 #include "trace/trace_file.hh"
@@ -81,11 +82,9 @@ Sampler::run(const PhaseFn &phase)
             start +
             std::uint64_t(plan_.samples) * (plan_.period() + overshoot) +
             kTraceFetchSlack;
-        for (std::size_t tid = 0; tid < members_.size(); ++tid) {
-            WorkloadPtr oracle_wl = makeKernel(members_[tid]);
-            oracles_[tid] =
-                oracleClassify(*oracle_wl, cfg_.seed, span, cfg_.mem);
-        }
+        for (std::size_t tid = 0; tid < members_.size(); ++tid)
+            oracles_[tid] = OracleMemo::global().classify(
+                members_[tid], cfg_.seed, span, cfg_.mem);
     }
 
     std::vector<Metrics> runs;

@@ -201,7 +201,6 @@ struct ServerImpl
     Listener listener;
     std::unique_ptr<ResultCache> cache;
     std::unique_ptr<WorkerPool> workers; ///< null = compute locally
-    ThreadPool pool;
 
     std::thread acceptThread;
     std::mutex connMutex;
@@ -233,6 +232,11 @@ struct ServerImpl
     std::condition_variable stateCv;
     bool stopping = false;
     bool stopped = false;
+
+    // Declared last, so destroyed first: ~ThreadPool drains queued
+    // cells while the state they touch (in-flight map, counters, drain
+    // accounting) is still alive.
+    ThreadPool pool;
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Conn> conn);
@@ -337,7 +341,7 @@ ServerImpl::acceptLoop()
     for (;;) {
         int fd = listener.accept();
         if (fd < 0)
-            return; // listener closed: shutting down
+            return; // listener shut down: stopping
         auto conn = std::make_shared<Conn>(fd);
         std::lock_guard<std::mutex> lock(connMutex);
         conns.push_back(conn);
@@ -774,9 +778,10 @@ Server::stop()
 
     // Unblock and join the accept loop first so no new connections
     // arrive while the existing ones drain.
-    impl_->listener.close();
+    impl_->listener.shutdown();
     if (impl_->acceptThread.joinable())
         impl_->acceptThread.join();
+    impl_->listener.close();
 
     // Unblock every connection reader stuck in recv(); in-flight pool
     // tasks still hold shared_ptrs to their Conn, so late responses
@@ -787,7 +792,8 @@ Server::stop()
     for (std::thread &t : impl_->connThreads)
         if (t.joinable())
             t.join();
-    // ~ThreadPool drains the queue when impl_ is destroyed.
+    // ~ThreadPool drains the queue when impl_ is destroyed (it is the
+    // last member, so it goes first).
 }
 
 } // namespace ltp

@@ -127,38 +127,37 @@ connectTcp(const std::string &host, int port, int timeoutMs)
 
 Listener::Listener(int port)
 {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0)
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
         throwErrno("socket");
     int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
     struct sockaddr_in addr = {};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_ANY);
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd_, reinterpret_cast<struct sockaddr *>(&addr),
+    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&addr),
                sizeof(addr)) != 0) {
         int e = errno;
-        ::close(fd_);
-        fd_ = -1;
+        ::close(fd);
         errno = e;
         throwErrno("bind port " + std::to_string(port));
     }
-    if (::listen(fd_, 64) != 0) {
+    if (::listen(fd, 64) != 0) {
         int e = errno;
-        ::close(fd_);
-        fd_ = -1;
+        ::close(fd);
         errno = e;
         throwErrno("listen");
     }
 
     socklen_t len = sizeof(addr);
-    if (::getsockname(fd_, reinterpret_cast<struct sockaddr *>(&addr),
+    if (::getsockname(fd, reinterpret_cast<struct sockaddr *>(&addr),
                       &len) == 0)
         port_ = ntohs(addr.sin_port);
     else
         port_ = port;
+    fd_.store(fd);
 }
 
 Listener::~Listener()
@@ -169,23 +168,37 @@ Listener::~Listener()
 int
 Listener::accept()
 {
-    if (fd_ < 0)
+    int fd = fd_.load();
+    if (fd < 0)
         return -1;
-    int conn = ::accept(fd_, nullptr, nullptr);
+    // shutdown() leaves the socket open until close(), which runs only
+    // after the accept loop is joined: a late ::accept here sees a
+    // shut-down socket (EINVAL), never a reused fd number.
+    int conn = ::accept(fd, nullptr, nullptr);
     if (conn >= 0)
         setNoDelay(conn);
-    return conn; // -1 after close() (EBADF/EINVAL) ends the loop
+    return conn;
+}
+
+void
+Listener::shutdown()
+{
+    int fd = fd_.exchange(-1);
+    if (fd >= 0) {
+        // close() alone does not unblock a thread already parked in
+        // accept() on Linux; shutdown() does.
+        ::shutdown(fd, SHUT_RDWR);
+        stopped_fd_ = fd;
+    }
 }
 
 void
 Listener::close()
 {
-    if (fd_ >= 0) {
-        // shutdown() first: close() alone does not unblock a thread
-        // already parked in accept() on Linux.
-        ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
+    shutdown();
+    if (stopped_fd_ >= 0) {
+        ::close(stopped_fd_);
+        stopped_fd_ = -1;
     }
 }
 

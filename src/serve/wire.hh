@@ -23,6 +23,7 @@
 #ifndef LTP_SERVE_WIRE_HH
 #define LTP_SERVE_WIRE_HH
 
+#include <atomic>
 #include <mutex>
 #include <string>
 
@@ -55,14 +56,22 @@ class Listener
     int port() const { return port_; }
 
     /** Block for one connection.  @return the connected fd, or -1
-     *  once close() has been called (the accept loop's exit signal). */
+     *  once shutdown() has been called (the accept loop's exit
+     *  signal). */
     int accept();
 
-    /** Close the listening socket, unblocking accept(). */
+    /** Stop accepting: wakes a thread blocked in accept(), and every
+     *  later accept() returns -1.  The socket stays open (so its fd
+     *  number cannot be reused under a late accept()) until close(). */
+    void shutdown();
+
+    /** shutdown(), then release the socket.  Call once no thread can
+     *  still be inside accept() (join the accept loop first). */
     void close();
 
   private:
-    int fd_ = -1;
+    std::atomic<int> fd_{-1};
+    int stopped_fd_ = -1; ///< taken by shutdown(), released by close()
     int port_ = 0;
 };
 

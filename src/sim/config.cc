@@ -615,6 +615,22 @@ configToJson(const SimConfig &cfg, int indent)
     return buildObject(fs, 0, fs.size(), 0, indent).render(indent);
 }
 
+std::string
+memConfigJson(const MemConfig &mem)
+{
+    SimConfig c;
+    c.mem = mem;
+    std::vector<Field> fs = fieldsOf(c);
+    auto isMem = [](const Field &f) {
+        return std::strncmp(f.path, "mem.", 4) == 0;
+    };
+    auto lo = std::find_if(fs.begin(), fs.end(), isMem);
+    auto hi = std::find_if_not(lo, fs.end(), isMem);
+    return buildObject(fs, std::size_t(lo - fs.begin()),
+                       std::size_t(hi - fs.begin()), 4, 0)
+        .render(0);
+}
+
 SimConfig
 configFromJson(const std::string &json)
 {

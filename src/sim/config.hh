@@ -74,6 +74,12 @@ struct SimConfig
 std::string configToJson(const SimConfig &cfg, int indent = 0);
 
 /**
+ * Serialize just the `mem` section (compact, registry order): the
+ * identity of a memory hierarchy, covering every registered field.
+ */
+std::string memConfigJson(const MemConfig &mem);
+
+/**
  * Build a SimConfig from JSON: defaults, then every present key
  * applied.  Partial objects are fine; unknown keys or wrong value
  * types throw std::runtime_error naming the offending path.

@@ -37,8 +37,10 @@ struct SimSpeedOptions
      * `ltp bench --profile` mode): each cell's wall time is
      * attributed to pipeline stages (ticket events, wakeup, rename,
      * ...) so a throughput regression names its stage from the CI
-     * artifact alone.  The clock reads perturb the measured kIPS a
-     * few percent, so profiled runs are for diagnosis, not gating.
+     * artifact alone.  The clock reads perturb the measured kIPS
+     * heavily: 942 profiled against 1487 unprofiled total kIPS (best
+     * of 3, 4-core x86-64 container), 37% lower, so profiled runs are
+     * for diagnosis, not gating.
      */
     bool profile = false;
     /**

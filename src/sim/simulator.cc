@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ltp/oracle.hh"
+#include "sim/oracle_memo.hh"
 #include "trace/suite.hh"
 #include "trace/trace_file.hh"
 
@@ -112,16 +113,16 @@ Simulator::Simulator(const SimConfig &cfg, const std::string &kernel,
     // slack.  Each thread's oracle replays that thread's own stream
     // (constant per-thread address offsets do not change a single
     // stream's cache behaviour, so the standalone pre-pass stays
-    // valid).
+    // valid).  Cells sharing a (member, seed, region, memory config)
+    // share one classification through the process-wide memo.
     oracles_.resize(workloads_.size());
     if (cfg_.core.ltp.mode != LtpMode::Off &&
         cfg_.core.ltp.classifier == ClassifierKind::Oracle) {
         std::uint64_t region = lengths_.funcWarm + lengths_.pipeWarm +
                                lengths_.detail + kTraceFetchSlack;
         for (std::size_t tid = 0; tid < members.size(); ++tid) {
-            WorkloadPtr oracle_wl = makeKernel(members[tid]);
-            oracles_[tid] = oracleClassify(*oracle_wl, cfg_.seed, region,
-                                           cfg_.mem);
+            oracles_[tid] = OracleMemo::global().classify(
+                members[tid], cfg_.seed, region, cfg_.mem);
             oracles_[tid].setBase(lengths_.funcWarm);
         }
     }

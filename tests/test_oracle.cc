@@ -2,13 +2,31 @@
  * @file
  * Tests for the limit-study oracle classifier, anchored on the paper's
  * Figure 2 example: the oracle must reproduce the published
- * classification of the example loop exactly.
+ * classification of the example loop exactly.  Also covers the
+ * process-wide OracleMemo that shares one classification across sweep
+ * cells: equality with the direct pre-pass, in-flight dedupe, key
+ * coverage, LRU eviction, and bit-identical Metrics cold vs warm.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <stdexcept>
+#include <thread>
+
+#include "common/json.hh"
 #include "ltp/oracle.hh"
+#include "sample/sampler.hh"
+#include "sim/config.hh"
+#include "sim/oracle_memo.hh"
+#include "sim/report.hh"
+#include "sim/simulator.hh"
 #include "trace/kernels.hh"
+#include "trace/suite.hh"
+#include "trace/trace_file.hh"
 
 namespace ltp {
 namespace {
@@ -200,6 +218,352 @@ TEST(Oracle, GraphWalkChaseIsUrgentAndNonReady)
     ASSERT_GT(total_chase, 50);
     EXPECT_GT(double(urgent_chase) / total_chase, 0.9);
     EXPECT_GT(double(nonready_chase) / total_chase, 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Pre-pass storage and the shared memo
+// ---------------------------------------------------------------------------
+
+/** Every flag bit of @p oc, one byte per position (base applied). */
+std::vector<std::uint8_t>
+flagsOf(const OracleClassification &oc)
+{
+    std::vector<std::uint8_t> out(oc.size());
+    for (SeqNum s = 0; s < oc.size(); ++s)
+        out[s] = std::uint8_t(
+            (oc.urgent(s) ? OracleClassification::kUrgent : 0) |
+            (oc.nonReady(s) ? OracleClassification::kNonReady : 0) |
+            (oc.longLatency(s) ? OracleClassification::kLongLat : 0));
+    return out;
+}
+
+/** The pre-pass as first written: pass 2 reads the stored micro-ops
+ *  themselves.  The reference the compact operand records must match
+ *  byte for byte. */
+std::vector<std::uint8_t>
+referenceFlags(Workload &workload, std::uint64_t seed, std::uint64_t n,
+               const MemConfig &mem_cfg, const OracleParams &params = {})
+{
+    std::vector<std::uint8_t> flags(n, 0);
+    MemSystem mem(mem_cfg);
+    workload.reset(seed);
+    std::vector<MicroOp> trace(n);
+    std::vector<SeqNum> nr_until(kTotalArchRegs, 0);
+    for (SeqNum s = 0; s < n; ++s) {
+        MicroOp op = workload.next();
+        trace[s] = op;
+        bool long_lat = false;
+        if (op.isMem()) {
+            HitLevel level =
+                mem.warmAccess(op.pc, op.effAddr, op.isStore(), s * 2);
+            long_lat = op.isLoad() && level == HitLevel::Dram;
+        }
+        if (isFixedLongLat(op.opc))
+            long_lat = true;
+        if (long_lat)
+            flags[s] |= OracleClassification::kLongLat;
+        SeqNum horizon = 0;
+        for (const auto &src : op.srcs)
+            if (src.valid())
+                horizon = std::max(horizon, nr_until[src.flat()]);
+        if (horizon > s)
+            flags[s] |= OracleClassification::kNonReady;
+        if (op.hasDst()) {
+            SeqNum h = horizon > s ? horizon : 0;
+            if (long_lat)
+                h = std::max(h, s + params.readinessWindow);
+            nr_until[op.dst.flat()] = h;
+        }
+    }
+    std::vector<SeqNum> need_at(kTotalArchRegs, kSeqNone);
+    for (SeqNum s = n; s-- > 0;) {
+        const MicroOp &op = trace[s];
+        bool urgent = (flags[s] & OracleClassification::kLongLat) != 0;
+        if (op.hasDst()) {
+            SeqNum consumer = need_at[op.dst.flat()];
+            if (consumer != kSeqNone &&
+                consumer - s <= SeqNum(params.urgencyWindow))
+                urgent = true;
+            need_at[op.dst.flat()] = kSeqNone;
+        }
+        if (urgent) {
+            flags[s] |= OracleClassification::kUrgent;
+            for (const auto &src : op.srcs)
+                if (src.valid())
+                    need_at[src.flat()] = s;
+        }
+    }
+    return flags;
+}
+
+constexpr std::uint64_t kSpan = 6000;
+
+TEST(OraclePrePass, CompactOperandsMatchFullTraceOnEverySuiteKernel)
+{
+    for (const SuiteEntry &e : kernelSuite()) {
+        WorkloadPtr a = e.factory(), b = e.factory();
+        EXPECT_EQ(flagsOf(oracleClassify(*a, 3, kSpan, MemConfig{})),
+                  referenceFlags(*b, 3, kSpan, MemConfig{}))
+            << e.name;
+    }
+}
+
+TEST(OracleMemo, MatchesDirectPrePassOnEverySuiteKernel)
+{
+    OracleMemo memo;
+    for (const SuiteEntry &e : kernelSuite()) {
+        WorkloadPtr w = e.factory();
+        std::vector<std::uint8_t> direct =
+            flagsOf(oracleClassify(*w, 1, kSpan, MemConfig{}));
+        EXPECT_EQ(flagsOf(memo.classify(e.name, 1, kSpan, MemConfig{})),
+                  direct)
+            << e.name << " (computed)";
+        EXPECT_EQ(flagsOf(memo.classify(e.name, 1, kSpan, MemConfig{})),
+                  direct)
+            << e.name << " (memoised)";
+    }
+    EXPECT_EQ(memo.computes(), kernelSuite().size());
+    EXPECT_EQ(memo.hits(), kernelSuite().size());
+    EXPECT_EQ(memo.bytes(), kernelSuite().size() * kSpan);
+}
+
+TEST(OracleMemo, ConcurrentRequestersShareOneCompute)
+{
+    OracleMemo memo;
+    std::vector<std::vector<std::uint8_t>> got(8);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&memo, &got, i] {
+            got[i] = flagsOf(
+                memo.classify("graph_walk", 1, kSpan, MemConfig{}));
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(memo.computes(), 1u);
+    EXPECT_EQ(memo.hits(), 7u);
+    for (const auto &g : got)
+        EXPECT_EQ(g, got.front());
+}
+
+TEST(OracleMemo, FailedComputeReachesWaitersAndIsNotCached)
+{
+    OracleMemo memo;
+    auto fail = [&memo]() -> OracleClassification {
+        // Hold the compute open until the second requester waits on it.
+        while (memo.hits() < 1)
+            std::this_thread::yield();
+        throw std::runtime_error("pre-pass failed");
+    };
+    std::atomic<int> thrown{0};
+    std::thread computer([&] {
+        try {
+            memo.memoize("k", fail);
+        } catch (const std::runtime_error &) {
+            thrown += 1;
+        }
+    });
+    while (memo.computes() < 1)
+        std::this_thread::yield();
+    std::thread waiter([&] {
+        try {
+            memo.memoize("k", [] { return OracleClassification(); });
+        } catch (const std::runtime_error &) {
+            thrown += 1;
+        }
+    });
+    computer.join();
+    waiter.join();
+    EXPECT_EQ(thrown.load(), 2);
+    EXPECT_EQ(memo.computes(), 1u);
+
+    // The entry was dropped: the next request computes afresh.
+    WorkloadPtr w = makePaperLoop();
+    OracleClassification ok = memo.memoize(
+        "k", [&] { return oracleClassify(*w, 1, 110, MemConfig{}); });
+    EXPECT_TRUE(ok.valid());
+    EXPECT_EQ(memo.computes(), 2u);
+    EXPECT_EQ(memo.bytes(), 110u);
+}
+
+/** Per-process scratch dir for recorded traces, removed on exit. */
+class OracleMemoTrace : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir_ = std::filesystem::temp_directory_path() /
+               ("ltp_oracle_test_" + std::to_string(::getpid()));
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+    }
+
+    void
+    TearDown() override
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir_, ec);
+    }
+
+    /** Record graph_walk with @p detail staging into @p file; its
+     *  trace: name. */
+    std::string
+    record(const std::string &file, std::uint64_t detail)
+    {
+        TraceInfo info;
+        info.kernel = "graph_walk";
+        info.funcWarm = 2000;
+        info.pipeWarm = 400;
+        info.detail = detail;
+        std::string path = (dir_ / file).string();
+        writeTraceFile(path, recordTrace(info));
+        return "trace:" + path;
+    }
+
+    std::filesystem::path dir_;
+};
+
+TEST_F(OracleMemoTrace, EveryKeyTermSeparatesEntries)
+{
+    OracleMemo memo;
+    MemConfig mem;
+    memo.classify("graph_walk", 1, kSpan, mem);
+    memo.classify("graph_walk", 2, kSpan, mem);
+    memo.classify("graph_walk", 1, kSpan + 1, mem);
+    MemConfig l3 = mem;
+    l3.l3.sizeKB *= 2;
+    memo.classify("graph_walk", 1, kSpan, l3);
+    MemConfig ll = mem;
+    ll.llThreshold += 1;
+    memo.classify("graph_walk", 1, kSpan, ll);
+    OracleParams tight;
+    tight.urgencyWindow = 64;
+    memo.classify("graph_walk", 1, kSpan, mem, tight);
+    EXPECT_EQ(memo.computes(), 6u);
+    EXPECT_EQ(memo.hits(), 0u);
+
+    // Traces key by content, not by path.
+    std::string a = record("a.lttr", 1000);
+    std::string b = record("b.lttr", 1001); // one more record
+    std::filesystem::copy_file(dir_ / "a.lttr", dir_ / "copy.lttr");
+    memo.classify(a, 1, kSpan, mem);
+    memo.classify(b, 1, kSpan, mem);
+    EXPECT_EQ(memo.computes(), 8u);
+    memo.classify("trace:" + (dir_ / "copy.lttr").string(), 1, kSpan,
+                  mem);
+    memo.classify("graph_walk", 1, kSpan, mem);
+    EXPECT_EQ(memo.computes(), 8u);
+    EXPECT_EQ(memo.hits(), 2u);
+}
+
+TEST(OracleMemo, KeyCoversEveryRegisteredMemField)
+{
+    JsonValue mem = parseJson(memConfigJson(MemConfig{}));
+    int fields = 0;
+    for (const std::string &path : configPaths()) {
+        if (path.rfind("mem.", 0) != 0)
+            continue;
+        const JsonValue *v = &mem;
+        std::size_t pos = 4;
+        while (v && pos <= path.size()) {
+            std::size_t dot = path.find('.', pos);
+            if (dot == std::string::npos)
+                dot = path.size();
+            auto it = v->object.find(path.substr(pos, dot - pos));
+            v = it == v->object.end() ? nullptr : &it->second;
+            pos = dot + 1;
+        }
+        EXPECT_TRUE(v && !v->isObject()) << path;
+        fields += 1;
+    }
+    EXPECT_GT(fields, 20);
+}
+
+TEST(OracleMemo, EvictsLeastRecentlyUsedAndHandlesOutliveEviction)
+{
+    constexpr std::uint64_t n = 3000;
+    OracleMemo memo(2 * n + n / 2); // room for two entries
+    auto direct = [](std::uint64_t seed) {
+        WorkloadPtr w = makeGraphWalk();
+        return oracleClassify(*w, seed, n, MemConfig{});
+    };
+    auto get = [&](std::uint64_t seed) {
+        return memo.memoize("seed" + std::to_string(seed),
+                            [&] { return direct(seed); });
+    };
+    get(1);
+    OracleClassification held = get(2);
+    get(1); // 1 is now the most recent; 2 is next out
+    get(3);
+    EXPECT_EQ(memo.computes(), 3u);
+    EXPECT_EQ(memo.bytes(), 2 * n);
+
+    get(1);
+    get(3);
+    EXPECT_EQ(memo.computes(), 3u) << "1 and 3 stayed resident";
+    EXPECT_EQ(flagsOf(held), flagsOf(direct(2)))
+        << "an evicted entry stays readable through its handle";
+    get(2);
+    EXPECT_EQ(memo.computes(), 4u) << "2 was evicted";
+    EXPECT_LE(memo.bytes(), 2 * n + n / 2);
+}
+
+TEST(OracleMemo, HandlesRebaseIndependently)
+{
+    OracleMemo memo;
+    OracleClassification a = memo.classify("paper_loop", 1, 11 * 200,
+                                           MemConfig{});
+    OracleClassification b = memo.classify("paper_loop", 1, 11 * 200,
+                                           MemConfig{});
+    OracleClassification c = a;
+    WorkloadPtr w = makePaperLoop();
+    std::vector<std::uint8_t> direct =
+        flagsOf(oracleClassify(*w, 1, 11 * 200, MemConfig{}));
+    a.setBase(11);
+    b.setBase(0);
+    c.setBase(25);
+    for (SeqNum s = 0; s + 25 < direct.size(); ++s) {
+        ASSERT_EQ(a.longLatency(s), (direct[s + 11] & 4) != 0) << s;
+        ASSERT_EQ(b.longLatency(s), (direct[s] & 4) != 0) << s;
+        ASSERT_EQ(c.urgent(s), (direct[s + 25] & 1) != 0) << s;
+        ASSERT_EQ(b.nonReady(s), (direct[s] & 2) != 0) << s;
+    }
+}
+
+TEST(OracleMemo, SimulatorMetricsIdenticalColdAndWarm)
+{
+    SimConfig cfg = SimConfig::limitStudy(LtpMode::NRNU).withIq(32);
+    RunLengths l{2000, 400, 1000};
+    OracleMemo &memo = OracleMemo::global();
+    memo.clear();
+    std::uint64_t before = memo.computes();
+    auto run = [&] {
+        return metricsToJson(Simulator::runOnce(cfg, "graph_walk", l));
+    };
+    std::string cold = run();
+    EXPECT_EQ(memo.computes(), before + 1);
+    std::string warm = run();
+    EXPECT_EQ(memo.computes(), before + 1) << "warm run recomputed";
+    EXPECT_EQ(cold, warm);
+}
+
+TEST(OracleMemo, SampledMetricsIdenticalColdAndWarm)
+{
+    SimConfig cfg = SimConfig::limitStudy(LtpMode::NRNU).withIq(32);
+    SamplePlan plan{3000, 500, 1000, 3};
+    auto run = [&] {
+        Metrics m = Sampler::runOnce(cfg, "graph_walk", plan);
+        m.sampling.ffKips = 0.0; // host time, not a result
+        return metricsToJson(m);
+    };
+    OracleMemo &memo = OracleMemo::global();
+    memo.clear();
+    std::uint64_t before = memo.computes();
+    std::string cold = run();
+    EXPECT_EQ(memo.computes(), before + 1);
+    std::string warm = run();
+    EXPECT_EQ(memo.computes(), before + 1) << "warm run recomputed";
+    EXPECT_EQ(cold, warm);
 }
 
 } // namespace

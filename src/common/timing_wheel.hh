@@ -68,6 +68,26 @@ class TimingWheel
         }
     }
 
+    /**
+     * Lower bound on the cycle of the next event to fire, capped at
+     * @p bound (returned when nothing is due in (now, bound)).  Scans
+     * level-0 slots only up to the next level-1 epoch edge and returns
+     * that edge itself: the cascade there may bring events down, so
+     * the bound is conservative at epoch edges and costs at most one
+     * epoch of slot loads.
+     */
+    Cycle
+    nextDue(Cycle bound) const
+    {
+        if (size_ == 0)
+            return bound;
+        for (Cycle c = now_ + 1; c < bound; ++c) {
+            if ((c & kMask) == 0 || !l0_[c & kMask].empty())
+                return c;
+        }
+        return bound;
+    }
+
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
     Cycle now() const { return now_; }

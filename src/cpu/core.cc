@@ -66,11 +66,11 @@ Core::ThreadContext::ThreadContext(int tid_, const CoreConfig &cfg,
       llpred(),
       tickets(cfg.ltp.numTickets),
       monitor(cfg.ltp.useMonitor, dram_latency),
-      pool(kPoolSize),
       pool_gen(kPoolSize, 0),
       mem_base(threadAddrBase(tid_))
 {
     ticket_epoch.assign(tickets.capacity(), 0);
+    pool.reserve(kPoolSize);
 }
 
 Core::Core(const CoreConfig &cfg, MemSystem &mem, InstSource &source,
@@ -149,12 +149,18 @@ Core::ltpOn(const ThreadContext &t) const
 DynInst *
 Core::slotFor(ThreadContext &t, SeqNum seq)
 {
+    sim_assert(seq % kPoolSize < t.pool.size());
     return &t.pool[seq % kPoolSize];
 }
 
 DynInst *
 Core::allocInst(ThreadContext &t, const MicroOp &op, SeqNum seq)
 {
+    // Slots are built on first use.  Fetch hands out sequence numbers
+    // in order from 0, so the pool grows one slot at a time until it
+    // wraps; the up-front reserve keeps every slot pointer stable.
+    while (t.pool.size() <= seq % kPoolSize)
+        t.pool.emplace_back();
     DynInst *inst = slotFor(t, seq);
     sim_assert(inst->seq == kSeqNone || inst->committed ||
                inst->squashed);
@@ -168,6 +174,7 @@ bool
 Core::eventInstValid(const ThreadContext &t, SeqNum seq,
                      std::uint64_t gen) const
 {
+    sim_assert(seq % kPoolSize < t.pool.size());
     const DynInst &inst = t.pool[seq % kPoolSize];
     return inst.seq == seq && t.pool_gen[seq % kPoolSize] == gen &&
            !inst.squashed;
@@ -202,6 +209,7 @@ void
 Core::processTicketEvents()
 {
     ticket_events_.advanceTo(now_, [this](const TicketEv &ev) {
+        active_ = true;
         ThreadContext &t = thread(ev.tid);
         if (t.ticket_epoch[std::size_t(ev.ticket)] != ev.epoch)
             return;
@@ -223,6 +231,7 @@ Core::completeInst(DynInst *inst)
 {
     ThreadContext &t = threadOf(inst);
     sim_assert(!inst->completed);
+    active_ = true;
     inst->completed = true;
     inst->executed = true;
     inst->completeCycle = now_;
@@ -382,6 +391,7 @@ Core::commit(ThreadContext &t)
         if (head->op.isLoad() && head->inLq)
             t.lsq.removeLoad(head);
 
+        active_ = true;
         head->committed = true;
         t.rob.popHead();
         t.stats.committed++;
@@ -440,6 +450,7 @@ Core::tryUnpark(ThreadContext &t, DynInst *inst, bool forced)
                                    : AllocPriority::Unpark);
         if (dst < 0)
             return false;
+        active_ = true; // even if released again below
     }
 
     // Late LQ/SQ allocation (limit study).
@@ -479,6 +490,7 @@ Core::tryUnpark(ThreadContext &t, DynInst *inst, bool forced)
         t.lsq.insertStore(inst);
     }
 
+    active_ = true;
     enqueueIq(inst, forced && !iq_.hasSpace());
     inst->earliestIssue = now_ + 1;
     inst->unparkCycle = now_;
@@ -886,6 +898,7 @@ Core::renameThread(ThreadContext &t, int &budget)
                 t.rename_pressure = true;
             break;
         }
+        active_ = true;
         t.front_queue.pop_front();
         budget -= 1;
         t.stats.renamed++;
@@ -977,6 +990,7 @@ Core::execute()
         ThreadContext &t = thread(ev.tid);
         if (!eventInstValid(t, ev.seq, ev.gen))
             continue;
+        active_ = true;
         DynInst *inst = slotFor(t, ev.seq);
         if (!inst->completed && !inst->waitingOnStore)
             executeLoad(inst, now_);
@@ -1000,6 +1014,8 @@ Core::execute()
         return budget > 0;
     });
 
+    if (!selected.empty())
+        active_ = true;
     for (DynInst *inst : selected) {
         ThreadContext &t = threadOf(inst);
         iq_.remove(inst);
@@ -1039,6 +1055,7 @@ Core::drainStores(ThreadContext &t)
         DynInst *st = t.lsq.oldestDrainableStore();
         if (!st)
             break;
+        active_ = true; // a failed access still touches L1D state
         auto res = mem_.access(st->op.pc + t.mem_base,
                                st->op.effAddr + t.mem_base, true, now_);
         if (!res)
@@ -1061,6 +1078,7 @@ Core::fetchEligible(const ThreadContext &t) const
 void
 Core::fetchThread(ThreadContext &t)
 {
+    active_ = true;
     int budget = cfg_.fetchWidth;
     while (budget > 0 &&
            static_cast<int>(t.front_queue.size()) < cfg_.fetchQueueCap) {
@@ -1203,6 +1221,7 @@ Core::tick()
     // FU issue counts and LTP port budgets replenish lazily off the
     // advanced cycle stamp — no begin-of-cycle pass at all.
     now_ += 1;
+    active_ = false;
 
     processTicketEvents();
     writeback();
@@ -1238,6 +1257,7 @@ Core::tickProfiled()
     };
 
     now_ += 1;
+    active_ = false;
     lap(TickProfile::BeginCycle);
 
     processTicketEvents();
@@ -1280,10 +1300,111 @@ panicNoProgress(Cycle now, std::uint64_t committed)
 
 } // namespace
 
+// ---------------------------------------------------------------------
+// Quiet-cycle skip
+//
+// A long-latency miss leaves the core waiting: most ticks then commit,
+// complete, rename, issue and fetch nothing, and differ from the next
+// only in the clock and the per-cycle stall counters.  The run loop
+// detects such an idle tick (active_ stays clear and rename_pressure
+// is unchanged), finds the first later cycle at which anything can
+// change, and jumps there, replaying the idle tick's stall increments
+// once per skipped cycle.  Occupancy stats integrate off the bound
+// clock, so they need no replay.
+
+/** Everything an idle tick may increment, per thread. */
+std::array<Counter *, Core::kStallCounters>
+Core::stallCounters(ThreadContext &t)
+{
+    CoreStats &s = t.stats;
+    return {&s.renameStallRob,   &s.renameStallRegs, &s.renameStallIq,
+            &s.renameStallLq,    &s.renameStallSq,   &s.renameStallLtp,
+            &s.commitStallLoad,  &s.commitStallOther, &s.parkSkippedOff,
+            &t.ltp.fullStalls};
+}
+
+/** Record the stall counters and rename pressure ahead of a tick. */
+void
+Core::markQuiet()
+{
+    for (auto &tp : threads_) {
+        ThreadContext &t = *tp;
+        auto counters = stallCounters(t);
+        for (std::size_t i = 0; i < kStallCounters; ++i)
+            t.stall_mark[i] = counters[i]->value();
+        t.pressure_mark = t.rename_pressure;
+    }
+}
+
+/**
+ * The first cycle after now at which an idle core can change state,
+ * capped at @p limit.  Every term is an event or a time-gated condition
+ * that an idle tick left pending; anything else only changes as a
+ * consequence of one of them.
+ */
+Cycle
+Core::quietHorizon(Cycle limit) const
+{
+    Cycle h = limit;
+    if (!completions_.empty())
+        h = std::min(h, completions_.top().when);
+    if (!retry_events_.empty())
+        h = std::min(h, retry_events_.top().when);
+    for (const auto &tp : threads_) {
+        const ThreadContext &t = *tp;
+        // A head already due is stalled on resources, not on time.
+        if (!t.front_queue.empty() && t.front_queue.front().readyAt > now_)
+            h = std::min(h, t.front_queue.front().readyAt);
+        if (t.fetch_resume_at > now_)
+            h = std::min(h, t.fetch_resume_at);
+        if (cfg_.ltp.mode != LtpMode::Off)
+            h = std::min(h, t.monitor.nextToggle(now_));
+    }
+    iq_.forEachReady([&](DynInst *inst) {
+        h = std::min(h, std::max(inst->earliestIssue,
+                                 fu_.nextFree(inst->op.opc)));
+        return h > now_ + 1;
+    });
+    return ticket_events_.nextDue(h);
+}
+
+/**
+ * After a tick: if it was idle, advance the clock to just before the
+ * quiet horizon (capped at @p limit) and replay the idle tick's stall
+ * increments for every skipped cycle.  Profiled cores never skip.
+ */
+void
+Core::skipQuietCycles(Cycle limit)
+{
+    if (active_ || profile_)
+        return;
+    for (const auto &t : threads_)
+        if (t->rename_pressure != t->pressure_mark)
+            return;
+    Cycle h = quietHorizon(limit);
+    if (h <= now_ + 1)
+        return;
+    std::uint64_t skipped = h - now_ - 1;
+    for (auto &tp : threads_) {
+        ThreadContext &t = *tp;
+        auto counters = stallCounters(t);
+        for (std::size_t i = 0; i < kStallCounters; ++i)
+            *counters[i] += (counters[i]->value() - t.stall_mark[i]) *
+                            skipped;
+    }
+    now_ = h - 1;
+}
+
 void
 Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
                         const TickHook &on_tick)
 {
+    // Skips stop at max_cycles and at the watchdog cycle, so both end
+    // the run exactly where ticking every cycle would.
+    auto skipLimit = [&](Cycle last_progress) {
+        return std::min(max_cycles, last_progress + kNoProgressWindow + 1);
+    };
+
     // Single-threaded fast path: one counter, read straight off the
     // context — this is the whole-simulation driver loop, so it must
     // not pay per-thread aggregation (or an indirect hook call) on
@@ -1293,6 +1414,7 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
         std::uint64_t last_committed = committed.value();
         Cycle last_progress = now_;
         while (committed.value() < n) {
+            markQuiet();
             tick();
             if (committed.value() != last_committed) {
                 last_committed = committed.value();
@@ -1302,6 +1424,7 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
                 panicNoProgress(now_, last_committed);
             if (now_ >= max_cycles)
                 break;
+            skipQuietCycles(skipLimit(last_progress));
         }
         return;
     }
@@ -1322,6 +1445,7 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
     std::uint64_t last_committed = totalCommitted();
     Cycle last_progress = now_;
     while (leastCommitted() < n) {
+        markQuiet();
         tick();
         if (on_tick)
             on_tick();
@@ -1333,6 +1457,7 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
             panicNoProgress(now_, last_committed);
         if (now_ >= max_cycles)
             break;
+        skipQuietCycles(skipLimit(last_progress));
     }
 }
 

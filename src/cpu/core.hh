@@ -218,6 +218,10 @@ threadAddrBase(int tid)
  * profile is attached via Core::setProfiler (the `ltp bench --profile`
  * path).  When no profile is attached the profiled tick variant is
  * never entered, so measurement costs nothing in normal runs.
+ *
+ * A profiled core ticks every cycle: Core::runUntilCommitted does not
+ * skip quiet cycles while a profile is attached, so the stage shares
+ * include the idle ticks an unprofiled run jumps over.
  */
 struct TickProfile
 {
@@ -314,7 +318,7 @@ class Core
 
     ~Core();
 
-    /** Advance one cycle. */
+    /** Advance one cycle (never skips: the single-cycle reference). */
     void tick();
 
     /** Hook run after every tick of a multi-thread run loop. */
@@ -326,6 +330,15 @@ class Core
      * "run until n committed".  @p on_tick, if set, runs after every
      * tick — the Simulator's SMT staging uses it to detect per-thread
      * quota crossings without a second driver loop.
+     *
+     * Quiet cycles are skipped: after an idle tick (one that changed
+     * nothing but the clock and the per-cycle stall counters) the
+     * clock jumps straight to the next cycle that can change state,
+     * and the skipped cycles' stall counts are replayed.  The result
+     * is bit-identical to calling tick() once per cycle.  @p on_tick
+     * does not run for skipped cycles, so it must react to commit
+     * counts only (a skipped cycle never commits).  A core with a
+     * TickProfile attached ticks every cycle.
      */
     void runUntilCommitted(std::uint64_t n,
                            Cycle max_cycles = kCycleNever,
@@ -399,6 +412,9 @@ class Core
     /// @}
 
   private:
+    /** The per-cycle stall counters of one thread (see stallCounters). */
+    static constexpr std::size_t kStallCounters = 10;
+
     /**
      * Everything one hardware thread owns: the in-order front end and
      * window, the per-thread LTP machinery, and the instruction pool.
@@ -454,6 +470,9 @@ class Core
         std::vector<std::uint64_t> ticket_epoch; ///< stale-event guard
 
         // ---- instruction pool ----
+        /** Reserved at full size up front (slot pointers stay stable)
+         *  and grown on first use: a short run never builds, or
+         *  touches, the slots it does not reach. */
         std::vector<DynInst> pool;
         std::vector<std::uint64_t> pool_gen;
 
@@ -467,6 +486,10 @@ class Core
 
         // ---- stats ----
         CoreStats stats;
+
+        // ---- quiet-cycle skip: state ahead of the last tick ----
+        std::array<std::uint64_t, kStallCounters> stall_mark{};
+        bool pressure_mark = false;
     };
 
     // ---- pipeline stages (tick order) ----
@@ -528,12 +551,22 @@ class Core
     void completeInst(DynInst *inst);
     bool ltpOn(const ThreadContext &t) const;
 
+    // ---- quiet-cycle skip ----
+    static std::array<Counter *, kStallCounters>
+    stallCounters(ThreadContext &t);
+    void markQuiet();
+    Cycle quietHorizon(Cycle limit) const;
+    void skipQuietCycles(Cycle limit);
+
     // ---- configuration & wiring ----
     CoreConfig cfg_;
     MemSystem &mem_;
 
     // ---- time ----
     Cycle now_ = 0;
+    /** Set by every stage action beyond a per-cycle stall count; an
+     *  idle tick leaves it clear (see runUntilCommitted). */
+    bool active_ = false;
 
     // ---- hardware threads ----
     std::vector<std::unique_ptr<ThreadContext>> threads_;

@@ -49,6 +49,13 @@ class FuPool
      */
     bool canIssue(OpClass c, Cycle now) const;
 
+    /**
+     * Earliest cycle at which some unit of @p c's group is free of an
+     * unpipelined op.  The per-cycle issue count does not enter: it
+     * never carries into a later cycle.
+     */
+    Cycle nextFree(OpClass c) const;
+
     /** Claim a unit; returns the execute latency of the op. */
     int issue(OpClass c, Cycle now);
 

@@ -49,6 +49,17 @@ class LtpMonitor
         return !use_timer_ || now < deadline_;
     }
 
+    /**
+     * The cycle enabled() next changes on its own: the armed timer's
+     * deadline, or kCycleNever once it has expired (only a DRAM miss
+     * re-enables LTP after that).
+     */
+    Cycle
+    nextToggle(Cycle now) const
+    {
+        return use_timer_ && deadline_ > now ? deadline_ : kCycleNever;
+    }
+
     /** Fraction of cycles LTP was powered on (Fig 7 bottom). */
     double
     enabledFraction(Cycle now)

@@ -603,6 +603,8 @@ ServerImpl::execCell(const std::string &key, const SimConfig &cfg,
                 cache->store(cellKey, cfg, lengths, cell->metrics);
         } else {
             try {
+                if (opts.onCellStart)
+                    opts.onCellStart();
                 bool remote_hit = false;
                 cell->metrics =
                     workers ? workers->runCell(cellKey, cfg, workload,
@@ -711,6 +713,11 @@ ServerImpl::drainActive(int deadlineMs)
         return 0;
     note("draining %zu in-flight cell(s), deadline %d ms", before,
          deadlineMs);
+    if (opts.onDrainStart) {
+        lock.unlock();
+        opts.onDrainStart();
+        lock.lock();
+    }
     activeCv.wait_for(lock, std::chrono::milliseconds(deadlineMs),
                       [this]() { return activeCells == 0; });
     return activeCells < before ? before - activeCells : 0;

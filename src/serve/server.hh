@@ -49,6 +49,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,6 +88,17 @@ struct ServeOptions
     std::string traceDir;
     /** Max wait for in-flight cells to finish on shutdown. */
     int drainTimeoutMs = 10000;
+
+    /// @name Test seams (unset in normal use)
+    /// @{
+    /** Runs on the pool thread as a cell that missed every cache
+     *  starts computing; the cell already counts as in flight, so a
+     *  test can hold it there until it chooses to release it. */
+    std::function<void()> onCellStart;
+    /** Runs on the shutdown path once the drain has counted the cells
+     *  in flight, before it waits for them. */
+    std::function<void()> onDrainStart;
+    /// @}
 };
 
 /** The daemon: accept loop + per-connection readers + shared pool. */

@@ -60,6 +60,7 @@ cellKeyFor(const SimConfig &cfg, const std::string &workload,
 
     Sha256 h;
     h.update(strprintf("ltp-cell-v%d\n", kCellKeyVersion));
+    h.update(strprintf("model: %d\n", kModelVersion));
     h.update("config: " + canonicalJson(configToJson(cfg)) + "\n");
     h.update("workload: " + key.workload + "\n");
     h.update(strprintf("staging: %llu/%llu/%llu\n",

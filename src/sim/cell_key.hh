@@ -15,8 +15,9 @@
  *    CRC-32 stored in the `.lttr` file (so a renamed or copied trace
  *    file keys identically, and a re-recorded one does not), `smt:`
  *    tuples decomposed per member;
- *  - the staging plan and the Metrics schema version round out the
- *    preimage, so staging changes and format bumps never alias.
+ *  - the staging plan, the Metrics schema version and the model
+ *    version round out the preimage, so staging changes, format bumps
+ *    and behaviour changes never alias.
  *
  * The preimage is kept alongside the hex digest for observability
  * (`ltp cache ls`, wire-protocol debugging).
@@ -35,7 +36,16 @@ namespace ltp {
 
 /** Version salt of the key derivation itself: bump on any change to
  *  the preimage layout so old cache entries can never alias. */
-inline constexpr int kCellKeyVersion = 1;
+inline constexpr int kCellKeyVersion = 2;
+
+/**
+ * Version of the simulated behaviour, part of every cell key.  Bump it
+ * with any change that moves a simulated result, so no cache (local,
+ * served or distributed) can return a number the current model would
+ * not produce.  test_golden pins a digest of the golden snapshots per
+ * model version: re-baselining the goldens without a bump fails it.
+ */
+inline constexpr int kModelVersion = 1;
 
 /** Stable identity of one (config, workload, staging, seed) cell. */
 struct CellKey

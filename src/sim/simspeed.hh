@@ -40,7 +40,10 @@ struct SimSpeedOptions
      * artifact alone.  The clock reads perturb the measured kIPS
      * heavily: 942 profiled against 1487 unprofiled total kIPS (best
      * of 3, 4-core x86-64 container), 37% lower, so profiled runs are
-     * for diagnosis, not gating.
+     * for diagnosis, not gating.  A profiled core also ticks every
+     * cycle (Core::runUntilCommitted skips quiet cycles only without
+     * a profile), so the stage shares include the idle ticks an
+     * unprofiled run jumps over.
      */
     bool profile = false;
     /**

@@ -186,8 +186,7 @@ Simulator::runOnce(const SimConfig &cfg, const std::string &kernel,
     return sim.run();
 }
 
-/** The detail-region stats harvest shared by full and sampled runs. */
-static Metrics
+Metrics
 extractMetrics(const SimConfig &cfg, Core &core, MemSystem &mem,
                const std::vector<Workload *> &workloads,
                const std::vector<Cycle> &cross_cycles,

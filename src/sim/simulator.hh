@@ -157,6 +157,19 @@ Metrics runDetailPhases(
     const std::function<void(const char *)> &phase = {});
 
 /**
+ * The detail-region stats harvest shared by full and sampled runs:
+ * thread tid's slice closed at @p cross_cycles[tid] with
+ * @p cross_insts[tid] committed, and the region is the last
+ * @p detail_cycles cycles of @p core.  @p workloads supplies the
+ * per-thread names.
+ */
+Metrics extractMetrics(const SimConfig &cfg, Core &core, MemSystem &mem,
+                       const std::vector<Workload *> &workloads,
+                       const std::vector<Cycle> &cross_cycles,
+                       const std::vector<std::uint64_t> &cross_insts,
+                       Cycle detail_cycles);
+
+/**
  * Owns one complete simulation instance (memory, core, traces,
  * oracles — one workload pipeline per hardware thread).
  * Construct, run(), read the metrics; or use the one-shot helper.

@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for the common substrate: stats, RNG, tables, CLI, types,
- * binary I/O.
+ * binary I/O, ring buffer, timing wheel.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/timing_wheel.hh"
 #include "common/types.hh"
 
 namespace ltp {
@@ -419,6 +421,79 @@ TEST(Ring, CapacityAssertsOnEmptyPops)
     // still coherent.
     r.push_back(2);
     EXPECT_EQ(r.front(), 2);
+}
+
+
+// ---------------------------------------------------------------------
+// TimingWheel::nextDue
+
+TEST(TimingWheel, NextDueOnAnEmptyWheelIsTheBound)
+{
+    TimingWheel<int> w;
+    EXPECT_EQ(w.nextDue(1000), 1000u);
+    EXPECT_EQ(w.nextDue(kCycleNever), kCycleNever);
+}
+
+TEST(TimingWheel, NextDueFindsLevel0EventsAndStopsAtEpochEdges)
+{
+    TimingWheel<int> w;
+    w.schedule(10, 1);
+    EXPECT_EQ(w.nextDue(1000), 10u);
+    EXPECT_EQ(w.nextDue(7), 7u); // bound first
+    w.advanceTo(10, [](int) {});
+
+    // Level 1 (a later epoch): the edge is the conservative answer.
+    w.schedule(300, 2);
+    EXPECT_EQ(w.nextDue(1000), 256u);
+    int fired = 0;
+    w.advanceTo(256, [&](int) { fired += 1; });
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(w.nextDue(1000), 300u);
+
+    // Level 0 across the wrap: slot index below now's, due next epoch.
+    w.advanceTo(300, [&](int) { fired += 1; });
+    EXPECT_EQ(fired, 1);
+    w.advanceTo(500, [](int) {});
+    w.schedule(530, 3);
+    EXPECT_EQ(w.nextDue(1000), 512u);
+    w.advanceTo(512, [](int) {});
+    EXPECT_EQ(w.nextDue(1000), 530u);
+
+    // Overflow (past level 1's horizon): epoch edges all the way.
+    w.advanceTo(530, [](int) {});
+    w.schedule(530 + 3 * 65536, 4);
+    EXPECT_EQ(w.nextDue(kCycleNever), 768u);
+}
+
+TEST(TimingWheel, NextDueNeverSkipsAnEvent)
+{
+    // Jump straight to each nextDue() answer: every event must fire
+    // exactly at the cycle jumped to, across level 0, level 1 and the
+    // overflow list, with events added mid-walk.
+    TimingWheel<Cycle> w;
+    Rng rng(11);
+    std::vector<Cycle> due;
+    for (int i = 0; i < 300; ++i) {
+        Cycle when = 1 + rng.below(3 * 65536);
+        due.push_back(when);
+        w.schedule(when, when);
+    }
+    std::vector<Cycle> fired;
+    while (!w.empty()) {
+        Cycle c = w.nextDue(kCycleNever);
+        ASSERT_GT(c, w.now());
+        w.advanceTo(c, [&](Cycle when) {
+            EXPECT_EQ(when, c);
+            fired.push_back(when);
+        });
+        if (fired.size() % 3 == 0 && due.size() < 600) {
+            Cycle when = c + 1 + rng.below(1000);
+            due.push_back(when);
+            w.schedule(when, when);
+        }
+    }
+    std::sort(due.begin(), due.end());
+    EXPECT_EQ(fired, due);
 }
 
 } // namespace

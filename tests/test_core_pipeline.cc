@@ -2,15 +2,25 @@
  * @file
  * Pipeline-level tests of the OOO core (no LTP): throughput sanity,
  * resource lifetimes, commit ordering, branch penalties, squash
- * correctness and register-free-list conservation.
+ * correctness and register-free-list conservation.  Plus the
+ * cycle-exact differential of the quiet-cycle skip: runUntilCommitted
+ * against one tick() per cycle, across every suite kernel and the LTP,
+ * limit-study, small-window, MSHR-bound, SMT and sampled settings.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
 #include "cpu/core.hh"
+#include "sample/fast_forward.hh"
+#include "sample/sampler.hh"
+#include "sim/config.hh"
+#include "sim/report.hh"
+#include "sim/simulator.hh"
 #include "trace/kernels.hh"
 #include "trace/suite.hh"
 
@@ -403,6 +413,345 @@ TEST(CorePipeline, SmallerIqNeverFaster)
     };
     double ipc16 = run(16), ipc64 = run(64);
     EXPECT_LE(ipc16, ipc64 * 1.02);
+}
+
+
+// ---------------------------------------------------------------------
+// Quiet-cycle skip: runUntilCommitted must be cycle-exact against one
+// tick() per cycle — same clock, every stall counter, same Metrics.
+
+/** Every CoreStats field, by name (the size check catches additions). */
+const std::pair<const char *, Counter CoreStats::*> kCoreStatsFields[] = {
+    {"committed", &CoreStats::committed},
+    {"fetched", &CoreStats::fetched},
+    {"renamed", &CoreStats::renamed},
+    {"parked", &CoreStats::parked},
+    {"unparked", &CoreStats::unparked},
+    {"forcedUnparks", &CoreStats::forcedUnparks},
+    {"pressureUnparks", &CoreStats::pressureUnparks},
+    {"boundaryUnparks", &CoreStats::boundaryUnparks},
+    {"ticketUnparks", &CoreStats::ticketUnparks},
+    {"iqIssued", &CoreStats::iqIssued},
+    {"wbWrites", &CoreStats::wbWrites},
+    {"rfReads", &CoreStats::rfReads},
+    {"rfWrites", &CoreStats::rfWrites},
+    {"loadsExecuted", &CoreStats::loadsExecuted},
+    {"storesExecuted", &CoreStats::storesExecuted},
+    {"squashes", &CoreStats::squashes},
+    {"memViolations", &CoreStats::memViolations},
+    {"classUrgent", &CoreStats::classUrgent},
+    {"classNonReady", &CoreStats::classNonReady},
+    {"parkSkippedOff", &CoreStats::parkSkippedOff},
+    {"renameStallRob", &CoreStats::renameStallRob},
+    {"renameStallRegs", &CoreStats::renameStallRegs},
+    {"renameStallIq", &CoreStats::renameStallIq},
+    {"renameStallLq", &CoreStats::renameStallLq},
+    {"renameStallSq", &CoreStats::renameStallSq},
+    {"renameStallLtp", &CoreStats::renameStallLtp},
+    {"commitStallLoad", &CoreStats::commitStallLoad},
+    {"commitStallOther", &CoreStats::commitStallOther},
+};
+static_assert(sizeof(CoreStats) ==
+                  std::size(kCoreStatsFields) * sizeof(Counter),
+              "a CoreStats field is missing from kCoreStatsFields");
+
+/** Tick one cycle at a time until every thread has committed @p n
+ *  (failing, instead of spinning, on a commit-progress deadlock). */
+void
+tickUntil(Core &core, std::uint64_t n)
+{
+    auto least = [&] {
+        std::uint64_t l = core.committedInsts(0);
+        for (int tid = 1; tid < core.numThreads(); ++tid)
+            l = std::min(l, core.committedInsts(tid));
+        return l;
+    };
+    std::uint64_t last = least();
+    Cycle last_progress = core.cycle();
+    while (last < n) {
+        core.tick();
+        if (least() != last) {
+            last = least();
+            last_progress = core.cycle();
+        }
+        if (core.cycle() - last_progress > 200000)
+            FAIL() << "no commit progress for 200k cycles";
+    }
+}
+
+using Driver = void (*)(Core &, std::uint64_t);
+
+void
+skipDriver(Core &core, std::uint64_t n)
+{
+    core.runUntilCommitted(n);
+}
+
+/** Everything the differential compares, as one diffable string:
+ *  the clock, every core counter and the memory-side counters (a
+ *  failed store drain still counts an L1D miss and an MSHR stall). */
+std::string
+fingerprint(Core &core, MemSystem &mem)
+{
+    std::string out;
+    auto put = [&out](const std::string &name, std::uint64_t v) {
+        out += name + "=" + std::to_string(v) + "\n";
+    };
+    put("cycle", core.cycle());
+    for (int tid = 0; tid < core.numThreads(); ++tid) {
+        std::string t = "t" + std::to_string(tid) + ".";
+        for (const auto &[name, field] : kCoreStatsFields)
+            put(t + name, (core.stats(tid).*field).value());
+        put(t + "ltp.fullStalls", core.ltpQueue(tid).fullStalls.value());
+        put(t + "ltp.pushes", core.ltpQueue(tid).pushes.value());
+        put(t + "ltp.pops", core.ltpQueue(tid).pops.value());
+        put(t + "uit.lookups", core.uit(tid).lookups.value());
+        put(t + "llpred.predictions",
+            core.llpred(tid).predictions.value());
+        put(t + "tickets.broadcasts",
+            core.tickets(tid).broadcasts.value());
+        put(t + "lsq.forwards", core.lsq(tid).forwards.value());
+    }
+    put("iq.inserts", core.iq().inserts.value());
+    for (RegClass cls : {RegClass::Int, RegClass::Fp}) {
+        std::string r = cls == RegClass::Int ? "int." : "fp.";
+        put(r + "allocations", core.regs(cls).allocations.value());
+        put(r + "reserveAllocations",
+            core.regs(cls).reserveAllocations.value());
+    }
+    const std::pair<const char *, Cache *> caches[] = {
+        {"l1i", &mem.l1i()}, {"l1d", &mem.l1d()},
+        {"l2", &mem.l2()},   {"l3", &mem.l3()}};
+    for (const auto &[name, c] : caches) {
+        std::string p = std::string(name) + ".";
+        put(p + "demandHits", c->demandHits.value());
+        put(p + "demandMisses", c->demandMisses.value());
+        put(p + "mergedInflight", c->mergedInflight.value());
+        put(p + "evictions", c->evictions.value());
+    }
+    put("mshr.allocations", mem.l1dMshrs().allocations.value());
+    put("mshr.fullStalls", mem.l1dMshrs().fullStalls.value());
+    put("dram.reads", mem.dram().reads.value());
+    put("dram.writes", mem.dram().writes.value());
+    put("prefetch.issued", mem.prefetcher().issued.value());
+    return out;
+}
+
+/**
+ * Pipeline warm, stats reset, then the detail region, each phase
+ * driven by @p drive; returns the core fingerprint plus the detail
+ * region's Metrics JSON.
+ */
+std::string
+stagedRun(const SimConfig &cfg, const std::string &kernel, Driver drive)
+{
+    RunLengths lengths{3000, 500, 2500};
+    Simulator sim(cfg, kernel, lengths);
+    Core &core = sim.core();
+    drive(core, lengths.pipeWarm);
+    core.resetStats();
+    sim.mem().resetStats(core.cycle());
+    Cycle start = core.cycle();
+    drive(core, lengths.detail);
+
+    SimConfig resolved = cfg;
+    std::vector<WorkloadPtr> names;
+    std::vector<Workload *> workloads;
+    std::vector<Cycle> cross_cycles;
+    std::vector<std::uint64_t> cross_insts;
+    for (const std::string &m : resolveWorkloadMembers(resolved, kernel)) {
+        names.push_back(makeKernel(m));
+        workloads.push_back(names.back().get());
+        cross_cycles.push_back(core.cycle());
+        cross_insts.push_back(core.committedInsts(int(workloads.size()) - 1));
+    }
+    Metrics m = extractMetrics(cfg, core, sim.mem(), workloads,
+                               cross_cycles, cross_insts,
+                               core.cycle() - start);
+    return fingerprint(core, sim.mem()) + metricsToJson(m, 1);
+}
+
+void
+expectSkipExact(const SimConfig &cfg, const std::string &kernel)
+{
+    EXPECT_EQ(stagedRun(cfg, kernel, skipDriver),
+              stagedRun(cfg, kernel, tickUntil))
+        << cfg.name << " / " << kernel;
+}
+
+std::vector<SimConfig>
+differentialConfigs()
+{
+    std::vector<SimConfig> cfgs = {
+        SimConfig::baseline(),
+        SimConfig::ltpProposal(LtpMode::NRNU),
+        SimConfig::limitStudy(LtpMode::Off),
+        SimConfig::limitStudy(LtpMode::NR),
+        SimConfig::limitStudy(LtpMode::NU),
+        SimConfig::limitStudy(LtpMode::NRNU),
+        SimConfig::baseline().withIq(16).withRegs(64).withName("iq16-rf64"),
+    };
+    SimConfig mshr = SimConfig::baseline().withName("mshr2");
+    mshr.mem.l1dMshrs = 2; // load retries and failed store drains
+    cfgs.push_back(mshr);
+    // Late LQ/SQ allocation against a finite queue: an unpark can
+    // take a register and hand it back when the LQ/SQ is full.
+    cfgs.push_back(SimConfig::limitStudy(LtpMode::NRNU)
+                       .withLq(32)
+                       .withSq(16)
+                       .withName("limit-NR+NU-lq32-sq16"));
+    return cfgs;
+}
+
+TEST(QuietCycleSkip, CycleExactOnEverySuiteKernelAndConfig)
+{
+    for (const SimConfig &cfg : differentialConfigs())
+        for (const SuiteEntry &k : kernelSuite())
+            expectSkipExact(cfg, k.name);
+}
+
+TEST(QuietCycleSkip, CycleExactOnSmtPairs)
+{
+    for (FetchPolicy policy : {FetchPolicy::RoundRobin, FetchPolicy::ICount}) {
+        for (SimConfig cfg : {SimConfig::baseline(),
+                              SimConfig::ltpProposal(LtpMode::NRNU)}) {
+            cfg.core.fetchPolicy = policy;
+            expectSkipExact(cfg, "smt:graph_walk+dense_compute");
+            expectSkipExact(cfg, "smt:linked_list+hash_probe");
+        }
+    }
+}
+
+TEST(QuietCycleSkip, SmtRunWithQuotaHookMatchesPerCycleRun)
+{
+    // The full SMT staging drives runUntilCommitted with a per-tick
+    // quota hook; a profiled core ticks every cycle, so it is the
+    // reference for the hooked loop.
+    for (FetchPolicy policy : {FetchPolicy::RoundRobin, FetchPolicy::ICount}) {
+        SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
+        cfg.core.fetchPolicy = policy;
+        RunLengths lengths{3000, 500, 2500};
+        Simulator skip(cfg, "smt:graph_walk+dense_compute", lengths);
+        Simulator ref(cfg, "smt:graph_walk+dense_compute", lengths);
+        TickProfile profile;
+        ref.core().setProfiler(&profile);
+        std::string a = metricsToJson(skip.run(), 1);
+        std::string b = metricsToJson(ref.run(), 1);
+        EXPECT_EQ(a, b) << fetchPolicyName(policy);
+        EXPECT_EQ(fingerprint(skip.core(), skip.mem()),
+                  fingerprint(ref.core(), ref.mem()));
+        EXPECT_EQ(profile.ticks, ref.core().cycle());
+    }
+}
+
+TEST(QuietCycleSkip, SampledCellMatchesPerCycleSamples)
+{
+    // Rebuild the Sampler's schedule from its public pieces, ticking
+    // every detailed cycle, and compare with the sampled run.
+    SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
+    SamplePlan plan;
+    plan.fastForward = 20000;
+    plan.warmup = 1000;
+    plan.detail = 2000;
+    plan.samples = 3;
+    const std::string kernel = "graph_walk";
+    Metrics got = Sampler::runOnce(cfg, kernel, plan);
+
+    Sampler ref(cfg, kernel, plan);
+    FastForward &ff = ref.fastForward();
+    MemSystem &mem = ref.mem();
+    std::size_t max_window = std::size_t(cfg.core.robSize) +
+                             std::size_t(cfg.core.fetchQueueCap) +
+                             std::size_t(cfg.core.fetchWidth);
+    std::uint64_t start = ff.consumed(0);
+    std::vector<Metrics> runs;
+    for (int i = 0; i < plan.samples; ++i) {
+        ff.advanceTo(start + std::uint64_t(i + 1) * plan.fastForward +
+                     std::uint64_t(i) * (plan.warmup + plan.detail));
+        mem.settle();
+        TraceWindow window(ff.stream(0), max_window);
+        Core core(cfg.core, mem, window);
+        core.branchPred().restore(ff.branchPred(0).image());
+        tickUntil(core, plan.warmup);
+        core.resetStats();
+        mem.resetStats(core.cycle());
+        Cycle detail_start = core.cycle();
+        tickUntil(core, plan.detail);
+        runs.push_back(extractMetrics(
+            cfg, core, mem, {&ff.stream(0)}, {core.cycle()},
+            {core.committedInsts()}, core.cycle() - detail_start));
+        ff.branchPred(0).restore(core.branchPred().image());
+    }
+
+    ASSERT_EQ(got.sampling.sampleIpcs.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(got.sampling.sampleIpcs[i], runs[i].ipc) << "sample " << i;
+    Metrics want = averageMetrics(runs, runs.front().workload);
+    want.sampling = got.sampling;
+    EXPECT_EQ(metricsToJson(got, 1), metricsToJson(want, 1));
+}
+
+TEST(QuietCycleSkip, StopsExactlyAtMaxCycles)
+{
+    // A DRAM-bound chain idles for hundreds of cycles at a time; a
+    // skip must still end the run on max_cycles itself.
+    std::vector<MicroOp> ops;
+    Rng rng(5);
+    for (int i = 0; i < 64; ++i)
+        ops.push_back(OpBuilder(OpClass::Load)
+                          .pc(0x3000)
+                          .dst(intReg(1))
+                          .src(intReg(1))
+                          .mem(0x10000000 + (rng.next() % (64 << 20)), 8)
+                          .build());
+    for (Cycle max_cycles : {Cycle(777), Cycle(5003)}) {
+        CoreConfig cfg;
+        MemConfig mcfg;
+        MemSystem mem_a(mcfg), mem_b(mcfg);
+        VectorSource src_a(ops), src_b(ops);
+        Core skip(cfg, mem_a, src_a), ref(cfg, mem_b, src_b);
+        skip.runUntilCommitted(1000000, max_cycles);
+        while (ref.committedInsts() < 1000000 && ref.cycle() < max_cycles)
+            ref.tick();
+        EXPECT_EQ(skip.cycle(), max_cycles);
+        EXPECT_EQ(fingerprint(skip, mem_a), fingerprint(ref, mem_b));
+    }
+}
+
+
+TEST(QuietCycleSkip, PressureUnparkAfterAnIdleStall)
+{
+    // A must-park instruction meeting a full LTP on an otherwise idle
+    // cycle raises rename pressure; the next cycle's pressure unpark
+    // must not be skipped.  A one-wide front end with a two-entry
+    // fetch queue makes that stall cycle idle: the divide's dependents
+    // park (NR), the third one finds the two-entry LTP full.
+    std::vector<MicroOp> ops = {
+        OpBuilder(OpClass::IntDiv).pc(0x5000).dst(intReg(1)).src(intReg(9))
+            .build(),
+        OpBuilder(OpClass::IntAlu).pc(0x5004).dst(intReg(2)).src(intReg(1))
+            .build(),
+        OpBuilder(OpClass::IntAlu).pc(0x5008).dst(intReg(3)).src(intReg(1))
+            .build(),
+        OpBuilder(OpClass::IntAlu).pc(0x500c).dst(intReg(4)).src(intReg(2))
+            .build(),
+        OpBuilder(OpClass::IntAlu).pc(0x5010).dst(intReg(9)).src(intReg(9))
+            .build(),
+    };
+    CoreConfig cfg;
+    cfg.fetchWidth = 1;
+    cfg.fetchQueueCap = 2;
+    cfg.ltp.mode = LtpMode::NR;
+    cfg.ltp.entries = 2;
+    cfg.ltp.useMonitor = false;
+    MemConfig mcfg;
+    MemSystem mem_a(mcfg), mem_b(mcfg);
+    VectorSource src_a(ops), src_b(ops);
+    Core skip(cfg, mem_a, src_a), ref(cfg, mem_b, src_b);
+    skip.runUntilCommitted(500);
+    tickUntil(ref, 500);
+    EXPECT_GT(ref.stats().pressureUnparks.value(), 0u);
+    EXPECT_EQ(fingerprint(skip, mem_a), fingerprint(ref, mem_b));
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -362,48 +363,47 @@ TEST_F(DistributedTest, ScenarioSubmissionIsOneRequestFrame)
 
 TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
 {
-    // A standalone daemon with one long cell in flight: shutdown must
+    // A standalone daemon with one cell held in flight: shutdown must
     // wait for it (bounded) and report it drained, and the client must
-    // still receive the result.
+    // still receive the result.  The server's test seams make the
+    // order deterministic: the cell blocks as it starts computing and
+    // is released only once the shutdown drain has counted it.
     std::string cache_dir =
         (std::filesystem::temp_directory_path() /
          ("ltp_dist_drain_" + std::to_string(::getpid())))
             .string();
     std::filesystem::remove_all(cache_dir);
 
+    std::promise<void> started, release;
+    std::shared_future<void> released = release.get_future().share();
     ServeOptions opts;
     opts.port = 0;
     opts.threads = 2;
     opts.cacheDir = cache_dir;
     opts.quiet = true;
+    opts.onCellStart = [&started, released]() {
+        started.set_value();
+        released.wait();
+    };
+    opts.onDrainStart = [&release]() { release.set_value(); };
     Server server(opts);
     server.start();
 
-    RunLengths big = tiny();
-    big.detail = 1500000; // long enough for the stats poll to see it
+    RunLengths lengths = tiny();
     SimConfig cfg = SimConfig::baseline().withSeed(61);
-    CellKey key = cellKeyFor(cfg, "paper_loop", big);
+    CellKey key = cellKeyFor(cfg, "paper_loop", lengths);
 
     std::string result_json;
     std::thread runner([&]() {
         ServeBackend client("127.0.0.1", server.port());
         result_json = metricsToJson(
-            client.runCell(key, cfg, "paper_loop", big, SamplePlan{})
+            client.runCell(key, cfg, "paper_loop", lengths, SamplePlan{})
                 .metrics);
     });
 
-    // Wait until the cell is actually executing (activeCells in the
-    // stats reply), then ask for shutdown.
+    started.get_future().wait();
     ServeBackend control("127.0.0.1", server.port());
-    bool saw_active = false;
-    for (int i = 0; i < 2500 && !saw_active; ++i) {
-        saw_active =
-            statU64(control.rpc("stats"), "activeCells") >= 1;
-        if (!saw_active)
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    ASSERT_TRUE(saw_active) << "cell never showed up as in-flight";
-
+    EXPECT_EQ(statU64(control.rpc("stats"), "activeCells"), 1u);
     JsonValue ok = control.rpc("shutdown");
     EXPECT_EQ(ok.object.at("type").str, "ok");
     EXPECT_EQ(statU64(ok, "drained"), 1u);
@@ -411,7 +411,7 @@ TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
 
     runner.join();
     EXPECT_EQ(result_json,
-              metricsToJson(Simulator::runOnce(cfg, "paper_loop", big)));
+              metricsToJson(Simulator::runOnce(cfg, "paper_loop", lengths)));
 
     server.stop();
     std::error_code ec;

@@ -1,8 +1,7 @@
 /**
  * @file
- * Aligned ASCII table and CSV output used by the benchmark harnesses to
- * print paper-style result tables (one table per figure/table of the
- * paper; see bench/).
+ * Aligned ASCII table and CSV output: the `ltp` driver's result tables
+ * (one per scenario view, see renderViews in sim/report.hh).
  */
 
 #ifndef LTP_COMMON_TABLE_HH

@@ -15,6 +15,17 @@ namespace {
  *  bitmask (kInstWindow). */
 constexpr std::size_t kPoolSize = kInstWindow;
 
+/** Is @p inst, parked in @p ltp, its oldest parked load (or store)? */
+bool
+oldestParkedOfKind(const LtpQueue &ltp, const DynInst *inst)
+{
+    bool load = inst->op.isLoad();
+    for (const DynInst *i = ltp.front(); i && i != inst; i = i->ltpNext)
+        if (load ? i->op.isLoad() : i->op.isStore())
+            return false;
+    return true;
+}
+
 } // namespace
 
 const char *
@@ -453,11 +464,15 @@ Core::tryUnpark(ThreadContext &t, DynInst *inst, bool forced)
         active_ = true; // even if released again below
     }
 
-    // Late LQ/SQ allocation (limit study).
+    // Late LQ/SQ allocation (limit study).  The reserved entries go to
+    // the oldest parked load (store) only: a younger holder could leave
+    // the one that gates commit without an entry, deadlocking the core.
     bool need_lq = cfg_.ltp.delayLqSq && inst->op.isLoad();
     bool need_sq = cfg_.ltp.delayLqSq && inst->op.isStore();
-    if ((need_lq && !t.lsq.lqHasSpace(true)) ||
-        (need_sq && !t.lsq.sqHasSpace(true))) {
+    if ((need_lq && !t.lsq.lqHasSpace(false) &&
+         !(t.lsq.lqHasSpace(true) && oldestParkedOfKind(t.ltp, inst))) ||
+        (need_sq && !t.lsq.sqHasSpace(false) &&
+         !(t.lsq.sqHasSpace(true) && oldestParkedOfKind(t.ltp, inst)))) {
         if (dst >= 0)
             regs(inst->dstClass()).release(dst);
         return false;

@@ -20,7 +20,7 @@
  *
  * Absolute numbers are calibrated loosely to the paper's citation that
  * the IQ consumes ~18% of core energy [Gowan et al.]; only ratios and
- * percent deltas are reported by the benches.
+ * percent deltas are reported (the `ed2p` scenario view).
  */
 
 #ifndef LTP_ENERGY_ENERGY_MODEL_HH

@@ -9,7 +9,8 @@
  *
  * The prediction table holds 2-bit saturating counters.  The paper
  * reports the predictor costs < 2 percentage points of performance
- * versus an oracle; bench_fig6 exposes both modes.
+ * versus an oracle; `core.ltp.classifier` selects either (the limit
+ * study scenarios, e.g. scenarios/fig6_*.json, use the oracle).
  */
 
 #ifndef LTP_LTP_LLPRED_HH

@@ -690,16 +690,16 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     reply.object["wall_ms"] = wall;
     JsonValue results;
     results.kind = JsonValue::Kind::Array;
-    for (const std::string &row : res.grid.rows())
-        for (const std::string &series : res.grid.series(row)) {
-            JsonValue cell;
-            cell.kind = JsonValue::Kind::Object;
-            cell.object["row"] = jsonStr(row);
-            cell.object["series"] = jsonStr(series);
-            cell.object["metrics"] =
-                parseJson(metricsToJson(res.grid.at(row, series)));
-            results.array.push_back(std::move(cell));
-        }
+    // Declared order, so the client renders rows as the file lists them.
+    for (const auto &[row, series] : res.grid.order()) {
+        JsonValue cell;
+        cell.kind = JsonValue::Kind::Object;
+        cell.object["row"] = jsonStr(row);
+        cell.object["series"] = jsonStr(series);
+        cell.object["metrics"] =
+            parseJson(metricsToJson(res.grid.at(row, series)));
+        results.array.push_back(std::move(cell));
+    }
     reply.object["results"] = std::move(results);
     conn->pipe.writeFrame(reply);
 }

@@ -1,9 +1,8 @@
 /**
  * @file
- * Experiment helpers shared by the bench harnesses: run one config
- * across kernel lists, group-average the results (the paper reports
- * mlp-sensitive / mlp-insensitive averages), and keyed result lookup
- * for building the paper-shaped tables.
+ * Experiment helpers: staging flags, running one config across kernel
+ * lists, and group-averaging the results (the paper reports
+ * mlp-sensitive / mlp-insensitive averages).
  *
  * These are thin wrappers over the sharded Runner (sim/runner.hh),
  * which also owns ResultGrid; pass threads > 1 to fan a suite out
@@ -24,7 +23,7 @@
 namespace ltp {
 
 /** Apply the standard --warm/--pipewarm/--detail staging flags onto
- *  @p dflt (shared by the bench harnesses and the ltp driver). */
+ *  @p dflt (shared by the ltp driver and bench_simspeed). */
 RunLengths stagingLengths(const Cli &cli, const RunLengths &dflt);
 
 /** Run @p cfg on every kernel in @p kernels, @p threads at a time. */

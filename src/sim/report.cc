@@ -1,14 +1,18 @@
 #include "sim/report.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/table.hh"
 
 namespace ltp {
 
@@ -368,6 +372,91 @@ reportToCsv(const SweepResult &result)
         }
     }
     return out.str();
+}
+
+bool
+isViewName(const std::string &view)
+{
+    if (view == "perf" || view == "ed2p")
+        return true;
+    static const JsonValue report = parseJson(metricsToJson(Metrics{}));
+    auto it = report.object.find(view);
+    return view != "schemaVersion" && it != report.object.end() &&
+           it->second.isNumber();
+}
+
+std::string
+renderViews(const SweepResult &result,
+            const std::vector<std::string> &views)
+{
+    // Rows, columns and each row's series, by first declaration.
+    std::vector<std::string> rows, columns;
+    std::map<std::string, std::vector<std::string>> rowSeries;
+    auto addOnce = [](std::vector<std::string> &v, const std::string &s) {
+        if (std::find(v.begin(), v.end(), s) == v.end())
+            v.push_back(s);
+    };
+    for (const auto &[row, series] : result.grid.order()) {
+        addOnce(rows, row);
+        addOnce(columns, series);
+        rowSeries[row].push_back(series);
+    }
+
+    auto reference = [&](const std::string &row) -> const Metrics * {
+        std::size_t bar = row.rfind('|');
+        std::string base =
+            bar == std::string::npos ? "" : row.substr(0, bar) + "|base";
+        auto it = rowSeries.find(base);
+        if (it == rowSeries.end())
+            it = rowSeries.find(row);
+        return &result.grid.at(it->first, it->second.front());
+    };
+
+    // The report's integer counters (the o.u64 keys of metricsObject)
+    // print exactly, every other key to 4 decimals.
+    static const std::set<std::string> counters = {
+        "insts",    "cycles",        "dramReads",      "parked",
+        "unparked", "forcedUnparks", "pressureUnparks"};
+    std::string out;
+    for (const std::string &view : views) {
+        std::vector<std::string> header = {"row"};
+        header.insert(header.end(), columns.begin(), columns.end());
+        Table t(header);
+        for (const std::string &row : rows) {
+            const Metrics *ref = reference(row);
+            std::vector<std::string> cells = {row};
+            for (const std::string &s : columns) {
+                if (!result.grid.has(row, s)) {
+                    cells.push_back("-");
+                    continue;
+                }
+                const Metrics &m = result.grid.at(row, s);
+                if (view == "perf") {
+                    cells.push_back(Table::pct(m.perfDeltaPct(*ref)));
+                } else if (view == "ed2p") {
+                    cells.push_back(Table::pct(m.ed2pDeltaPct(*ref)));
+                } else {
+                    JsonValue report = parseJson(metricsToJson(m));
+                    const JsonValue &v = report.object.at(view);
+                    cells.push_back(counters.count(view)
+                                        ? v.str
+                                        : Table::num(v.num, 4));
+                }
+            }
+            t.addRow(std::move(cells));
+        }
+        std::string what = view == "ipc"    ? "IPC"
+                           : view == "perf" ? "perf % vs reference"
+                           : view == "ed2p" ? "IQ/RF ED2P % vs reference"
+                                            : view;
+        out += strprintf("\n== %s: %s by (row, series) — %zu sims, %d "
+                         "threads, %.0f ms ==\n",
+                         result.name.c_str(), what.c_str(),
+                         result.simulations, result.threads,
+                         result.wallMs) +
+               t.toString();
+    }
+    return out;
 }
 
 void

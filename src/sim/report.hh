@@ -1,8 +1,9 @@
 /**
  * @file
- * Result archiving for sweeps: JSON and CSV emission so benches and CI
- * can persist a SweepResult (the BENCH_*.json perf trajectory), plus a
- * Metrics JSON round-trip used when re-reading archived results.
+ * Result reporting for sweeps: the per-view tables `ltp sweep` prints,
+ * JSON and CSV emission so CI can persist a SweepResult (the
+ * BENCH_*.json perf trajectory), plus a Metrics JSON round-trip used
+ * when re-reading archived results.
  *
  * The JSON dialect is deliberately small — flat objects of numbers and
  * strings, one nested object for the energy breakdown — parsed by a
@@ -13,6 +14,7 @@
 #define LTP_SIM_REPORT_HH
 
 #include <string>
+#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/runner.hh"
@@ -37,13 +39,29 @@ std::string reportToJson(const SweepResult &result);
 /** Flat CSV: row, series, then one column per Metrics field. */
 std::string reportToCsv(const SweepResult &result);
 
+/**
+ * Is @p view renderable by renderViews: a top-level numeric key of the
+ * Metrics report (ipc, cpi, avgOutstanding, ltpOcc, forcedUnparks, ...)
+ * or `perf` / `ed2p`, the %-deltas against the row's reference cell.
+ */
+bool isViewName(const std::string &view);
+
+/**
+ * Render one titled table per view, rows and series in declared order
+ * (ResultGrid::order); absent cells read "-".  A row's reference cell
+ * is the first series of its workload's "<workload>|base" row when the
+ * grid has one, else the row's own first series.
+ */
+std::string renderViews(const SweepResult &result,
+                        const std::vector<std::string> &views);
+
 /** Write @p text to @p path; fatal() if the file cannot be opened. */
 void writeFile(const std::string &path, const std::string &text);
 
 /**
  * Archive the JSON report at @p path ("1" selects the conventional
- * BENCH_<sweep name>.json) and print the summary line; shared by the
- * bench harnesses and the ltp driver.  @return the path written.
+ * BENCH_<sweep name>.json) and print the summary line.
+ * @return the path written.
  */
 std::string writeJsonReport(const SweepResult &result,
                             const std::string &path);

@@ -55,6 +55,7 @@ ResultGrid::ResultGrid(ResultGrid &&other) noexcept
 {
     std::lock_guard<std::mutex> lock(other.mutex_);
     grid_ = std::move(other.grid_);
+    order_ = std::move(other.order_);
 }
 
 ResultGrid &
@@ -63,6 +64,7 @@ ResultGrid::operator=(ResultGrid &&other) noexcept
     if (this != &other) {
         std::scoped_lock lock(mutex_, other.mutex_);
         grid_ = std::move(other.grid_);
+        order_ = std::move(other.order_);
     }
     return *this;
 }
@@ -72,7 +74,8 @@ ResultGrid::put(const std::string &row, const std::string &series,
                 const Metrics &m)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    grid_[row][series] = m;
+    if (grid_[row].insert_or_assign(series, m).second)
+        order_.emplace_back(row, series);
 }
 
 const Metrics &
@@ -121,6 +124,13 @@ ResultGrid::series(const std::string &row) const
     for (const auto &[series, m] : r->second)
         out.push_back(series);
     return out;
+}
+
+std::vector<std::pair<std::string, std::string>>
+ResultGrid::order() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
 }
 
 std::size_t

@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/exec_backend.hh"
@@ -106,11 +107,16 @@ class ResultGrid
     /** Series keys present in @p row, sorted. */
     std::vector<std::string> series(const std::string &row) const;
 
+    /** (row, series) keys in first-put order: SweepSpec::jobs order for
+     *  a Runner result, reply order for a served scenario. */
+    std::vector<std::pair<std::string, std::string>> order() const;
+
     std::size_t size() const;
 
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::map<std::string, Metrics>> grid_;
+    std::vector<std::pair<std::string, std::string>> order_;
 };
 
 /** Everything a sweep produced, plus how it was produced. */

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/report.hh"
 #include "trace/suite.hh"
 #include "trace/trace_workload.hh"
 
@@ -47,14 +48,6 @@ std::string
 panelRow(const std::string &panel, const std::string &point)
 {
     return panel + "|" + point;
-}
-
-void
-addPanelJob(SweepSpec &spec, const std::string &row,
-            const std::string &series, const SimConfig &cfg,
-            const Panels &panels, const std::string &panel)
-{
-    spec.addGroup(row, series, cfg, panelKernels(panels, panel), panel);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +343,8 @@ parseConfig(const JsonValue &v, std::size_t index)
     std::string where = "configs[" + std::to_string(index) + "]";
     if (!v.isObject())
         wrongKind(v, "an object", where);
-    checkKeys(v, {"series", "preset", "mode", "name", "set"}, where);
+    checkKeys(v, {"series", "preset", "mode", "name", "set", "base"},
+              where);
 
     ScenarioConfig sc;
     sc.where = where;
@@ -387,23 +381,39 @@ parseConfig(const JsonValue &v, std::size_t index)
             wrongKind(*s, "an object", where + ".set");
         sc.set = *s;
     }
+    if (const JsonValue *b = find(v, "base")) {
+        if (!b->isBool())
+            wrongKind(*b, "a boolean", where + ".base");
+        sc.base = b->boolean;
+    }
     return sc;
 }
 
+/**
+ * The `sweep` block.  A `baseline {series, value}` desugars into a base
+ * copy of that series pinned at `value`, inserted before every other
+ * config so it is the rows' reference cell.
+ */
 ScenarioSweep
-parseSweep(const JsonValue &v, const std::vector<ScenarioConfig> &configs)
+parseSweep(const JsonValue &v, std::vector<ScenarioConfig> &configs)
 {
     if (!v.isObject())
         wrongKind(v, "an object", "sweep");
     checkKeys(v, {"path", "values", "baseline"}, "sweep");
 
     ScenarioSweep sw;
-    sw.path = strAt(v, "path", "sweep");
-    {
-        std::vector<std::string> paths = configPaths();
-        if (std::find(paths.begin(), paths.end(), sw.path) == paths.end())
-            bad("unknown config path '" + sw.path + "' at sweep.path");
-    }
+    const JsonValue *path = find(v, "path");
+    bool many = path && path->isArray();
+    sw.paths = many ? stringList(*path, "sweep.path")
+                    : std::vector<std::string>{strAt(v, "path", "sweep")};
+    if (sw.paths.empty())
+        bad("sweep.path must not be an empty array");
+    std::vector<std::string> known = configPaths();
+    for (std::size_t i = 0; i < sw.paths.size(); ++i)
+        if (std::find(known.begin(), known.end(), sw.paths[i]) ==
+            known.end())
+            bad("unknown config path '" + sw.paths[i] + "' at sweep.path" +
+                (many ? "[" + std::to_string(i) + "]" : ""));
     const JsonValue *vals = find(v, "values");
     if (!vals)
         bad("missing required key 'sweep.values'");
@@ -417,18 +427,21 @@ parseSweep(const JsonValue &v, const std::vector<ScenarioConfig> &configs)
         if (!b->isObject())
             wrongKind(*b, "an object", "sweep.baseline");
         checkKeys(*b, {"series", "value"}, "sweep.baseline");
-        sw.hasBaseline = true;
-        sw.baselineSeries = strAt(*b, "series", "sweep.baseline");
+        std::string series = strAt(*b, "series", "sweep.baseline");
         const JsonValue *val = find(*b, "value");
         if (!val)
             bad("missing required key 'sweep.baseline.value'");
-        sw.baselineValue = scalarLexeme(*val, "sweep.baseline.value");
-        bool found = false;
-        for (const ScenarioConfig &c : configs)
-            found = found || c.series == sw.baselineSeries;
-        if (!found)
-            bad("sweep.baseline.series '" + sw.baselineSeries +
+        auto it = std::find_if(configs.begin(), configs.end(),
+                               [&](const ScenarioConfig &c) {
+                                   return c.series == series && !c.base;
+                               });
+        if (it == configs.end())
+            bad("sweep.baseline.series '" + series +
                 "' does not name any configs[].series");
+        ScenarioConfig base = *it;
+        base.base = true;
+        base.baseValue = scalarLexeme(*val, "sweep.baseline.value");
+        configs.insert(configs.begin(), std::move(base));
     }
     return sw;
 }
@@ -476,7 +489,8 @@ parseJob(const JsonValue &v, std::size_t index,
 // ---------------------------------------------------------------------------
 
 SimConfig
-Scenario::buildConfig(const ScenarioConfig &sc) const
+Scenario::buildConfig(const ScenarioConfig &sc,
+                      const std::string &value) const
 {
     SimConfig cfg;
     if (sc.preset == "baseline")
@@ -490,6 +504,9 @@ Scenario::buildConfig(const ScenarioConfig &sc) const
         applyConfigJson(cfg, sc.set, sc.where + ".set");
     if (!sc.nameOverride.empty())
         cfg.name = sc.nameOverride;
+    if (!value.empty())
+        for (const std::string &path : sweep.paths)
+            applyOverride(cfg, path, value);
     return cfg;
 }
 
@@ -563,31 +580,22 @@ Scenario::compile(int threads, ExecBackendPtr backend) const
                     "' (rename one of the colliding trace files or "
                     "kernels)");
 
-    auto withValue = [&](const ScenarioConfig &sc,
-                         const std::string &value) {
-        SimConfig cfg = buildConfig(sc);
-        applyOverride(cfg, sweep.path, value);
-        return cfg;
-    };
-
+    // Per workload: its base configs in the "|base" row, then every
+    // swept config at each sweep value ("" = the one unswept row).
+    std::vector<std::string> points =
+        hasSweep ? sweep.values : std::vector<std::string>{""};
     for (const auto &[label, ks] : work) {
-        if (hasSweep && sweep.hasBaseline) {
+        for (const ScenarioConfig &sc : configs)
+            if (sc.base)
+                spec.addGroup(panelRow(label, "base"), sc.series,
+                              buildConfig(sc, sc.baseValue), ks, label);
+        for (const std::string &value : points)
             for (const ScenarioConfig &sc : configs)
-                if (sc.series == sweep.baselineSeries)
-                    spec.addGroup(panelRow(label, "base"), sc.series,
-                                  withValue(sc, sweep.baselineValue), ks,
+                if (!sc.base)
+                    spec.addGroup(value.empty() ? label
+                                                : panelRow(label, value),
+                                  sc.series, buildConfig(sc, value), ks,
                                   label);
-        }
-        if (!hasSweep) {
-            for (const ScenarioConfig &sc : configs)
-                spec.addGroup(label, sc.series, buildConfig(sc), ks,
-                              label);
-            continue;
-        }
-        for (const std::string &value : sweep.values)
-            for (const ScenarioConfig &sc : configs)
-                spec.addGroup(panelRow(label, value), sc.series,
-                              withValue(sc, value), ks, label);
     }
     return spec;
 }
@@ -600,11 +608,12 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
         wrongKind(root, "an object", "<top level>");
     checkKeys(root,
               {"name", "lengths", "sampling", "seed", "workloads",
-               "configs", "sweep", "jobs"},
+               "configs", "sweep", "jobs", "views"},
               "");
 
     Scenario sc;
     sc.name = strAt(root, "name", "<top level>");
+    sc.views = scenarioViews(root);
     if (const JsonValue *l = find(root, "lengths"))
         sc.lengths = parseLengths(*l, "lengths");
     if (const JsonValue *sp = find(root, "sampling"))
@@ -641,8 +650,11 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
     for (std::size_t i = 0; i < configs->array.size(); ++i) {
         ScenarioConfig c = parseConfig(configs->array[i], i);
         for (const ScenarioConfig &prev : sc.configs)
-            if (prev.series == c.series)
+            if (prev.series == c.series && prev.base == c.base)
                 bad("duplicate series '" + c.series + "' at " + c.where);
+        if (c.base && !find(root, "sweep"))
+            bad(c.where + ".base needs a sweep (base configs fill the "
+                          "<workload>|base reference row)");
         sc.configs.push_back(std::move(c));
     }
 
@@ -654,27 +666,40 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
     // Validate every config template and sweep value eagerly so errors
     // surface at parse time, naming their path, not mid-run.
     for (const ScenarioConfig &c : sc.configs) {
-        SimConfig cfg = sc.buildConfig(c);
-        if (sc.hasSweep)
-            for (const std::string &v : sc.sweep.values) {
-                try {
-                    applyOverride(cfg, sc.sweep.path, v);
-                } catch (const std::runtime_error &e) {
-                    throw std::runtime_error(std::string(e.what()) +
-                                             " (in sweep.values)");
-                }
+        (void)sc.buildConfig(c); // `set` errors name their own path
+        std::vector<std::string> values =
+            c.base ? std::vector<std::string>{c.baseValue}
+                   : sc.sweep.values;
+        for (const std::string &v : values) {
+            try {
+                (void)sc.buildConfig(c, v);
+            } catch (const std::runtime_error &e) {
+                throw std::runtime_error(
+                    std::string(e.what()) +
+                    (c.base ? " (in sweep.baseline.value)"
+                            : " (in sweep.values)"));
             }
-    }
-    if (sc.hasSweep && sc.sweep.hasBaseline) {
-        SimConfig cfg = sc.buildConfig(sc.configs.front());
-        try {
-            applyOverride(cfg, sc.sweep.path, sc.sweep.baselineValue);
-        } catch (const std::runtime_error &e) {
-            throw std::runtime_error(std::string(e.what()) +
-                                     " (in sweep.baseline.value)");
         }
     }
     return sc;
+}
+
+std::vector<std::string>
+scenarioViews(const JsonValue &root)
+{
+    const JsonValue *v = find(root, "views");
+    if (!v)
+        return {"ipc"};
+    std::vector<std::string> views = stringList(*v, "views");
+    if (views.empty())
+        bad("views must not be empty");
+    for (std::size_t i = 0; i < views.size(); ++i)
+        if (!isViewName(views[i]))
+            bad("unknown view '" + views[i] + "' at views[" +
+                std::to_string(i) +
+                "] (a numeric Metrics key such as ipc or cpi, or "
+                "perf/ed2p)");
+    return views;
 }
 
 Scenario

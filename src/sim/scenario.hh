@@ -1,24 +1,27 @@
 /**
  * @file
  * Declarative experiment scenarios: a JSON schema describing presets +
- * overrides, kernel lists / panel groups, run lengths, seeds, and the
- * row×series sweep shape, compiled into the Runner's SweepSpec — so new
- * experiments ship as files under scenarios/ instead of bench
- * binaries.
+ * overrides, kernel lists / panel groups, run lengths, seeds, the
+ * row×series sweep shape and the tables to print, compiled into the
+ * Runner's SweepSpec.  Every figure of the paper ships as a file under
+ * scenarios/, run by `ltp sweep`.
  *
  * Two forms:
  *
- *  - **Declarative** — `workloads` (kernels | panels | groups | traces)
- *    crossed with `configs` (preset + mode + dotted `set` overrides),
- *    optionally swept along one config path per row (`sweep`),
- *    reproducing the paper-shaped studies (e.g. the Figure 6 limit
- *    rows) bit-identically to their bench binaries.  `traces` rows
+ *  - **Declarative** — `workloads` (kernels | panels | groups | traces
+ *    | pairs) crossed with `configs` (preset + mode + dotted `set`
+ *    overrides), optionally swept along one or more config paths per
+ *    row (`sweep`).  Configs marked `base` run once per workload,
+ *    unswept, in the `<workload>|base` reference row.  `traces` rows
  *    replay recorded `.lttr` files (paths relative to the scenario
  *    file); `trace:<path>` names are also accepted anywhere a kernel
  *    name is.
  *  - **Explicit** — a `jobs` array of (row, series, kernels, full
  *    config); what `sweepSpecToJson` exports, so any in-C++ SweepSpec
- *    round-trips through a file (the benches' `--export-scenario` hook).
+ *    round-trips through a file.
+ *
+ * Both forms take `views`: the Metrics keys `ltp sweep` prints, one
+ * table each (see renderViews in sim/report.hh).
  *
  * Malformed scenarios throw std::runtime_error naming the offending
  * JSON path ("configs[2].set.core.iqq", ...).  README.md documents the
@@ -42,7 +45,7 @@ namespace ltp {
 
 // ---------------------------------------------------------------------------
 // Panels: the paper's four reporting units (two marquee kernels + the
-// two runtime-classified groups), shared by benches and scenarios.
+// two runtime-classified groups).
 // ---------------------------------------------------------------------------
 
 /** The four panels of Figure 6/7: two marquee kernels + two groups. */
@@ -71,11 +74,6 @@ std::vector<std::string> panelNames(const Panels &p);
 /** Grid key for a (panel, axis point) cell: "<panel>|<point>". */
 std::string panelRow(const std::string &panel, const std::string &point);
 
-/** Queue one (row, series) cell running @p cfg over @p panel. */
-void addPanelJob(SweepSpec &spec, const std::string &row,
-                 const std::string &series, const SimConfig &cfg,
-                 const Panels &panels, const std::string &panel);
-
 // ---------------------------------------------------------------------------
 // Scenario
 // ---------------------------------------------------------------------------
@@ -90,16 +88,18 @@ struct ScenarioConfig
     std::string nameOverride;      ///< optional SimConfig::name override
     JsonValue set;                 ///< partial config JSON (dotted or nested)
     std::string where;             ///< error-path prefix ("configs[2]")
+    /** Runs once per workload, unswept, in the "<workload>|base" row. */
+    bool base = false;
+    /** Sweep value a base config pins on every sweep path ("" = none);
+     *  how `sweep.baseline {series, value}` desugars. */
+    std::string baseValue;
 };
 
-/** Optional row axis: one config path swept over values. */
+/** Optional row axis: config paths swept together over values. */
 struct ScenarioSweep
 {
-    std::string path;              ///< e.g. "core.iq"
+    std::vector<std::string> paths; ///< e.g. {"core.iq"}; all take each value
     std::vector<std::string> values; ///< "inf" or number lexemes, in order
-    bool hasBaseline = false;      ///< extra "<workload>|base" row
-    std::string baselineSeries;
-    std::string baselineValue;
 };
 
 /** A parsed, validated scenario file. */
@@ -128,9 +128,15 @@ struct Scenario
      *  workload with core.numThreads forced to the tuple size. */
     std::vector<std::vector<std::string>> pairs;
 
+    /** Series templates; base configs (desugared `sweep.baseline`
+     *  first) and swept ones, in declared order. */
     std::vector<ScenarioConfig> configs;
     bool hasSweep = false;
     ScenarioSweep sweep;
+
+    /** Tables `ltp sweep` prints: Metrics report keys, or perf/ed2p
+     *  deltas against each row's reference cell. */
+    std::vector<std::string> views = {"ipc"};
 
     bool explicitJobs = false;
     std::vector<SweepJob> jobs;
@@ -145,8 +151,10 @@ struct Scenario
     SweepSpec compile(int threads = 1,
                       ExecBackendPtr backend = nullptr) const;
 
-    /** Materialize one series config: preset(mode) + seed + overrides. */
-    SimConfig buildConfig(const ScenarioConfig &sc) const;
+    /** Materialize one series config: preset(mode) + seed + overrides,
+     *  then @p value on every sweep path ("" = unswept). */
+    SimConfig buildConfig(const ScenarioConfig &sc,
+                          const std::string &value = "") const;
 };
 
 /**
@@ -159,6 +167,14 @@ struct Scenario
  */
 Scenario scenarioFromJson(const std::string &text,
                           const std::string &baseDir = "");
+
+/**
+ * The `views` list of scenario JSON @p root (default {"ipc"}), checked
+ * against the Metrics report keys.  Shared with `ltp sweep --submit`,
+ * which renders a daemon-compiled scenario.
+ * @throws std::runtime_error naming "views[i]" on an unknown view.
+ */
+std::vector<std::string> scenarioViews(const JsonValue &root);
 
 /** Read and parse @p path; errors are prefixed with the file name. */
 Scenario loadScenarioFile(const std::string &path);

@@ -51,7 +51,8 @@ struct RunLengths
         return RunLengths{30000, 4000, 20000};
     }
 
-    /** Default staging of the bench binaries (scaled Section 4.1). */
+    /** Staging of the figure scenarios, `"lengths": "bench"` (scaled
+     *  Section 4.1). */
     static RunLengths
     bench()
     {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "sim/mlp_class.hh"
 #include "sim/simulator.hh"
 #include "trace/kernels.hh"
@@ -149,6 +151,25 @@ TEST(LtpIntegration, DeadlockStressAllKernels)
         Metrics m = Simulator::runOnce(cfg, kernel, lengths);
         EXPECT_GE(m.insts, 3000u) << kernel; // no deadlock panic
         EXPECT_LT(m.insts, 3008u) << kernel;
+    }
+}
+
+TEST(LtpIntegration, LateLqSqReserveKeepsCommitMoving)
+{
+    // Limit-study late LQ/SQ allocation against a small queue.  Only
+    // the oldest parked load (store) may take a reserved entry; when
+    // any unparking op could, younger ones held the reserve and the
+    // parked ROB head never got an entry (watchdog panic).
+    const RunLengths lengths = RunLengths::bench();
+    for (auto [kernel, mode, path] :
+         {std::tuple{"linked_list", LtpMode::NR, "core.lq"},
+          std::tuple{"graph_walk", LtpMode::NRNU, "core.lq"},
+          std::tuple{"bucket_shuffle", LtpMode::NR, "core.sq"}}) {
+        SimConfig cfg = SimConfig::limitStudy(mode);
+        applyOverride(cfg, path, "16");
+        Metrics m = Simulator::runOnce(cfg, kernel, lengths);
+        EXPECT_GE(m.insts, lengths.detail) << kernel; // no panic
+        EXPECT_LT(m.insts, lengths.detail + 8) << kernel;
     }
 }
 

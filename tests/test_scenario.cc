@@ -1,22 +1,32 @@
 /**
  * @file
  * Tests for the scenario layer: parse errors naming the offending JSON
- * path, declarative compilation onto SweepSpec, the explicit-jobs
- * export round trip, and the golden equivalence of
- * scenarios/fig6_iq_quick.json with the in-C++ Figure 6 IQ SweepSpec —
- * including bit-identical Metrics for every (row, series) cell with
- * the scenario side sharded across threads.
+ * path, declarative compilation onto SweepSpec (base rows, path-array
+ * sweeps), the explicit-jobs export round trip, the views renderer, the
+ * golden equivalence of the Figure 6 scenario files with the in-C++
+ * Figure 6 SweepSpec — including bit-identical Metrics for every
+ * (row, series) cell with the scenario side sharded across threads —
+ * and the pinned shape of every file under scenarios/.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "bench_fig6_common.hh"
+#include <unistd.h>
+
+#include "sim/exec_backend.hh"
+#include "sim/experiment.hh"
 #include "sim/report.hh"
+#include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
+#include "trace/trace_file.hh"
 
 #ifndef LTP_SCENARIO_DIR
 #define LTP_SCENARIO_DIR "scenarios"
@@ -24,6 +34,38 @@
 
 namespace ltp {
 namespace {
+
+/** Per-process scratch directory, removed at exit. */
+const std::string &
+scratchDir()
+{
+    static const struct Scratch
+    {
+        std::string dir = (std::filesystem::temp_directory_path() /
+                           ("ltp_scenario_test_" +
+                            std::to_string(::getpid())))
+                              .string();
+        Scratch() { std::filesystem::create_directories(dir); }
+        ~Scratch()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(dir, ec);
+        }
+    } scratch;
+    return scratch.dir;
+}
+
+/** A result-caching backend shared by the tests, so every panels
+ *  scenario after the first answers its suite classification from
+ *  the cache instead of re-simulating it. */
+ExecBackendPtr
+sharedCache()
+{
+    static const ExecBackendPtr backend = std::make_shared<CachedBackend>(
+        LocalBackend::instance(),
+        std::make_shared<ResultCache>(scratchDir() + "/cache"));
+    return backend;
+}
 
 template <typename Fn>
 std::string
@@ -67,6 +109,60 @@ expectSpecsIdentical(const SweepSpec &a, const SweepSpec &b)
         EXPECT_EQ(configToJson(ja.cfg), configToJson(jb.cfg))
             << "job " << i << " (" << ja.row << ", " << ja.series << ")";
     }
+}
+
+/** Which resource a Figure 6 row sweeps. */
+enum class SweptResource { Iq, Rf, Lq, Sq };
+
+SimConfig
+applySize(SimConfig cfg, SweptResource res, int size)
+{
+    switch (res) {
+      case SweptResource::Iq: return cfg.withIq(size);
+      case SweptResource::Rf: return cfg.withRegs(size);
+      case SweptResource::Lq: return cfg.withLq(size);
+      case SweptResource::Sq: return cfg.withSq(size);
+    }
+    return cfg;
+}
+
+/**
+ * The Figure 6 limit study for one resource, built in C++: per panel,
+ * No LTP at the resource's Table 1 size in the "|base" row, then each
+ * size × {No LTP, NR, NU, NR+NU} with everything else unlimited.  The
+ * reference the fig6 scenario files must compile to.
+ */
+SweepSpec
+fig6Spec(const Panels &panels, SweptResource res, const char *res_name,
+         const std::vector<int> &sizes, int baseline_size,
+         std::uint64_t seed, const RunLengths &lengths)
+{
+    const std::vector<std::pair<std::string, LtpMode>> series = {
+        {"No LTP", LtpMode::Off},
+        {"LTP (NR)", LtpMode::NR},
+        {"LTP (NU)", LtpMode::NU},
+        {"LTP (NR+NU)", LtpMode::NRNU},
+    };
+
+    SweepSpec spec;
+    spec.name = strprintf("fig6_%s", res_name);
+    spec.lengths = lengths;
+    for (const std::string &panel : panelNames(panels)) {
+        std::vector<std::string> kernels = panelKernels(panels, panel);
+        spec.addGroup(panelRow(panel, "base"), "No LTP",
+                      applySize(SimConfig::limitStudy(LtpMode::Off), res,
+                                baseline_size)
+                          .withSeed(seed),
+                      kernels, panel);
+        for (int size : sizes)
+            for (const auto &[label, mode] : series)
+                spec.addGroup(panelRow(panel, sizeLabel(size)), label,
+                              applySize(SimConfig::limitStudy(mode), res,
+                                        size)
+                                  .withSeed(seed),
+                              kernels, panel);
+    }
+    return spec;
 }
 
 /** Bit-identity of two grids, via the exact Metrics JSON dump. */
@@ -230,6 +326,22 @@ TEST(Scenario, SemanticErrorsAreDescriptive)
         "\"sweep\": {\"path\": \"core.iq\", \"values\": [1], "
         "\"baseline\": {\"series\": \"nope\", \"value\": 2}}}",
         "sweep.baseline.series");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
+        "\"views\": [\"ipc\", \"speed\"]}",
+        "views[1]");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}, "
+        "{\"series\": \"b\", \"base\": true}]}",
+        "configs[1].base");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
+        "\"sweep\": {\"path\": [\"core.intRegs\", \"core.fpRegss\"], "
+        "\"values\": [1]}}",
+        "sweep.path[1]");
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +381,31 @@ TEST(Scenario, DeclarativeCompileMatchesHandBuiltSpec)
     // Hand-built order is per-kernel, per-size, per-series; the
     // compiler emits per-kernel, per-size, per-series too.
     expectSpecsIdentical(got, want);
+}
+
+TEST(Scenario, BaseConfigsMatchTheDesugaredBaseline)
+{
+    // `sweep.baseline` is sugar for a base config pinned at its value.
+    const std::string head = R"({"name": "b", "configs": [)";
+    const std::string nu =
+        R"({"series": "NU", "preset": "limitStudy", "mode": "NU")";
+    const std::string tail =
+        R"(], "workloads": {"kernels": ["graph_walk", "dense_compute"]},
+           "sweep": {"path": "core.iq", "values": [32, 16])";
+    SweepSpec sugar =
+        scenarioFromJson(head + nu + "}" + tail +
+                         R"(, "baseline": {"series": "NU", "value": 64}}})")
+            .compile(1);
+    SweepSpec base =
+        scenarioFromJson(head + nu +
+                         R"(, "base": true, "set": {"core.iq": 64}}, )" +
+                         nu + "}" + tail + "}}")
+            .compile(1);
+    expectSpecsIdentical(sugar, base);
+    ASSERT_EQ(base.jobs.size(), 6u);
+    EXPECT_EQ(base.jobs[0].row, "graph_walk|base");
+    EXPECT_EQ(base.jobs[0].cfg.core.iqSize, 64);
+    EXPECT_EQ(base.jobs[3].row, "dense_compute|base");
 }
 
 TEST(Scenario, GroupWorkloadsAverageLikeAddGroup)
@@ -336,6 +473,60 @@ TEST(Scenario, SweepSpecExportRoundTripsAndRunsIdentically)
 }
 
 // ---------------------------------------------------------------------------
+// Views
+// ---------------------------------------------------------------------------
+
+TEST(Scenario, ViewsRenderInDeclaredOrderAgainstTheReferenceCell)
+{
+    // Declared order, which sorted order would scramble ("w|base"
+    // sorts last, "w|128" before "w|16", "a" before "b").  Swept rows
+    // compare against their workload's first base cell, a row with no
+    // base row against its own first series; absent cells read "-".
+    SweepResult r;
+    r.name = "v";
+    auto put = [&](const std::string &row, const std::string &series,
+                   double ipc, std::uint64_t forced) {
+        Metrics m;
+        m.ipc = ipc;
+        m.forcedUnparks = forced;
+        r.grid.put(row, series, m);
+    };
+    put("w|base", "ref", 2.0, 0);
+    put("w|base", "alt", 1.0, 0);
+    put("w|16", "b", 1.0, 7);
+    put("w|16", "a", 3.0, 0);
+    put("w|128", "a", 2.0, 0);
+    put("k", "x", 1.0, 0);
+    put("k", "y", 1.5, 0);
+
+    EXPECT_EQ(renderViews(r, {"perf", "forcedUnparks"}), R"(
+== v: perf % vs reference by (row, series) — 0 sims, 1 threads, 0 ms ==
+| row    | ref   | alt    | b      | a      | x     | y      |
+|--------|-------|--------|--------|--------|-------|--------|
+| w|base | +0.0% | -50.0% | -      | -      | -     | -      |
+| w|16   | -     | -      | -50.0% | +50.0% | -     | -      |
+| w|128  | -     | -      | -      | +0.0%  | -     | -      |
+| k      | -     | -      | -      | -      | +0.0% | +50.0% |
+
+== v: forcedUnparks by (row, series) — 0 sims, 1 threads, 0 ms ==
+| row    | ref | alt | b | a | x | y |
+|--------|-----|-----|---|---|---|---|
+| w|base | 0   | 0   | - | - | - | - |
+| w|16   | -   | -   | 7 | 0 | - | - |
+| w|128  | -   | -   | - | 0 | - | - |
+| k      | -   | -   | - | - | 0 | 0 |
+)");
+    // Rates print to four decimals.
+    EXPECT_NE(renderViews(r, {"ipc"}).find("| 1.0000 | 1.5000 |"),
+              std::string::npos);
+
+    for (const char *ok : {"ipc", "cpi", "ltpOcc", "insts", "ed2p"})
+        EXPECT_TRUE(isViewName(ok)) << ok;
+    for (const char *no : {"config", "energy", "schemaVersion", "speed"})
+        EXPECT_FALSE(isViewName(no)) << no;
+}
+
+// ---------------------------------------------------------------------------
 // Golden scenarios shipped in scenarios/
 // ---------------------------------------------------------------------------
 
@@ -352,10 +543,10 @@ TEST(Scenario, GoldenFig6IqQuickMatchesBenchSpec)
 
     SweepSpec from_json = sc.compile(1);
 
-    // The equivalent spec, built exactly as bench_fig6_limit_iq does.
+    // The equivalent spec, built in C++.
     Panels panels = classifyPanels(sc.lengths, sc.seed, 1);
-    SweepSpec from_cpp = bench::fig6Spec(
-        panels, bench::SweptResource::Iq, "IQ",
+    SweepSpec from_cpp = fig6Spec(
+        panels, SweptResource::Iq, "IQ",
         {kInfiniteSize, 128, 64, 32, 16}, 64, sc.seed, sc.lengths);
 
     expectSpecsIdentical(from_json, from_cpp);
@@ -385,16 +576,110 @@ TEST(Scenario, GoldenTable1CompareUsesTheExactPresets)
                   SimConfig::ltpProposal(LtpMode::NU).withSeed(sc.seed)));
 }
 
-TEST(Scenario, GoldenIqSweepExampleParses)
+TEST(Scenario, GoldenFig6RowsMatchTheCppSpec)
 {
-    Scenario sc =
-        loadScenarioFile(std::string(LTP_SCENARIO_DIR) +
-                         "/iq_sweep_example.json");
-    EXPECT_EQ(sc.workloadKind, Scenario::WorkloadKind::Kernels);
-    SweepSpec spec = sc.compile(1);
-    // 2 kernels x 4 sizes x 2 configs.
-    EXPECT_EQ(spec.jobs.size(), 16u);
-    EXPECT_EQ(spec.simulationCount(), 16u);
+    // All four Figure 6 rows at bench staging; the RF row sweeps
+    // core.intRegs and core.fpRegs together through a path array.
+    struct Row
+    {
+        const char *file;
+        SweptResource res;
+        const char *name;
+        std::vector<int> sizes;
+        int baseline;
+    };
+    const Row rows[] = {
+        {"fig6_iq", SweptResource::Iq, "IQ",
+         {kInfiniteSize, 128, 64, 32, 16}, 64},
+        {"fig6_rf", SweptResource::Rf, "RF",
+         {kInfiniteSize, 128, 96, 64, 32}, 128},
+        {"fig6_lq", SweptResource::Lq, "LQ",
+         {kInfiniteSize, 64, 32, 16, 8}, 64},
+        {"fig6_sq", SweptResource::Sq, "SQ",
+         {kInfiniteSize, 64, 32, 16, 8}, 32},
+    };
+    Panels panels = classifyPanels(RunLengths::bench(), 1, 0, sharedCache());
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.file);
+        Scenario sc = loadScenarioFile(std::string(LTP_SCENARIO_DIR) +
+                                       "/" + row.file + ".json");
+        EXPECT_EQ(sc.views, std::vector<std::string>{"perf"});
+        expectSpecsIdentical(
+            sc.compile(0, sharedCache()),
+            fig6Spec(panels, row.res, row.name, row.sizes, row.baseline,
+                     1, RunLengths::bench()));
+    }
+}
+
+TEST(Scenario, EveryScenarioFileCompilesToItsPinnedShape)
+{
+    // Jobs and simulations at each file's own staging, seed 1.  The
+    // figure scenarios pin the cells of the paper's figures; a new
+    // file must be added here.
+    struct Shape
+    {
+        std::size_t jobs;
+        std::size_t sims;
+        bool benchStaging;
+    };
+    const std::map<std::string, Shape> shapes = {
+        {"ablation_monitor", {6, 42, true}},
+        {"ablation_wakeup", {8, 56, true}},
+        {"fig10_tradeoffs", {88, 352, true}},
+        {"fig11_tickets", {18, 126, true}},
+        {"fig1_motivation", {6, 42, true}},
+        {"fig23_example", {2, 2, true}},
+        {"fig6_iq", {84, 336, true}},
+        {"fig6_iq_quick", {84, 336, false}},
+        {"fig6_lq", {84, 336, true}},
+        {"fig6_rf", {84, 336, true}},
+        {"fig6_sq", {84, 336, true}},
+        {"fig7_utilization", {12, 48, true}},
+        {"iq_sweep_example", {16, 16, false}},
+        {"replay_example", {4, 4, false}},
+        {"smt_pairs", {8, 8, false}},
+        {"table1_compare", {8, 32, true}},
+        {"uit_sweep", {14, 98, true}},
+    };
+
+    // Trace paths resolve against the scratch directory, where the
+    // traces replay_example.json names are recorded first.
+    std::filesystem::create_directories(scratchDir() + "/traces");
+    for (const char *kernel : {"paper_loop", "graph_walk"}) {
+        TraceInfo info;
+        info.kernel = kernel;
+        info.funcWarm = 4000;
+        info.pipeWarm = 800;
+        info.detail = 2000;
+        writeTraceFile(scratchDir() + "/traces/" + kernel + ".lttr",
+                       recordTrace(info));
+    }
+
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(LTP_SCENARIO_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::string name = entry.path().stem().string();
+        SCOPED_TRACE(name);
+        ++files;
+        auto it = shapes.find(name);
+        ASSERT_NE(it, shapes.end()) << "no pinned shape for " << name;
+        std::ifstream in(entry.path());
+        std::ostringstream text;
+        text << in.rdbuf();
+        Scenario sc = scenarioFromJson(text.str(), scratchDir());
+        EXPECT_EQ(sc.seed, 1u);
+        if (it->second.benchStaging) {
+            EXPECT_EQ(sc.lengths.funcWarm, RunLengths::bench().funcWarm);
+            EXPECT_EQ(sc.lengths.pipeWarm, RunLengths::bench().pipeWarm);
+            EXPECT_EQ(sc.lengths.detail, RunLengths::bench().detail);
+        }
+        SweepSpec spec = sc.compile(0, sharedCache());
+        EXPECT_EQ(spec.jobs.size(), it->second.jobs);
+        EXPECT_EQ(spec.simulationCount(), it->second.sims);
+    }
+    EXPECT_EQ(files, shapes.size()); // every pinned file still exists
 }
 
 } // namespace

@@ -233,36 +233,6 @@ archiveTarget(const std::string &path, const std::string &dflt)
     return path == "1" ? dflt : path;
 }
 
-/** Generic grid rendering: rows × series, IPC per cell. */
-void
-printGrid(const SweepResult &result)
-{
-    // Column set: union of series across rows (usually identical).
-    std::vector<std::string> series;
-    for (const std::string &row : result.grid.rows())
-        for (const std::string &s : result.grid.series(row))
-            if (std::find(series.begin(), series.end(), s) ==
-                series.end())
-                series.push_back(s);
-
-    std::vector<std::string> header = {"row"};
-    header.insert(header.end(), series.begin(), series.end());
-    Table t(header);
-    for (const std::string &row : result.grid.rows()) {
-        std::vector<std::string> cells = {row};
-        for (const std::string &s : series)
-            cells.push_back(result.grid.has(row, s)
-                                ? Table::num(result.grid.at(row, s).ipc,
-                                             4)
-                                : "-");
-        t.addRow(std::move(cells));
-    }
-    t.print(strprintf("%s: IPC by (row, series) — %zu sims, %d "
-                      "threads, %.0f ms",
-                      result.name.c_str(), result.simulations,
-                      result.threads, result.wallMs));
-}
-
 SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
 std::string readFileText(const std::string &path);
 
@@ -356,6 +326,13 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     }
     if (!root.isObject())
         fatal("%s: scenario root is not an object", path.c_str());
+    // The daemon compiles the scenario; only its views render here.
+    std::vector<std::string> views;
+    try {
+        views = scenarioViews(root);
+    } catch (const std::runtime_error &e) {
+        fatal("%s: %s", path.c_str(), e.what());
+    }
 
     auto jnum = [](std::uint64_t n) {
         JsonValue v;
@@ -466,7 +443,7 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
                     "daemon threads)\n",
                     result.name.c_str(), host.c_str(), port,
                     result.simulations, result.threads);
-        printGrid(result);
+        std::fputs(renderViews(result, views).c_str(), stdout);
         printBackendSummary(result);
         maybeArchive(cli, result);
     } catch (const std::exception &e) {
@@ -547,7 +524,7 @@ cmdSweep(const std::string &path, const Cli &cli)
         };
     }
     SweepResult result = Runner(threads, backend).run(spec, progress);
-    printGrid(result);
+    std::fputs(renderViews(result, scenario.views).c_str(), stdout);
     printBackendSummary(result);
     maybeArchive(cli, result);
     return 0;

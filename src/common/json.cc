@@ -30,6 +30,34 @@ jsonNum(double v)
     return buf;
 }
 
+JsonValue
+jsonStr(const std::string &s)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::String;
+    v.str = s;
+    return v;
+}
+
+JsonValue
+jsonU64(std::uint64_t n)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.num = double(n);
+    v.str = std::to_string(n);
+    return v;
+}
+
+JsonValue
+jsonBool(bool b)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Bool;
+    v.boolean = b;
+    return v;
+}
+
 bool
 u64FromLexeme(const std::string &s, std::uint64_t *out)
 {

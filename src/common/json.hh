@@ -78,6 +78,14 @@ bool u64FromLexeme(const std::string &s, std::uint64_t *out);
 /** Quote and escape @p s as a JSON string literal. */
 std::string jsonQuote(const std::string &s);
 
+/// @name Value-tree leaves, for writers that build a JsonValue (wire
+/// frames, scenario overrides).  A u64 keeps its exact lexeme.
+/// @{
+JsonValue jsonStr(const std::string &s);
+JsonValue jsonU64(std::uint64_t n);
+JsonValue jsonBool(bool b);
+/// @}
+
 /**
  * Flat key → JSON-fragment builder keeping insertion order, for
  * writers that want stable, hand-ordered output (reports, configs).

@@ -1211,7 +1211,6 @@ const char *
 TickProfile::stageName(int s)
 {
     switch (s) {
-      case BeginCycle: return "beginCycle";
       case TicketEvents: return "ticketEvents";
       case Writeback: return "writeback";
       case Commit: return "commit";
@@ -1220,60 +1219,94 @@ TickProfile::stageName(int s)
       case Execute: return "execute";
       case DrainStores: return "drainStores";
       case Fetch: return "fetch";
-      case Monitor: return "monitor";
     }
     return "?";
 }
 
 void
+TickProfile::merge(const TickProfile &o)
+{
+    for (int s = 0; s < kNumStages; ++s)
+        ns[std::size_t(s)] += o.ns[std::size_t(s)];
+    ticks += o.ticks;
+    sampled += o.sampled;
+    clockNs = o.clockNs;
+}
+
+namespace {
+
+using ProfileClock = std::chrono::steady_clock;
+
+/**
+ * The cost of one steady_clock read: the fastest of a few batches of
+ * back-to-back reads, so a preemption inside one batch cannot inflate
+ * it.  A lap spans one read's cost on top of its stage's work.
+ */
+std::uint64_t
+calibrateClockNs()
+{
+    constexpr int kBatches = 5;
+    constexpr int kReads = 1000;
+    double best = 0.0;
+    for (int b = 0; b < kBatches; ++b) {
+        ProfileClock::time_point start = ProfileClock::now();
+        for (int i = 0; i < kReads; ++i)
+            (void)ProfileClock::now();
+        double per = std::chrono::duration<double, std::nano>(
+                         ProfileClock::now() - start)
+                         .count() /
+                     (kReads + 1);
+        if (b == 0 || per < best)
+            best = per;
+    }
+    return std::uint64_t(best);
+}
+
+} // namespace
+
+void
+Core::setProfiler(TickProfile *profile)
+{
+    static const std::uint64_t clock_ns = calibrateClockNs();
+    profile_ = profile;
+    if (profile_)
+        profile_->clockNs = clock_ns;
+}
+
+void
 Core::tick()
 {
-    if (profile_) {
-        tickProfiled();
-        return;
+    if (profile_ && ++profile_->ticks % TickProfile::kPeriod == 0) {
+        profile_->sampled += 1;
+        step<true>();
+    } else {
+        step<false>();
     }
+}
+
+template <bool Timed>
+void
+Core::step()
+{
+    [[maybe_unused]] ProfileClock::time_point mark;
+    if constexpr (Timed)
+        mark = ProfileClock::now();
+    auto lap = [&](TickProfile::Stage s) {
+        if constexpr (Timed) {
+            ProfileClock::time_point t = ProfileClock::now();
+            auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         t - mark)
+                         .count() -
+                     std::int64_t(profile_->clockNs);
+            profile_->ns[s] += d > 0 ? std::uint64_t(d) : 0;
+            mark = t;
+        }
+    };
 
     // FU issue counts and LTP port budgets replenish lazily off the
     // advanced cycle stamp — no begin-of-cycle pass at all.
     now_ += 1;
     active_ = false;
-
-    processTicketEvents();
-    writeback();
-    for (auto &t : threads_)
-        commit(*t);
-    for (auto &t : threads_)
-        ltpWakeup(*t);
-    rename();
-    execute();
-    for (auto &t : threads_)
-        drainStores(*t);
-    fetch();
-}
-
-/**
- * The profiled twin of tick(): identical stage sequence, with a
- * steady_clock sample between stages accumulating into the attached
- * TickProfile.  A separate function (rather than inline conditionals)
- * keeps the unprofiled hot loop free of clock reads entirely.
- */
-void
-Core::tickProfiled()
-{
-    using Clock = std::chrono::steady_clock;
-    TickProfile &p = *profile_;
-    Clock::time_point mark = Clock::now();
-    auto lap = [&mark, &p](TickProfile::Stage s) {
-        Clock::time_point t = Clock::now();
-        p.ns[s] += std::uint64_t(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t - mark)
-                .count());
-        mark = t;
-    };
-
-    now_ += 1;
-    active_ = false;
-    lap(TickProfile::BeginCycle);
 
     processTicketEvents();
     lap(TickProfile::TicketEvents);
@@ -1294,9 +1327,6 @@ Core::tickProfiled()
     lap(TickProfile::DrainStores);
     fetch();
     lap(TickProfile::Fetch);
-    // Monitor bookkeeping went event-driven (LtpMonitor::settle); the
-    // stage slot stays so archived profiles keep a stable schema.
-    p.ticks += 1;
 }
 
 namespace {
@@ -1386,12 +1416,12 @@ Core::quietHorizon(Cycle limit) const
 /**
  * After a tick: if it was idle, advance the clock to just before the
  * quiet horizon (capped at @p limit) and replay the idle tick's stall
- * increments for every skipped cycle.  Profiled cores never skip.
+ * increments for every skipped cycle.
  */
 void
 Core::skipQuietCycles(Cycle limit)
 {
-    if (active_ || profile_)
+    if (active_)
         return;
     for (const auto &t : threads_)
         if (t->rename_pressure != t->pressure_mark)

@@ -214,21 +214,22 @@ threadAddrBase(int tid)
 }
 
 /**
- * Per-stage wall-clock attribution of Core::tick, filled in when a
- * profile is attached via Core::setProfiler (the `ltp bench --profile`
- * path).  When no profile is attached the profiled tick variant is
- * never entered, so measurement costs nothing in normal runs.
+ * Sampled per-stage wall-clock attribution of Core::tick, filled in
+ * when a profile is attached via Core::setProfiler (the `ltp bench
+ * --profile` path).  One executed tick in every kPeriod is timed stage
+ * by stage; the other ticks, and every tick of a core without a
+ * profile, run the same stage sequence with no clock reads.
  *
- * A profiled core ticks every cycle: Core::runUntilCommitted does not
- * skip quiet cycles while a profile is attached, so the stage shares
- * include the idle ticks an unprofiled run jumps over.
+ * Each lap is charged net of the calibrated cost of one steady_clock
+ * read (clockNs), clamped at 0, so the table measures the stages, not
+ * the clock.  A profiled core runs the same loop as any other: it
+ * skips quiet cycles, so @c ticks counts executed ticks, not cycles.
  */
 struct TickProfile
 {
     enum Stage
     {
-        BeginCycle,
-        TicketEvents,
+        TicketEvents, ///< includes the clock advance
         Writeback,
         Commit,
         LtpWakeup,
@@ -236,23 +237,41 @@ struct TickProfile
         Execute,
         DrainStores,
         Fetch,
-        Monitor,
         kNumStages
     };
 
-    std::array<std::uint64_t, kNumStages> ns{}; ///< per-stage wall ns
-    std::uint64_t ticks = 0;                    ///< ticks attributed
+    /** Ticks per timed tick: a prime, so the sample cannot alias with
+     *  the power-of-two periods of the kernels' loops. */
+    static constexpr std::uint64_t kPeriod = 61;
+
+    std::array<std::uint64_t, kNumStages> ns{}; ///< timed-tick ns
+    std::uint64_t ticks = 0;   ///< executed ticks
+    std::uint64_t sampled = 0; ///< timed ticks: ticks / kPeriod
+    std::uint64_t clockNs = 0; ///< clock-read cost taken off each lap
 
     static const char *stageName(int s);
+
+    /** Stage @p s's time scaled from the timed ticks to all ticks. */
+    std::uint64_t
+    stageNs(int s) const
+    {
+        if (sampled == 0)
+            return 0;
+        return std::uint64_t(double(ns[std::size_t(s)]) * double(ticks) /
+                             double(sampled));
+    }
 
     std::uint64_t
     totalNs() const
     {
         std::uint64_t t = 0;
-        for (auto v : ns)
-            t += v;
+        for (int s = 0; s < kNumStages; ++s)
+            t += stageNs(s);
         return t;
     }
+
+    /** Accumulate @p o (per-config aggregation of bench cells). */
+    void merge(const TickProfile &o);
 };
 
 /**
@@ -318,7 +337,10 @@ class Core
 
     ~Core();
 
-    /** Advance one cycle (never skips: the single-cycle reference). */
+    /**
+     * Advance one cycle (never skips: the single-cycle reference).
+     * With a TickProfile attached, every kPeriod-th call is timed.
+     */
     void tick();
 
     /** Hook run after every tick of a multi-thread run loop. */
@@ -338,7 +360,8 @@ class Core
      * is bit-identical to calling tick() once per cycle.  @p on_tick
      * does not run for skipped cycles, so it must react to commit
      * counts only (a skipped cycle never commits).  A core with a
-     * TickProfile attached ticks every cycle.
+     * TickProfile attached skips too: the profile samples the ticks
+     * the run executes.
      */
     void runUntilCommitted(std::uint64_t n,
                            Cycle max_cycles = kCycleNever,
@@ -381,10 +404,11 @@ class Core
     void resetStats();
 
     /**
-     * Attach (or detach, with nullptr) a per-stage tick profile.  While
-     * attached, every tick's stage wall times accumulate into it.
+     * Attach (or detach, with nullptr) a sampled per-stage tick
+     * profile; attaching sets its clockNs from a once-per-process
+     * calibration.  The simulated run is unchanged.
      */
-    void setProfiler(TickProfile *profile) { profile_ = profile; }
+    void setProfiler(TickProfile *profile);
 
     /// @name Component access (tests, metrics extraction).  Thread-
     /// owned structures take a tid (default 0 keeps every existing
@@ -628,7 +652,9 @@ class Core
     std::vector<int> scratch_order_;        ///< per-cycle thread order
 
     // ---- profiling ----
-    void tickProfiled();
+    /** tick()'s one stage sequence; @p Timed laps the clock between
+     *  stages into profile_. */
+    template <bool Timed> void step();
     TickProfile *profile_ = nullptr;
 };
 

@@ -11,29 +11,6 @@
 
 namespace ltp {
 
-namespace {
-
-JsonValue
-jsonStr(const std::string &s)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    v.str = s;
-    return v;
-}
-
-JsonValue
-jsonU64(std::uint64_t n)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.num = double(n);
-    v.str = std::to_string(n);
-    return v;
-}
-
-} // namespace
-
 ServeBackend::ServeBackend(const std::string &host, int port,
                            const ServeClientOptions &opts)
     : opts_(opts), host_(host), port_(port)

@@ -56,61 +56,20 @@ struct Conn
 };
 
 JsonValue
-errorFrame(std::uint64_t id, const std::string &message)
-{
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
-    JsonValue idv;
-    idv.kind = JsonValue::Kind::Number;
-    idv.num = double(id);
-    idv.str = std::to_string(id);
-    frame.object["id"] = idv;
-    JsonValue type;
-    type.kind = JsonValue::Kind::String;
-    type.str = "error";
-    frame.object["type"] = type;
-    JsonValue msg;
-    msg.kind = JsonValue::Kind::String;
-    msg.str = message;
-    frame.object["message"] = msg;
-    return frame;
-}
-
-JsonValue
-jsonStr(const std::string &s)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    v.str = s;
-    return v;
-}
-
-JsonValue
-jsonU64(std::uint64_t n)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.num = double(n);
-    v.str = std::to_string(n);
-    return v;
-}
-
-JsonValue
-jsonBool(bool b)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Bool;
-    v.boolean = b;
-    return v;
-}
-
-JsonValue
 objectFrame(std::uint64_t id, const std::string &type)
 {
     JsonValue frame;
     frame.kind = JsonValue::Kind::Object;
     frame.object["id"] = jsonU64(id);
     frame.object["type"] = jsonStr(type);
+    return frame;
+}
+
+JsonValue
+errorFrame(std::uint64_t id, const std::string &message)
+{
+    JsonValue frame = objectFrame(id, "error");
+    frame.object["message"] = jsonStr(message);
     return frame;
 }
 

@@ -23,7 +23,7 @@
 namespace ltp {
 
 /** Apply the standard --warm/--pipewarm/--detail staging flags onto
- *  @p dflt (shared by the ltp driver and bench_simspeed). */
+ *  @p dflt (shared by every `ltp` simulation command). */
 RunLengths stagingLengths(const Cli &cli, const RunLengths &dflt);
 
 /** Run @p cfg on every kernel in @p kernels, @p threads at a time. */

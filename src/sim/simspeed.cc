@@ -63,11 +63,12 @@ cellJson(const SimSpeedCell &c,
     if (c.profiled()) {
         JsonObjectBuilder p;
         p.u64("ticks", c.profile.ticks);
+        p.u64("sampled", c.profile.sampled);
+        p.u64("clock_ns", c.profile.clockNs);
         p.u64("total_ns", c.profile.totalNs());
         JsonObjectBuilder stages;
         for (int s = 0; s < TickProfile::kNumStages; ++s)
-            stages.u64(TickProfile::stageName(s),
-                       c.profile.ns[std::size_t(s)]);
+            stages.u64(TickProfile::stageName(s), c.profile.stageNs(s));
         p.field("stage_ns", stages.render(8));
         o.field("profile", p.render(6));
     }
@@ -111,9 +112,7 @@ runSimSpeedBench(const SimSpeedOptions &opts)
     SimSpeedReport report;
     report.quick = opts.quick;
     report.seed = opts.seed;
-    // Profiled runs keep reps=1: stage times accumulate across runs
-    // and would not match a best-of-N wall time.
-    int reps = opts.profile ? 1 : std::max(1, opts.reps);
+    int reps = std::max(1, opts.reps);
     report.reps = reps;
 
     std::uint64_t per_sim =
@@ -130,17 +129,19 @@ runSimSpeedBench(const SimSpeedOptions &opts)
             cell.config = cfg.name;
             cell.detailedInsts = per_sim;
             for (int r = 0; r < reps; ++r) {
+                TickProfile profile;
                 auto start = std::chrono::steady_clock::now();
-                if (opts.profile) {
+                {
                     Simulator sim(cfg, kernel, opts.lengths);
-                    sim.core().setProfiler(&cell.profile);
+                    if (opts.profile)
+                        sim.core().setProfiler(&profile);
                     sim.run();
-                } else {
-                    Simulator::runOnce(cfg, kernel, opts.lengths);
                 }
                 double ms = msSince(start);
-                if (r == 0 || ms < cell.wallMs)
+                if (r == 0 || ms < cell.wallMs) {
                     cell.wallMs = ms;
+                    cell.profile = profile;
+                }
             }
             cell.kips = kips(cell.detailedInsts, cell.wallMs);
             report.kernelCells.push_back(cell);

@@ -5,10 +5,9 @@
  * Measures simulated kilo-instructions per wall-clock second (kIPS)
  * over representative suite kernels and whole scenario sweeps, always
  * single-threaded so the number tracks per-core cycle-kernel speed,
- * not host parallelism.  Reached via `ltp bench` and the standalone
- * `bench_simspeed` binary; results are archived as BENCH_simspeed.json
- * and gated in CI against bench/simspeed_baseline.json (fail on >25%
- * regression).
+ * not host parallelism.  Reached via `ltp bench`; results are archived
+ * as BENCH_simspeed.json and gated in CI against
+ * bench/simspeed_baseline.json (fail on >25% regression).
  *
  * "Simulated instructions" counts the detailed-model region only
  * (pipeline warm + measured detail); the functional cache warm runs
@@ -33,27 +32,23 @@ struct SimSpeedOptions
 {
     bool quick = false;      ///< fewer kernels, shorter staging
     /**
-     * Attach a per-stage tick profiler to every kernel cell (the
-     * `ltp bench --profile` mode): each cell's wall time is
+     * Attach a sampled per-stage tick profile to every kernel cell
+     * (the `ltp bench --profile` mode): each cell's tick time is
      * attributed to pipeline stages (ticket events, wakeup, rename,
      * ...) so a throughput regression names its stage from the CI
-     * artifact alone.  The clock reads perturb the measured kIPS
-     * heavily: 942 profiled against 1487 unprofiled total kIPS (best
-     * of 3, 4-core x86-64 container), 37% lower, so profiled runs are
-     * for diagnosis, not gating.  A profiled core also ticks every
-     * cycle (Core::runUntilCommitted skips quiet cycles only without
-     * a profile), so the stage shares include the idle ticks an
-     * unprofiled run jumps over.
+     * artifact alone.  The profile times one executed tick in
+     * TickProfile::kPeriod and the profiled core skips quiet cycles
+     * like any other, so a profiled run simulates exactly what an
+     * unprofiled one does, at about the same speed.
      */
     bool profile = false;
     /**
      * Best-of-N repetitions per cell: every cell is simulated @c reps
-     * times and the fastest wall time is kept.  kIPS measures the
-     * simulator, not the host scheduler, and min-of-N is the standard
-     * way to strip scheduler/frequency noise from ~25 ms cells (the
-     * committed BENCH_simspeed.json is produced with --reps=3).
-     * Forced to 1 when @c profile is set: stage attribution
-     * accumulates across runs and would mismatch a min wall time.
+     * times and the fastest wall time is kept, with that rep's
+     * profile.  kIPS measures the simulator, not the host scheduler,
+     * and min-of-N is the standard way to strip scheduler/frequency
+     * noise from ~25 ms cells (the committed BENCH_simspeed.json is
+     * produced with --reps=3).
      */
     int reps = 1;
     std::uint64_t seed = 1;
@@ -77,9 +72,9 @@ struct SimSpeedCell
     std::uint64_t detailedInsts = 0; ///< pipeWarm + detail, summed
     double wallMs = 0.0;
     double kips = 0.0; ///< detailedInsts / wall seconds / 1000
-    /** Per-stage attribution, filled by SimSpeedOptions::profile on
-     *  kernel cells (scenario cells run through the Runner and are
-     *  not instrumented). */
+    /** Per-stage attribution of the fastest rep, filled by
+     *  SimSpeedOptions::profile on kernel cells (scenario cells run
+     *  through the Runner and are not instrumented). */
     TickProfile profile;
 
     bool profiled() const { return profile.ticks > 0; }

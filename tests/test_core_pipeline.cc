@@ -6,10 +6,13 @@
  * cycle-exact differential of the quiet-cycle skip: runUntilCommitted
  * against one tick() per cycle, across every suite kernel and the LTP,
  * limit-study, small-window, MSHR-bound, SMT and sampled settings.
+ * And the sampled tick profile: attaching one changes nothing simulated.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -625,22 +628,65 @@ TEST(QuietCycleSkip, CycleExactOnSmtPairs)
 TEST(QuietCycleSkip, SmtRunWithQuotaHookMatchesPerCycleRun)
 {
     // The full SMT staging drives runUntilCommitted with a per-tick
-    // quota hook; a profiled core ticks every cycle, so it is the
-    // reference for the hooked loop.
+    // quota hook.  Rebuild runDetailPhases from its public pieces,
+    // ticking every cycle with the same quota gating and crossing
+    // capture, and compare with the staged run.
+    const std::string kernel = "smt:graph_walk+dense_compute";
     for (FetchPolicy policy : {FetchPolicy::RoundRobin, FetchPolicy::ICount}) {
         SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
         cfg.core.fetchPolicy = policy;
         RunLengths lengths{3000, 500, 2500};
-        Simulator skip(cfg, "smt:graph_walk+dense_compute", lengths);
-        Simulator ref(cfg, "smt:graph_walk+dense_compute", lengths);
-        TickProfile profile;
-        ref.core().setProfiler(&profile);
-        std::string a = metricsToJson(skip.run(), 1);
-        std::string b = metricsToJson(ref.run(), 1);
-        EXPECT_EQ(a, b) << fetchPolicyName(policy);
+        Simulator skip(cfg, kernel, lengths);
+        std::string want = metricsToJson(skip.run(), 1);
+
+        Simulator ref(cfg, kernel, lengths);
+        Core &core = ref.core();
+        int n = core.numThreads();
+        std::vector<Cycle> cross_cycles(std::size_t(n), 0);
+        std::vector<std::uint64_t> cross_insts(std::size_t(n), 0);
+        // Tick every cycle until each thread commits @p quota; a thread
+        // that gets there stops fetching, and its crossing is recorded.
+        auto phase = [&](std::uint64_t quota) {
+            std::vector<bool> closed(std::size_t(n), false);
+            auto onTick = [&] {
+                for (int tid = 0; tid < n; ++tid) {
+                    std::size_t t = std::size_t(tid);
+                    if (closed[t] || core.committedInsts(tid) < quota)
+                        continue;
+                    closed[t] = true;
+                    core.setFetchEnabled(tid, false);
+                    cross_cycles[t] = core.cycle();
+                    cross_insts[t] = core.committedInsts(tid);
+                }
+            };
+            onTick();
+            while (std::find(closed.begin(), closed.end(), false) !=
+                   closed.end()) {
+                core.tick();
+                onTick();
+            }
+            for (int tid = 0; tid < n; ++tid)
+                core.setFetchEnabled(tid, true);
+        };
+        phase(lengths.pipeWarm);
+        core.resetStats();
+        ref.mem().resetStats(core.cycle());
+        Cycle detail_start = core.cycle();
+        phase(lengths.detail);
+
+        SimConfig resolved = cfg;
+        std::vector<WorkloadPtr> members;
+        std::vector<Workload *> workloads;
+        for (const std::string &m : resolveWorkloadMembers(resolved, kernel)) {
+            members.push_back(makeKernel(m));
+            workloads.push_back(members.back().get());
+        }
+        Metrics got = extractMetrics(resolved, core, ref.mem(), workloads,
+                                     cross_cycles, cross_insts,
+                                     core.cycle() - detail_start);
+        EXPECT_EQ(metricsToJson(got, 1), want) << fetchPolicyName(policy);
         EXPECT_EQ(fingerprint(skip.core(), skip.mem()),
-                  fingerprint(ref.core(), ref.mem()));
-        EXPECT_EQ(profile.ticks, ref.core().cycle());
+                  fingerprint(core, ref.mem()));
     }
 }
 
@@ -752,6 +798,48 @@ TEST(QuietCycleSkip, PressureUnparkAfterAnIdleStall)
     tickUntil(ref, 500);
     EXPECT_GT(ref.stats().pressureUnparks.value(), 0u);
     EXPECT_EQ(fingerprint(skip, mem_a), fingerprint(ref, mem_b));
+}
+
+TEST(TickProfile, SampledProfileLeavesTheRunBitIdentical)
+{
+    // Attaching a profile only reads the clock: the Metrics and every
+    // counter must match an unprofiled run, on the skipping run loop.
+    const std::pair<SimConfig, std::string> cells[] = {
+        {SimConfig::baseline(), "graph_walk"},
+        {SimConfig::ltpProposal(LtpMode::NRNU), "graph_walk"},
+        {SimConfig::ltpProposal(LtpMode::NRNU),
+         "smt:graph_walk+dense_compute"},
+    };
+    for (const auto &[cfg, kernel] : cells) {
+        RunLengths lengths{3000, 500, 2500};
+        Simulator plain(cfg, kernel, lengths);
+        Simulator profiled(cfg, kernel, lengths);
+        TickProfile profile;
+        profiled.core().setProfiler(&profile);
+        std::string want = metricsToJson(plain.run(), 1);
+        auto start = std::chrono::steady_clock::now();
+        std::string got = metricsToJson(profiled.run(), 1);
+        auto wall_ns = std::uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        std::string what = cfg.name + " / " + kernel;
+        EXPECT_EQ(got, want) << what;
+        EXPECT_EQ(fingerprint(profiled.core(), profiled.mem()),
+                  fingerprint(plain.core(), plain.mem()))
+            << what;
+
+        // Executed ticks only: the profiled core skipped quiet cycles.
+        EXPECT_GT(profile.ticks, 0u) << what;
+        EXPECT_LT(profile.ticks, profiled.core().cycle()) << what;
+        EXPECT_EQ(profile.sampled, profile.ticks / TickProfile::kPeriod)
+            << what;
+        // Laps are clamped at 0 after the clock-cost subtraction, so no
+        // stage wraps: each timed stage fits inside the run's wall.
+        for (int s = 0; s < TickProfile::kNumStages; ++s)
+            EXPECT_LE(profile.ns[std::size_t(s)], wall_ns)
+                << what << " " << TickProfile::stageName(s);
+    }
 }
 
 } // namespace

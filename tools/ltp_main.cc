@@ -7,7 +7,7 @@
  *
  *   ltp run [--preset=... --mode=... --kernel=a,b --set core.iq=32 ...]
  *   ltp sweep <scenario.json> [--threads=N --progress --json=... --csv=...]
- *   ltp bench [--quick --scenario=f.json --baseline=f.json --check]
+ *   ltp bench [--quick --reps=N --profile --baseline=f.json --check]
  *   ltp record <kernel|scenario.json|all> --out=dir [--seed=N ...]
  *   ltp replay <trace.lttr|dir> [--verify --preset=... --set ...]
  *   ltp list-kernels
@@ -20,12 +20,9 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -34,11 +31,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/cli.hh"
 #include "common/json.hh"
@@ -234,6 +227,8 @@ archiveTarget(const std::string &path, const std::string &dflt)
 }
 
 SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
+ProgressFn sampleProgressFn(const Cli &cli, const std::string &name,
+                            bool caching);
 std::string readFileText(const std::string &path);
 
 /** Commands without a positional must not silently swallow one. */
@@ -334,13 +329,6 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
         fatal("%s: %s", path.c_str(), e.what());
     }
 
-    auto jnum = [](std::uint64_t n) {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.num = double(n);
-        v.str = std::to_string(n);
-        return v;
-    };
     auto u64In = [](const JsonValue &obj, const char *key,
                     std::uint64_t dflt) {
         auto it = obj.object.find(key);
@@ -351,7 +339,7 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     };
 
     if (cli.has("seed"))
-        root.object["seed"] = jnum(cli.integer("seed", 1));
+        root.object["seed"] = jsonU64(cli.integer("seed", 1));
 
     if (cli.has("warm") || cli.has("pipewarm") || cli.has("detail")) {
         // Re-derive the file's staging base the way scenarioFromJson
@@ -374,9 +362,9 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
         RunLengths lengths = stagingLengths(cli, base);
         JsonValue l;
         l.kind = JsonValue::Kind::Object;
-        l.object["funcWarm"] = jnum(lengths.funcWarm);
-        l.object["pipeWarm"] = jnum(lengths.pipeWarm);
-        l.object["detail"] = jnum(lengths.detail);
+        l.object["funcWarm"] = jsonU64(lengths.funcWarm);
+        l.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
+        l.object["detail"] = jsonU64(lengths.detail);
         root.object["lengths"] = std::move(l);
     }
 
@@ -401,10 +389,10 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
         SamplePlan plan = samplePlanFromCli(cli, base);
         JsonValue sp;
         sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jnum(plan.fastForward);
-        sp.object["warmup"] = jnum(plan.warmup);
-        sp.object["detail"] = jnum(plan.detail);
-        sp.object["samples"] = jnum(std::uint64_t(plan.samples));
+        sp.object["fastForward"] = jsonU64(plan.fastForward);
+        sp.object["warmup"] = jsonU64(plan.warmup);
+        sp.object["detail"] = jsonU64(plan.detail);
+        sp.object["samples"] = jsonU64(std::uint64_t(plan.samples));
         root.object["sampling"] = std::move(sp);
     }
 
@@ -498,76 +486,14 @@ cmdSweep(const std::string &path, const Cli &cli)
                                 spec.sampling.toString().c_str())
                           .c_str()
                     : "");
-    ProgressFn progress;
-    bool caching = backend && backend->wantsKey();
-    if (cli.flag("progress")) {
-        // Heartbeat for long runs (serial and sharded alike): cells
-        // done / total, cache hits when a caching backend is in play,
-        // and the live sampling phase label under a sampled plan.
-        auto start = std::chrono::steady_clock::now();
-        std::string name = spec.name;
-        progress = [start, name, caching](const Progress &p) {
-            double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-            std::string hits =
-                caching ? strprintf(", %zu hits", p.hits) : "";
-            std::string phase =
-                p.phase.empty() ? "" : " [" + p.phase + "]";
-            // Trailing spaces wipe a longer previous phase label.
-            std::fprintf(stderr,
-                         "\r%s: %zu/%zu cells%s, %.1fs elapsed%s      %s",
-                         name.c_str(), p.done, p.total, hits.c_str(),
-                         secs, phase.c_str(),
-                         p.done == p.total ? "\n" : "");
-            std::fflush(stderr);
-        };
-    }
+    // Heartbeat for long runs (serial and sharded alike).
+    ProgressFn progress = sampleProgressFn(
+        cli, spec.name, backend && backend->wantsKey());
     SweepResult result = Runner(threads, backend).run(spec, progress);
     std::fputs(renderViews(result, scenario.views).c_str(), stdout);
     printBackendSummary(result);
     maybeArchive(cli, result);
     return 0;
-}
-
-/**
- * `--perf-record=<out.data>`: attach `perf record -g` to this process
- * for the duration of the bench, so the call-graph profile and the
- * per-stage attribution come from the same run.  Returns the perf pid
- * (-1 when not requested); stopPerf() reaps it.
- */
-pid_t
-startPerf(const std::string &out)
-{
-    pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("--perf-record: fork failed: %s", std::strerror(errno));
-    if (pid == 0) {
-        std::string target = std::to_string(::getppid());
-        ::execlp("perf", "perf", "record", "-g", "-o", out.c_str(),
-                 "-p", target.c_str(), (char *)nullptr);
-        _exit(127); // perf not installed
-    }
-    // Give perf a beat to attach so the bench's first cells are in
-    // the profile too.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    return pid;
-}
-
-void
-stopPerf(pid_t pid, const std::string &out)
-{
-    ::kill(pid, SIGINT);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 127)
-        std::fprintf(stderr,
-                     "--perf-record: `perf` is not installed; no "
-                     "profile written\n");
-    else
-        std::printf("perf profile written to %s (inspect with "
-                    "`perf report -i %s`)\n",
-                    out.c_str(), out.c_str());
 }
 
 int
@@ -609,9 +535,6 @@ cmdBench(const Cli &cli)
         opts.scenarios.push_back(smt);
     }
 
-    std::string perf_out = cli.str("perf-record", "");
-    pid_t perf_pid = perf_out.empty() ? -1 : startPerf(perf_out);
-
     std::string baseline = cli.str("baseline", "");
     SimSpeedReport report;
     try {
@@ -619,12 +542,8 @@ cmdBench(const Cli &cli)
         if (!baseline.empty())
             report.referenceKips = loadReferenceKips(baseline);
     } catch (const std::runtime_error &e) {
-        if (perf_pid > 0)
-            ::kill(perf_pid, SIGKILL);
         fatal("%s", e.what());
     }
-    if (perf_pid > 0)
-        stopPerf(perf_pid, perf_out);
 
     Table t({"cell", "config", "sims", "insts", "wall ms", "kIPS"});
     auto addRows = [&](const std::vector<SimSpeedCell> &cells) {
@@ -661,10 +580,7 @@ cmdBench(const Cli &cli)
                 continue;
             if (!byCfg.count(c.config))
                 cfgs.push_back(c.config);
-            TickProfile &agg = byCfg[c.config];
-            for (int s = 0; s < TickProfile::kNumStages; ++s)
-                agg.ns[std::size_t(s)] += c.profile.ns[std::size_t(s)];
-            agg.ticks += c.profile.ticks;
+            byCfg[c.config].merge(c.profile);
         }
         std::vector<std::string> head = {"stage"};
         for (const std::string &cfg : cfgs) {
@@ -676,18 +592,24 @@ cmdBench(const Cli &cli)
             std::vector<std::string> row = {TickProfile::stageName(s)};
             for (const std::string &cfg : cfgs) {
                 const TickProfile &p = byCfg[cfg];
-                double ms = double(p.ns[std::size_t(s)]) / 1e6;
-                double pct = p.totalNs()
-                                 ? 100.0 * double(p.ns[std::size_t(s)]) /
-                                       double(p.totalNs())
-                                 : 0.0;
+                double ms = double(p.stageNs(s)) / 1e6;
+                double pct = p.totalNs() ? 100.0 * double(p.stageNs(s)) /
+                                               double(p.totalNs())
+                                         : 0.0;
                 row.push_back(Table::num(ms, 1));
                 row.push_back(Table::num(pct, 1));
             }
             pt.addRow(row);
         }
-        pt.print("per-stage tick attribution (kernel cells, "
-                 "aggregated per config)");
+        std::uint64_t clock_ns =
+            cfgs.empty() ? 0 : byCfg[cfgs.front()].clockNs;
+        pt.print(strprintf("per-stage tick attribution (kernel cells, "
+                           "aggregated per config; 1 tick in %llu "
+                           "timed, %llu ns clock read taken off each "
+                           "lap)",
+                           static_cast<unsigned long long>(
+                               TickProfile::kPeriod),
+                           static_cast<unsigned long long>(clock_ns)));
     }
 
     std::string json = cli.str("json", "");
@@ -1561,7 +1483,7 @@ main(int argc, char **argv)
     if (cmd == "bench") {
         Cli cli(nargs, args.data(),
                 flags({"quick", "scenario", "baseline", "check",
-                       "profile", "perf-record", "reps"}),
+                       "profile", "reps"}),
                 "ltp bench — measure simulator throughput (kIPS) and "
                 "write BENCH_simspeed.json; --baseline + --check fails "
                 "on >25% regression (always runs in-process and "
@@ -1569,10 +1491,9 @@ main(int argc, char **argv)
                 "--reps=N keeps the best-of-N wall time per cell "
                 "(strips host scheduler noise from ~25 ms cells; the "
                 "committed artifact uses --reps=3).\n"
-                "--profile attributes each kernel cell's wall time to "
-                "pipeline stages (table + JSON `profile` blocks); "
-                "--perf-record=<out.data> additionally wraps the bench "
-                "in `perf record -g` when perf is installed");
+                "--profile attributes each kernel cell's tick time to "
+                "pipeline stages, sampling 1 tick in 61 (table + JSON "
+                "`profile` blocks)");
         rejectPositional(cmd, positional);
         return cmdBench(cli);
     }

@@ -23,7 +23,7 @@ void
 FastForward::retireOne(int tid)
 {
     ThreadState &t = threads_[std::size_t(tid)];
-    std::uint64_t pos = t.stream->consumed(); // position of this op
+    std::uint64_t pos = t.consumed++; // position of this op
     MicroOp op = t.stream->next();
     if (op.isBranch())
         t.bpred.predict(op.pc, op.taken, op.target);
@@ -37,13 +37,23 @@ FastForward::retireOne(int tid)
 }
 
 void
+FastForward::skip(int tid, std::uint64_t n)
+{
+    ThreadState &t = threads_[std::size_t(tid)];
+    t.stream->skip(n);
+    t.consumed += n;
+}
+
+void
 FastForward::advanceTo(std::uint64_t target)
 {
     auto start = std::chrono::steady_clock::now();
     // Round-robin rounds: one op per lagging thread per round, so the
     // shared hierarchy interleaves the same way the warm phase of a
-    // full run does.  Threads already past target (detailed-sample
-    // fetch-ahead overshoot) simply sit the rounds out.
+    // full run does.  Only a checkpoint with unequal per-thread
+    // positions leaves a thread to finish alone.
+    for (int tid = 0; tid < numThreads(); ++tid)
+        sim_assert(consumed(tid) <= target);
     bool any = true;
     while (any) {
         any = false;

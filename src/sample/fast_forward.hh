@@ -6,11 +6,13 @@
  * cycles), so the stream position advances at an order of magnitude
  * higher rate than detailed simulation.
  *
- * The engine owns the master per-thread workload streams of a sampled
- * run.  Detailed samples consume the *same* streams through counting
- * wrappers (stream()), so the position bookkeeping is exact: whatever
- * a sample's trace window fetched ahead is already counted, and the
- * next advanceTo() continues from there rather than re-playing it.
+ * The engine is the body of a sampled run's warming chain
+ * (warm_chain.hh): it owns the per-thread streams and retires *every*
+ * op of them functionally, sample windows included.  Nothing detailed
+ * ever reads from or writes back into it — a detailed sample runs on
+ * clones of the streams and a restored copy of the warmed images — so
+ * the engine's state at position p is a pure function of (members,
+ * seed, memory config, predictor geometry, p).
  *
  * Warming fidelity, per op:
  *  - branches: BranchPredictor::predict trains tables + history in
@@ -39,50 +41,6 @@
 
 namespace ltp {
 
-/**
- * A workload wrapper that counts every micro-op pulled from the master
- * stream — by the fast-forward loop *and* by a detailed sample's trace
- * window — so the stream position is a single shared number.
- */
-class CountingStream : public Workload
-{
-  public:
-    explicit CountingStream(WorkloadPtr master)
-        : master_(std::move(master))
-    {
-    }
-
-    std::string name() const override { return master_->name(); }
-
-    void
-    reset(std::uint64_t seed) override
-    {
-        master_->reset(seed);
-        consumed_ = 0;
-    }
-
-    MicroOp
-    next() override
-    {
-        ++consumed_;
-        return master_->next();
-    }
-
-    void
-    skip(std::uint64_t n) override
-    {
-        master_->skip(n);
-        consumed_ += n;
-    }
-
-    /** Micro-ops pulled from the master since the last reset(). */
-    std::uint64_t consumed() const { return consumed_; }
-
-  private:
-    WorkloadPtr master_;
-    std::uint64_t consumed_ = 0;
-};
-
 /** Functional-only fast-forward over one run's thread streams. */
 class FastForward
 {
@@ -98,25 +56,31 @@ class FastForward
     /**
      * Functionally retire until every thread's stream position reaches
      * @p target, round-robin interleaved across threads (the shared
-     * hierarchy warms under the same mix it will serve).  Threads
-     * already past @p target — a detailed sample's fetch-ahead
-     * overshoot — are left untouched.
+     * hierarchy warms under the same mix it will serve).  No thread
+     * may already be past @p target (asserted).
      */
     void advanceTo(std::uint64_t target);
 
     int numThreads() const { return int(threads_.size()); }
 
-    /** The counting stream a detailed sample's trace window feeds from. */
-    CountingStream &stream(int tid) { return *threads_[std::size_t(tid)].stream; }
+    /** Thread @p tid's stream, positioned at consumed(tid). */
+    const Workload &stream(int tid) const
+    {
+        return *threads_[std::size_t(tid)].stream;
+    }
 
-    /** Current stream position of @p tid (ops pulled from the master). */
+    /** Current stream position of @p tid (ops pulled from the stream). */
     std::uint64_t
     consumed(int tid) const
     {
-        return threads_[std::size_t(tid)].stream->consumed();
+        return threads_[std::size_t(tid)].consumed;
     }
 
-    /** The functionally-warmed predictor (copied into each sample core). */
+    /** Move @p tid's stream @p n ops forward without warming anything
+     *  (checkpoint restore installs the warmed images separately). */
+    void skip(int tid, std::uint64_t n);
+
+    /** The functionally-warmed predictor (its image seeds each sample). */
     BranchPredictor &branchPred(int tid) { return threads_[std::size_t(tid)].bpred; }
     const BranchPredictor &branchPred(int tid) const
     {
@@ -136,7 +100,7 @@ class FastForward
         return threads_[std::size_t(tid)].last_writer;
     }
 
-    /** Functionally-retired instructions (excludes detailed samples). */
+    /** Functionally-retired instructions. */
     std::uint64_t retired() const { return retired_; }
 
     /** Measured fast-forward rate over all advanceTo() calls so far,
@@ -146,13 +110,13 @@ class FastForward
   private:
     struct ThreadState
     {
-        std::unique_ptr<CountingStream> stream;
+        WorkloadPtr stream;
+        std::uint64_t consumed = 0;
         BranchPredictor bpred;
         std::array<std::uint64_t, kTotalArchRegs> last_writer{};
 
-        ThreadState(WorkloadPtr master, const CoreConfig &cfg)
-            : stream(std::make_unique<CountingStream>(std::move(master))),
-              bpred(cfg.bpTableBits, cfg.btbEntries)
+        ThreadState(WorkloadPtr w, const CoreConfig &cfg)
+            : stream(std::move(w)), bpred(cfg.bpTableBits, cfg.btbEntries)
         {
         }
     };

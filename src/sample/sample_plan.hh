@@ -4,15 +4,21 @@
  * period of a sampled simulation (SMARTS-style systematic sampling).
  *
  * A sampled run replaces the single long detail region with
- * `samples` short ones spread evenly through the stream:
+ * `samples` short ones at fixed stream positions:
  *
  *   [ ff | warm | detail ] [ ff | warm | detail ] ... x samples
  *
- * Fast-forward retires instructions functionally (registers, memory
- * image, branch-predictor training — no pipeline timing), warmup runs
- * the detailed core with stats discarded, and each detail region is
- * measured.  Per-sample IPCs aggregate into a mean and a Student-t
- * 95% confidence interval (Metrics::sampling).
+ *   sample i starts at S_i = start + (i+1)*ff + i*(warm + detail)
+ *
+ * The positions depend only on the plan (and a `--from` checkpoint's
+ * start), never on the config, so every config sampling a workload
+ * measures the same windows (matched pairs).  One functional warming
+ * chain (warm_chain.hh) retires the whole stream — registers, memory
+ * image, branch-predictor training, no pipeline timing — and captures
+ * the warmed state at each S_i; each sample restores that state into
+ * a fresh detailed core, runs `warm` ops with stats discarded, then
+ * measures `detail` ops.  Per-sample IPCs aggregate into a mean and a
+ * Student-t 95% confidence interval (Metrics::sampling).
  *
  * The plan is deliberately *not* part of SimConfig: sampling is a
  * measurement strategy, not an architecture under test.  It joins the

@@ -1,10 +1,10 @@
 #include "sample/sampler.hh"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
+#include "common/binio.hh"
 #include "common/logging.hh"
 #include "cpu/core.hh"
 #include "sim/oracle_memo.hh"
@@ -33,19 +33,61 @@ Sampler::Sampler(const SimConfig &cfg, const std::string &kernel,
             "length (got " + plan_.toString() + ")");
 
     members_ = resolveWorkloadMembers(cfg_, kernel_);
-    mem_ = std::make_unique<MemSystem>(cfg_.mem);
-    ff_ = std::make_unique<FastForward>(cfg_, members_, *mem_);
-
-    workload_name_ = ff_->stream(0).name();
-    for (int tid = 1; tid < ff_->numThreads(); ++tid)
-        workload_name_ += "+" + ff_->stream(tid).name();
+    for (const std::string &member : members_)
+        workload_name_ += (workload_name_.empty() ? "" : "+") +
+                          makeKernel(member)->name();
 }
 
 void
 Sampler::restoreFrom(const Checkpoint &ckpt)
 {
     sim_assert(!ran_);
-    restoreCheckpoint(ckpt, *ff_, *mem_, workload_name_, cfg_.seed);
+    from_ = std::make_shared<const Checkpoint>(ckpt);
+    from_crc_ = crc32(checkpointToBytes(ckpt));
+}
+
+Metrics
+Sampler::runSample(int i, const WarmPoint &point,
+                   const std::function<void(const char *)> &phase)
+{
+    MemSystem mem(cfg_.mem);
+    std::vector<ThreadImage> threads = restoreMemImage(point.image, mem);
+
+    // Trace-window bound, exactly as the full Simulator computes it.
+    std::size_t max_window = 0;
+    if (!isInfinite(cfg_.core.robSize) &&
+        !isInfinite(cfg_.core.fetchQueueCap)) {
+        max_window = std::size_t(cfg_.core.robSize) +
+                     std::size_t(cfg_.core.fetchQueueCap) +
+                     std::size_t(cfg_.core.fetchWidth);
+    }
+    int n = cfg_.core.numThreads;
+    std::vector<WorkloadPtr> streams;
+    std::vector<std::unique_ptr<TraceWindow>> windows;
+    std::vector<InstSource *> sources;
+    std::vector<OracleClassification> oracles = oracles_;
+    std::vector<const OracleClassification *> oracle_ptrs;
+    std::vector<Workload *> wl_ptrs;
+    for (int tid = 0; tid < n; ++tid) {
+        std::size_t t = std::size_t(tid);
+        streams.push_back(point.streams[t]->clone());
+        windows.push_back(
+            std::make_unique<TraceWindow>(*streams.back(), max_window));
+        sources.push_back(windows.back().get());
+        wl_ptrs.push_back(streams.back().get());
+        if (oracles[t].valid())
+            oracles[t].setBase(threads[t].position);
+        oracle_ptrs.push_back(oracles[t].valid() ? &oracles[t] : nullptr);
+    }
+
+    Core core(cfg_.core, mem, sources, oracle_ptrs);
+    for (int tid = 0; tid < n; ++tid)
+        core.branchPred(tid).restore(threads[std::size_t(tid)].bpred);
+    points_[std::size_t(i)] = SamplePoint{
+        threads[0].position,
+        ByteReader(point.image, point.image.size() - 4).u32()};
+    return runDetailPhases(cfg_, core, mem, wl_ptrs, plan_.warmup,
+                           plan_.detail, phase);
 }
 
 Metrics
@@ -54,99 +96,33 @@ Sampler::run(const PhaseFn &phase)
     sim_assert(!ran_);
     ran_ = true;
 
-    int n = cfg_.core.numThreads;
-    std::uint64_t start = 0;
-    for (int tid = 0; tid < n; ++tid)
-        start = std::max(start, ff_->consumed(tid));
-
-    // Trace-window bound, exactly as the full Simulator computes it;
-    // it doubles as the per-sample fetch-ahead overshoot allowance.
-    std::size_t max_window = 0;
-    if (!isInfinite(cfg_.core.robSize) &&
-        !isInfinite(cfg_.core.fetchQueueCap)) {
-        max_window = std::size_t(cfg_.core.robSize) +
-                     std::size_t(cfg_.core.fetchQueueCap) +
-                     std::size_t(cfg_.core.fetchWidth);
-    }
-    std::uint64_t overshoot = max_window ? max_window : 16384;
+    ChainSpec spec{cfg_, members_, workload_name_, plan_, from_,
+                   from_crc_};
 
     // Oracle pre-pass (limit study): one classification per thread
-    // covering every position any sample can reach; each sample then
-    // rebases lookups to its own start position.  Out-of-range
-    // lookups fail safe (classified as none), so the slack terms only
-    // need to cover the realistic fetch-ahead.
+    // covering every position any sample can reach, up to the last
+    // sample's end plus the fetch-ahead slack; each sample rebases
+    // lookups to its own start.  Out-of-range lookups fail safe
+    // (classified as none).
     oracles_.resize(members_.size());
     if (cfg_.core.ltp.mode != LtpMode::Off &&
         cfg_.core.ltp.classifier == ClassifierKind::Oracle) {
-        std::uint64_t span =
-            start +
-            std::uint64_t(plan_.samples) * (plan_.period() + overshoot) +
-            kTraceFetchSlack;
+        std::uint64_t span = spec.sampleStart(plan_.samples - 1) +
+                             plan_.warmup + plan_.detail + kTraceFetchSlack;
         for (std::size_t tid = 0; tid < members_.size(); ++tid)
             oracles_[tid] = OracleMemo::global().classify(
                 members_[tid], cfg_.seed, span, cfg_.mem);
     }
 
-    std::vector<Metrics> runs;
-    runs.reserve(std::size_t(plan_.samples));
-    for (int i = 0; i < plan_.samples; ++i) {
-        std::string tag = std::to_string(i + 1) + "/" +
-                          std::to_string(plan_.samples);
-        if (phase)
-            phase("fast-forward " + tag);
-
-        // Advance every thread to this period's sample start.  A
-        // thread already past it (the previous sample's fetch-ahead)
-        // keeps its position — the measured region simply shifts by
-        // the overshoot, which systematic sampling tolerates.
-        std::uint64_t target =
-            start + std::uint64_t(i + 1) * plan_.fastForward +
-            std::uint64_t(i) * (plan_.warmup + plan_.detail);
-        ff_->advanceTo(target);
-
-        // Sample boundary: collapse in-flight timing so the fresh
-        // core (cycle 0) observes a settled hierarchy.
-        mem_->settle();
-
-        std::vector<std::unique_ptr<TraceWindow>> windows;
-        std::vector<InstSource *> sources;
-        std::vector<const OracleClassification *> oracle_ptrs;
-        std::vector<Workload *> wl_ptrs;
-        for (int tid = 0; tid < n; ++tid) {
-            if (oracles_[std::size_t(tid)].valid())
-                oracles_[std::size_t(tid)].setBase(ff_->consumed(tid));
-            windows.push_back(std::make_unique<TraceWindow>(
-                ff_->stream(tid), max_window));
-            sources.push_back(windows.back().get());
-            oracle_ptrs.push_back(oracles_[std::size_t(tid)].valid()
-                                      ? &oracles_[std::size_t(tid)]
-                                      : nullptr);
-            wl_ptrs.push_back(&ff_->stream(tid));
-        }
-
-        Core core(cfg_.core, *mem_, sources, oracle_ptrs);
-        for (int tid = 0; tid < n; ++tid)
-            core.branchPred(tid).restore(
-                ff_->branchPred(tid).image());
-
-        std::function<void(const char *)> inner;
-        if (phase)
-            inner = [&phase, tag](const char *p) {
-                phase((std::strcmp(p, "warmup") == 0 ? "warmup "
-                                                     : "sample ") +
-                      tag);
-            };
-        runs.push_back(runDetailPhases(cfg_, core, *mem_, wl_ptrs,
-                                       plan_.warmup, plan_.detail,
-                                       inner));
-
-        // Detailed fetch trained the predictors in stream order right
-        // up to the consumed position — copy them back so training is
-        // continuous into the next fast-forward stretch.
-        for (int tid = 0; tid < n; ++tid)
-            ff_->branchPred(tid).restore(
-                core.branchPred(tid).image());
-    }
+    points_.assign(std::size_t(plan_.samples), SamplePoint{});
+    WarmChain::Participant me;
+    me.run = [this](int i, const WarmPoint &point,
+                    const std::function<void(const char *)> &inner) {
+        return runSample(i, point, inner);
+    };
+    chain_ = WarmChain::join(std::move(spec), me);
+    chain_->participate(me, phase);
+    std::vector<Metrics> &runs = me.results;
 
     Metrics agg = averageMetrics(runs, runs.front().workload);
     SamplingStats &s = agg.sampling;
@@ -154,7 +130,7 @@ Sampler::run(const PhaseFn &phase)
     s.fastForward = plan_.fastForward;
     s.warmup = plan_.warmup;
     s.detail = plan_.detail;
-    s.ffKips = ff_->kips();
+    s.ffKips = chain_->fastForward().kips();
     s.sampleIpcs.reserve(runs.size());
     for (const Metrics &m : runs)
         s.sampleIpcs.push_back(m.ipc);

@@ -1,32 +1,31 @@
 /**
  * @file
- * Interval-sampling controller: drives a sampled run through its
- * repeating [fast-forward | warmup | detail] periods and aggregates
- * the per-sample Metrics into a mean IPC with a Student-t 95%
- * confidence interval (Metrics::sampling).
+ * Interval-sampling controller: runs a sampled simulation's detailed
+ * samples from a shared warming chain and aggregates the per-sample
+ * Metrics into a mean IPC with a Student-t 95% confidence interval
+ * (Metrics::sampling).
  *
- * Period i (0-based) measures the detail region starting at
+ * Sample i (0-based) measures the detail region starting at the fixed
  * per-thread stream position
  *
  *   S_i = start + (i+1)*ff + i*(warmup + detail)
  *
- * where `start` is 0 or a restored checkpoint's position.  Between
- * samples the warmed structures carry forward exactly:
+ * for every config, where `start` is 0 or a restored checkpoint's
+ * position.  The positions, and the warmed state at them, come from
+ * one functional warming chain (warm_chain.hh) that this Sampler
+ * joins: every config with the same warming inputs (members, seed,
+ * plan, memory config, predictor geometry) measures identical windows
+ * from identical state, so window-placement noise cancels in a
+ * config-vs-config ratio (matched-pair sampling: SMARTS, ISCA 2003;
+ * SimFlex, SIGMETRICS 2006).
  *
- *  - streams: samples consume the engine's own counting streams, so a
- *    sample's fetch-ahead overshoot is part of the position and the
- *    next fast-forward continues from it (no rewind, no replay);
- *  - branch predictors: trained functionally during fast-forward,
- *    copied into each sample's fresh core, and copied back out after
- *    (detailed fetch trains them in stream order, so training is
- *    continuous across the whole run);
- *  - memory image: the shared hierarchy persists; settle() collapses
- *    in-flight timing at each sample boundary so a fresh core can
- *    restart at cycle 0.
- *
- * Each sample runs on a *fresh* Core: pipeline state is rebuilt by the
- * warmup ops (stats discarded), mirroring the full run's detailed
- * pipeline warm.
+ * Each sample is a task: decode the chain's point i into a *fresh*
+ * MemSystem and Core (predictor image restored), feed the core from
+ * clones of the point's streams, rebuild pipeline state with the
+ * warmup ops (stats discarded), then measure.  Nothing flows back into
+ * the chain, so a sample's fetch-ahead never moves a later sample.
+ * Tasks of one run may execute on any participant thread of the
+ * chain; the Metrics are the same either way.
  */
 
 #ifndef LTP_SAMPLE_SAMPLER_HH
@@ -41,16 +40,26 @@
 #include "sample/checkpoint.hh"
 #include "sample/fast_forward.hh"
 #include "sample/sample_plan.hh"
+#include "sample/warm_chain.hh"
 #include "sim/config.hh"
 #include "sim/metrics.hh"
 
 namespace ltp {
 
-/** Progress callback: called at each phase boundary with a label like
- *  "fast-forward 3/8", "warmup 3/8", "sample 3/8". */
-using PhaseFn = std::function<void(const std::string &)>;
+/** Where one sample started: its position and the CRC-32 of the point
+ *  encoding it restored (the `.ltcp` footer). */
+struct SamplePoint
+{
+    std::uint64_t start = 0;
+    std::uint32_t crc = 0;
 
-/** Owns one sampled run: streams, fast-forward engine, hierarchy. */
+    bool operator==(const SamplePoint &o) const
+    {
+        return start == o.start && crc == o.crc;
+    }
+};
+
+/** One sampled run: a participant of its key's warming chain. */
 class Sampler
 {
   public:
@@ -61,15 +70,20 @@ class Sampler
 
     /**
      * Start from an architectural checkpoint instead of stream
-     * position 0: each thread's stream seeks to the stored position
-     * and the predictor/memory images are installed.  Must be called
-     * before run().
-     * @throws std::runtime_error when the checkpoint does not match
-     *         this run (workload, seed, geometry).
+     * position 0: the chain seeks each thread's stream to the stored
+     * position and installs the predictor/memory images.  Must be
+     * called before run(); the checkpoint's CRC joins the chain key.
+     * @throws std::runtime_error (from run()) when the checkpoint does
+     *         not match this run (workload, seed, geometry).
      */
     void restoreFrom(const Checkpoint &ckpt);
 
-    /** Execute the full sampling schedule and aggregate. */
+    /**
+     * Execute the sampling schedule and aggregate.  @p phase sees
+     * "fast-forward i/n" while this thread advances the chain or
+     * waits on it, then "warmup i/n" / "sample i/n" for each sample
+     * task this thread runs; it is only called on this thread.
+     */
     Metrics run(const PhaseFn &phase = {});
 
     /** One-shot convenience mirroring Simulator::runOnce. */
@@ -81,21 +95,27 @@ class Sampler
     /** The workload name the run reports (members joined under SMT). */
     const std::string &workloadName() const { return workload_name_; }
 
-    /// @name Mid-run access for tests and `ltp checkpoint create`
+    /// @name After run(): the chain's engine and the sample starts
     /// @{
-    FastForward &fastForward() { return *ff_; }
-    MemSystem &mem() { return *mem_; }
+    const FastForward &fastForward() const { return chain_->fastForward(); }
+    const std::vector<SamplePoint> &samplePoints() const { return points_; }
     /// @}
 
   private:
+    /** Sample @p i from @p point (any participant thread). */
+    Metrics runSample(int i, const WarmPoint &point,
+                      const std::function<void(const char *)> &phase);
+
     SimConfig cfg_;
     SamplePlan plan_;
     std::string kernel_;
     std::string workload_name_;
     std::vector<std::string> members_;
     std::vector<OracleClassification> oracles_;
-    std::unique_ptr<MemSystem> mem_;
-    std::unique_ptr<FastForward> ff_;
+    std::shared_ptr<const Checkpoint> from_;
+    std::uint32_t from_crc_ = 0;
+    std::shared_ptr<WarmChain> chain_;
+    std::vector<SamplePoint> points_;
     bool ran_ = false;
 };
 

@@ -56,59 +56,75 @@ LoopKernel::region(std::uint64_t bytes)
     return r;
 }
 
+namespace {
+
+/** Place the valid registers among @p a, @p b, @p c in @p op's
+ *  sources, in order (OpBuilder::src's placement, without the copies). */
+void
+addSrcs(MicroOp &op, RegId a, RegId b = RegId(), RegId c = RegId())
+{
+    int n = 0;
+    if (a.valid())
+        op.srcs[n++] = a;
+    if (b.valid())
+        op.srcs[n++] = b;
+    if (c.valid())
+        op.srcs[n] = c;
+}
+
+} // namespace
+
+// The emit helpers construct each op in place in the iteration
+// buffer: generation feeds every fast-forwarded instruction, so it
+// sits on a sampled run's critical path.
+
 void
 LoopKernel::emitOp(int slot, OpClass c, RegId dst, RegId s1, RegId s2,
                    RegId s3)
 {
-    OpBuilder b(c);
-    b.pc(pcOf(slot));
+    MicroOp &op = buf_.emplace_back();
+    op.pc = pcOf(slot);
+    op.opc = c;
     if (dst.valid())
-        b.dst(dst);
-    if (s1.valid())
-        b.src(s1);
-    if (s2.valid())
-        b.src(s2);
-    if (s3.valid())
-        b.src(s3);
-    buf_.push_back(b.build());
+        op.dst = dst;
+    addSrcs(op, s1, s2, s3);
 }
 
 void
 LoopKernel::emitLoad(int slot, RegId dst, Addr addr, RegId a1, RegId a2,
                      int size)
 {
-    OpBuilder b(OpClass::Load);
-    b.pc(pcOf(slot)).dst(dst).mem(addr, size);
-    if (a1.valid())
-        b.src(a1);
-    if (a2.valid())
-        b.src(a2);
-    buf_.push_back(b.build());
+    MicroOp &op = buf_.emplace_back();
+    op.pc = pcOf(slot);
+    op.opc = OpClass::Load;
+    if (dst.valid())
+        op.dst = dst;
+    addSrcs(op, a1, a2);
+    op.effAddr = addr;
+    op.memSize = static_cast<std::uint8_t>(size);
 }
 
 void
 LoopKernel::emitStore(int slot, Addr addr, RegId data, RegId a1, RegId a2,
                       int size)
 {
-    OpBuilder b(OpClass::Store);
-    b.pc(pcOf(slot)).mem(addr, size);
-    if (data.valid())
-        b.src(data);
-    if (a1.valid())
-        b.src(a1);
-    if (a2.valid())
-        b.src(a2);
-    buf_.push_back(b.build());
+    MicroOp &op = buf_.emplace_back();
+    op.pc = pcOf(slot);
+    op.opc = OpClass::Store;
+    addSrcs(op, data, a1, a2);
+    op.effAddr = addr;
+    op.memSize = static_cast<std::uint8_t>(size);
 }
 
 void
 LoopKernel::emitBranch(int slot, bool taken, int target_slot, RegId cond)
 {
-    OpBuilder b(OpClass::Branch);
-    b.pc(pcOf(slot)).branch(taken, pcOf(target_slot));
-    if (cond.valid())
-        b.src(cond);
-    buf_.push_back(b.build());
+    MicroOp &op = buf_.emplace_back();
+    op.pc = pcOf(slot);
+    op.opc = OpClass::Branch;
+    addSrcs(op, cond);
+    op.taken = taken;
+    op.target = pcOf(target_slot);
 }
 
 } // namespace ltp

@@ -2,7 +2,8 @@
  * @file
  * A tiny "assembler" for writing synthetic kernels.
  *
- * Kernels subclass @ref ltp::LoopKernel and implement emitIteration(),
+ * Kernels subclass @ref ltp::Kernel (a LoopKernel that can clone
+ * itself) and implement emitIteration(),
  * appending one loop iteration's micro-ops with the emit helpers.  Each
  * static position in the loop body (a "slot") maps to a stable PC, which
  * is what allows the UIT and the hit/miss predictor to learn — exactly
@@ -20,6 +21,7 @@
 #define LTP_TRACE_KERNEL_DSL_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -105,6 +107,25 @@ class LoopKernel : public Workload
     Addr next_region_;
     std::vector<MicroOp> buf_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * LoopKernel plus the clone() every kernel shares: a copy of the
+ * derived kernel (generator state, RNG, buffered iteration), so
+ * kernels subclass Kernel<Self> rather than LoopKernel directly.
+ */
+template <class Derived>
+class Kernel : public LoopKernel
+{
+  public:
+    using LoopKernel::LoopKernel;
+
+    WorkloadPtr
+    clone() const override
+    {
+        return std::make_unique<Derived>(
+            static_cast<const Derived &>(*this));
+    }
 };
 
 /** FNV-1a hash used to derive per-kernel seeds and PC bases. */

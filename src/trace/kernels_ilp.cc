@@ -16,10 +16,10 @@ namespace ltp {
 namespace {
 
 /** Dense FP compute over L1-resident data: high ILP, zero misses. */
-class DenseCompute : public LoopKernel
+class DenseCompute : public Kernel<DenseCompute>
 {
   public:
-    DenseCompute() : LoopKernel("dense_compute") {}
+    DenseCompute() : Kernel("dense_compute") {}
 
   protected:
     void
@@ -60,10 +60,10 @@ class DenseCompute : public LoopKernel
 };
 
 /** Branch-dense integer code with small lookup tables. */
-class BranchyInt : public LoopKernel
+class BranchyInt : public Kernel<BranchyInt>
 {
   public:
-    BranchyInt() : LoopKernel("branchy_int") {}
+    BranchyInt() : Kernel("branchy_int") {}
 
   protected:
     void
@@ -103,10 +103,10 @@ class BranchyInt : public LoopKernel
 };
 
 /** FP chains with occasional divides; L1-resident working set. */
-class FpKernel : public LoopKernel
+class FpKernel : public Kernel<FpKernel>
 {
   public:
-    FpKernel() : LoopKernel("fp_kernel") {}
+    FpKernel() : Kernel("fp_kernel") {}
 
   protected:
     void
@@ -144,10 +144,10 @@ class FpKernel : public LoopKernel
 };
 
 /** Sequential sweep of an L2-resident buffer with compare/accumulate. */
-class CacheResidentStream : public LoopKernel
+class CacheResidentStream : public Kernel<CacheResidentStream>
 {
   public:
-    CacheResidentStream() : LoopKernel("cache_stream") {}
+    CacheResidentStream() : Kernel("cache_stream") {}
 
   protected:
     void
@@ -183,10 +183,10 @@ class CacheResidentStream : public LoopKernel
 };
 
 /** Serial accumulation: low ILP by construction, but no misses. */
-class Reduction : public LoopKernel
+class Reduction : public Kernel<Reduction>
 {
   public:
-    Reduction() : LoopKernel("reduction") {}
+    Reduction() : Kernel("reduction") {}
 
   protected:
     void
@@ -221,10 +221,10 @@ class Reduction : public LoopKernel
  * covered by the L2 prefetcher — so with prefetching enabled (as in all
  * of the paper's experiments) the kernel stays MLP-insensitive.
  */
-class IntMix : public LoopKernel
+class IntMix : public Kernel<IntMix>
 {
   public:
-    IntMix() : LoopKernel("int_mix") {}
+    IntMix() : Kernel("int_mix") {}
 
   protected:
     void
@@ -266,10 +266,10 @@ class IntMix : public LoopKernel
  * memory miss (Section 2 counts division and square root).  No DRAM
  * traffic, so the DRAM-timer monitor keeps LTP powered off here.
  */
-class DivHeavy : public LoopKernel
+class DivHeavy : public Kernel<DivHeavy>
 {
   public:
-    DivHeavy() : LoopKernel("div_heavy") {}
+    DivHeavy() : Kernel("div_heavy") {}
 
   protected:
     void

@@ -23,10 +23,10 @@ namespace {
  * fan-out loads are Urgent *and* Non-Ready, Non-Ready parking matters
  * more than Non-Urgent here -- mirroring the paper's astar discussion.
  */
-class GraphWalk : public LoopKernel
+class GraphWalk : public Kernel<GraphWalk>
 {
   public:
-    GraphWalk() : LoopKernel("graph_walk") {}
+    GraphWalk() : Kernel("graph_walk") {}
 
   protected:
     void
@@ -79,10 +79,10 @@ class GraphWalk : public LoopKernel
  * Non-Urgent, so NU-only parking covers the NR ones too — the property
  * the paper highlights for milc.
  */
-class IndirectStreamFp : public LoopKernel
+class IndirectStreamFp : public Kernel<IndirectStreamFp>
 {
   public:
-    IndirectStreamFp() : LoopKernel("indirect_stream_fp") {}
+    IndirectStreamFp() : Kernel("indirect_stream_fp") {}
 
   protected:
     void
@@ -128,10 +128,10 @@ class IndirectStreamFp : public LoopKernel
  * soplex/sphinx stand-in: sparse matrix-vector product
  * y[i] += M[j] * x[col[j]] — col[] streams (hits), x[] gathers (misses).
  */
-class SparseGather : public LoopKernel
+class SparseGather : public Kernel<SparseGather>
 {
   public:
-    SparseGather() : LoopKernel("sparse_gather") {}
+    SparseGather() : Kernel("sparse_gather") {}
 
   protected:
     void
@@ -176,10 +176,10 @@ class SparseGather : public LoopKernel
  * Urgent slice; the bucket load misses; a short chain walk follows with
  * a data-dependent (poorly predictable) branch.
  */
-class HashProbe : public LoopKernel
+class HashProbe : public Kernel<HashProbe>
 {
   public:
-    HashProbe() : LoopKernel("hash_probe") {}
+    HashProbe() : Kernel("hash_probe") {}
 
   protected:
     void
@@ -236,10 +236,10 @@ class HashProbe : public LoopKernel
  * (Urgent + Non-Ready); three field loads per node provide fan-out,
  * and the window determines how many lists' misses overlap.
  */
-class LinkedList : public LoopKernel
+class LinkedList : public Kernel<LinkedList>
 {
   public:
-    LinkedList() : LoopKernel("linked_list") {}
+    LinkedList() : Kernel("linked_list") {}
 
   protected:
     void
@@ -284,10 +284,10 @@ class LinkedList : public LoopKernel
  * window-limited MLP workload (libquantum-with-irregular-stride
  * flavour).
  */
-class BucketShuffle : public LoopKernel
+class BucketShuffle : public Kernel<BucketShuffle>
 {
   public:
-    BucketShuffle() : LoopKernel("bucket_shuffle") {}
+    BucketShuffle() : Kernel("bucket_shuffle") {}
 
   protected:
     void
@@ -332,10 +332,10 @@ class BucketShuffle : public LoopKernel
  * cache resident (hits); leaves live in a DRAM-sized region (miss).
  * Exercises mixed-readiness chains: the leaf load is Urgent + Non-Ready.
  */
-class BtreeLookup : public LoopKernel
+class BtreeLookup : public Kernel<BtreeLookup>
 {
   public:
-    BtreeLookup() : LoopKernel("btree_lookup") {}
+    BtreeLookup() : Kernel("btree_lookup") {}
 
   protected:
     void

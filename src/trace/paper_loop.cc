@@ -31,10 +31,10 @@ namespace ltp {
 
 namespace {
 
-class PaperLoop : public LoopKernel
+class PaperLoop : public Kernel<PaperLoop>
 {
   public:
-    PaperLoop() : LoopKernel("paper_loop") {}
+    PaperLoop() : Kernel("paper_loop") {}
 
     /** Slot indices named after the paper's instruction letters. */
     enum Slot { A, B, C, D, E, F, G, H, I, J, K };

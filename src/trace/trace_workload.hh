@@ -72,6 +72,13 @@ class TraceWorkload : public Workload
     /** O(1) seek past @p n records (random-access trace storage). */
     void skip(std::uint64_t n) override { pos_ += n; }
 
+    /** Shares the loaded records; copies only the cursor. */
+    WorkloadPtr
+    clone() const override
+    {
+        return std::make_unique<TraceWorkload>(*this);
+    }
+
   private:
     std::shared_ptr<const TraceReader> trace_;
     std::uint64_t pos_ = 0;

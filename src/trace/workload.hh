@@ -40,6 +40,15 @@ class Workload
     virtual MicroOp next() = 0;
 
     /**
+     * An independent copy of this stream at its current position:
+     * the copy's next() returns what this stream's next() would, and
+     * advancing one never moves the other.  Sampling captures one per
+     * thread at each sample start, so every config measuring that
+     * sample replays the identical window.
+     */
+    virtual std::unique_ptr<Workload> clone() const = 0;
+
+    /**
      * Advance the stream by @p n micro-ops without observing them.
      * Equivalent to n calls to next() with the results dropped;
      * sources with random access (trace replays) override this with

@@ -19,6 +19,7 @@
 
 #include "common/random.hh"
 #include "cpu/core.hh"
+#include "sample/checkpoint.hh"
 #include "sample/fast_forward.hh"
 #include "sample/sampler.hh"
 #include "sim/config.hh"
@@ -692,8 +693,10 @@ TEST(QuietCycleSkip, SmtRunWithQuotaHookMatchesPerCycleRun)
 
 TEST(QuietCycleSkip, SampledCellMatchesPerCycleSamples)
 {
-    // Rebuild the Sampler's schedule from its public pieces, ticking
-    // every detailed cycle, and compare with the sampled run.
+    // Rebuild the Sampler's schedule from its public pieces — a
+    // functional chain captured at each fixed sample start, every
+    // sample on a fresh hierarchy and core restored from that point —
+    // ticking every detailed cycle, and compare with the sampled run.
     SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
     SamplePlan plan;
     plan.fastForward = 20000;
@@ -703,30 +706,31 @@ TEST(QuietCycleSkip, SampledCellMatchesPerCycleSamples)
     const std::string kernel = "graph_walk";
     Metrics got = Sampler::runOnce(cfg, kernel, plan);
 
-    Sampler ref(cfg, kernel, plan);
-    FastForward &ff = ref.fastForward();
-    MemSystem &mem = ref.mem();
+    MemSystem chain_mem(cfg.mem);
+    FastForward ff(cfg, {kernel}, chain_mem);
     std::size_t max_window = std::size_t(cfg.core.robSize) +
                              std::size_t(cfg.core.fetchQueueCap) +
                              std::size_t(cfg.core.fetchWidth);
-    std::uint64_t start = ff.consumed(0);
     std::vector<Metrics> runs;
     for (int i = 0; i < plan.samples; ++i) {
-        ff.advanceTo(start + std::uint64_t(i + 1) * plan.fastForward +
+        ff.advanceTo(std::uint64_t(i + 1) * plan.fastForward +
                      std::uint64_t(i) * (plan.warmup + plan.detail));
-        mem.settle();
-        TraceWindow window(ff.stream(0), max_window);
+        std::string image =
+            captureCheckpointBytes(ff, chain_mem, kernel, cfg.seed);
+        MemSystem mem(cfg.mem);
+        std::vector<ThreadImage> point = restoreMemImage(image, mem);
+        WorkloadPtr stream = ff.stream(0).clone();
+        TraceWindow window(*stream, max_window);
         Core core(cfg.core, mem, window);
-        core.branchPred().restore(ff.branchPred(0).image());
+        core.branchPred().restore(point[0].bpred);
         tickUntil(core, plan.warmup);
         core.resetStats();
         mem.resetStats(core.cycle());
         Cycle detail_start = core.cycle();
         tickUntil(core, plan.detail);
         runs.push_back(extractMetrics(
-            cfg, core, mem, {&ff.stream(0)}, {core.cycle()},
+            cfg, core, mem, {stream.get()}, {core.cycle()},
             {core.committedInsts()}, core.cycle() - detail_start));
-        ff.branchPred(0).restore(core.branchPred().image());
     }
 
     ASSERT_EQ(got.sampling.sampleIpcs.size(), runs.size());

@@ -223,6 +223,10 @@ TEST(Golden, SnapshotsArePinnedToTheModelVersion)
         // 2: late LQ/SQ reserve limited to the oldest parked load/store
         // (finite-LQ/SQ limit-study cells only; goldens unchanged).
         {2, "d7c5465a162b55b425b9cca4fbf1ca3d2948d397a70d1d53a970eb33882bbe77"},
+        // 3: sampled cells measure fixed, matched windows from a
+        // purely functional warming chain (goldens are full-detail
+        // runs, so unchanged).
+        {3, "d7c5465a162b55b425b9cca4fbf1ca3d2948d397a70d1d53a970eb33882bbe77"},
     };
     const char *want = nullptr;
     for (const auto &[version, digest] : kDigests)

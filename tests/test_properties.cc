@@ -403,6 +403,12 @@ class RandomDag : public Workload
         rng_ = Rng(seed);
     }
 
+    WorkloadPtr
+    clone() const override
+    {
+        return std::make_unique<RandomDag>(*this);
+    }
+
     MicroOp
     next() override
     {

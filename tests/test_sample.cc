@@ -14,16 +14,20 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/binio.hh"
 #include "sample/checkpoint.hh"
 #include "sample/fast_forward.hh"
 #include "sample/sampler.hh"
+#include "sample/warm_chain.hh"
 #include "sim/cell_key.hh"
 #include "sim/exec_backend.hh"
 #include "sim/report.hh"
@@ -121,9 +125,13 @@ TEST(FastForwardTest, AdvancesToTargetAndCountsRetirement)
     EXPECT_EQ(ff.consumed(0), 10000u);
     EXPECT_EQ(ff.retired(), 10000u);
 
-    // Idempotent: a target at or below the position is a no-op.
-    ff.advanceTo(5000);
-    EXPECT_EQ(ff.consumed(0), 10000u);
+    // Fixed sample positions only ever move forward; the target of
+    // the current position is a no-op.
+    ff.advanceTo(10000);
+    EXPECT_EQ(ff.retired(), 10000u);
+    ff.advanceTo(12000);
+    EXPECT_EQ(ff.consumed(0), 12000u);
+    EXPECT_EQ(ff.retired(), 12000u);
 }
 
 TEST(FastForwardTest, DeterministicAcrossRuns)
@@ -326,11 +334,12 @@ TEST(SamplerTest, PhaseCallbackSeesAllThreePhases)
     (void)sampler.run([&phases](const std::string &p) {
         phases.push_back(p);
     });
-    ASSERT_EQ(phases.size(), 6u); // 3 phases x 2 samples
-    EXPECT_EQ(phases[0], "fast-forward 1/2");
-    EXPECT_EQ(phases[1], "warmup 1/2");
-    EXPECT_EQ(phases[2], "sample 1/2");
-    EXPECT_EQ(phases[5], "sample 2/2");
+    // A lone participant advances its chain first (nobody else can),
+    // then runs its sample tasks in order.
+    EXPECT_EQ(phases, (std::vector<std::string>{
+                          "fast-forward 1/2", "fast-forward 2/2",
+                          "warmup 1/2", "sample 1/2", "warmup 2/2",
+                          "sample 2/2"}));
 }
 
 TEST(SamplerTest, CheckpointRestoreReproducesFreshRun)
@@ -622,6 +631,125 @@ TEST(SamplingRunnerTest, SweepWithSamplingPlanProducesSampledCells)
         b.sampling.ffKips = a.sampling.ffKips;
         EXPECT_EQ(metricsToJson(a), metricsToJson(b)) << row;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Shared warming chains (matched-pair sampling)
+// ---------------------------------------------------------------------------
+
+/** Metrics JSON without the one host-time field. */
+std::string
+resultJson(Metrics m)
+{
+    m.sampling.ffKips = 0.0;
+    return metricsToJson(m);
+}
+
+TEST(SharedChainTest, SweepIsIdenticalSoloSharedAndRerun)
+{
+    // Two configs x two kernels: one thread gives every cell its own
+    // chain, four threads let each kernel's cells share one.
+    SweepSpec spec;
+    spec.name = "matched-pairs";
+    spec.sampling = smallPlan();
+    for (const char *kernel : {"graph_walk", "paper_loop"}) {
+        SimConfig base = SimConfig::baseline();
+        SimConfig ltp = SimConfig::ltpProposal(LtpMode::NRNU);
+        spec.add(kernel, base.name, base, kernel);
+        spec.add(kernel, ltp.name, ltp, kernel);
+    }
+    auto grid = [&spec](int threads) {
+        SweepResult r = Runner(threads).run(spec);
+        std::vector<std::string> out;
+        for (const std::string &row : r.grid.rows())
+            for (const std::string &series : r.grid.series(row))
+                out.push_back(resultJson(r.grid.at(row, series)));
+        return out;
+    };
+    std::vector<std::string> solo = grid(1);
+    ASSERT_EQ(solo.size(), 4u);
+    EXPECT_EQ(grid(4), solo);
+    EXPECT_EQ(grid(4), solo);
+    EXPECT_EQ(grid(1), solo);
+    EXPECT_EQ(WarmChain::stats().livePoints, 0u);
+}
+
+TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
+{
+    SamplePlan plan = smallPlan();
+    SimConfig base = SimConfig::baseline();
+    SimConfig ltp = SimConfig::ltpProposal(LtpMode::NRNU);
+    Sampler a(base, "graph_walk", plan), b(ltp, "graph_walk", plan);
+
+    // Hold whichever thread reports first until the other has joined
+    // too, so both are enrolled before any point can be freed: one
+    // chain, deterministically.
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0;
+    auto rendezvous = [&](bool *first) {
+        return [&, first](const std::string &) {
+            if (!*first)
+                return;
+            *first = false;
+            std::unique_lock<std::mutex> lock(mutex);
+            arrived += 1;
+            cv.notify_all();
+            cv.wait(lock, [&] { return arrived == 2; });
+        };
+    };
+    bool a_first = true, b_first = true;
+    std::size_t built = WarmChain::stats().built;
+    Metrics ma, mb;
+    std::thread ta([&] { ma = a.run(rendezvous(&a_first)); });
+    std::thread tb([&] { mb = b.run(rendezvous(&b_first)); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(WarmChain::stats().built, built + 1);
+    EXPECT_NE(resultJson(ma), resultJson(mb)); // the configs differ
+
+    // Same S_i, same encoded point — and the same bytes a chain built
+    // from the public pieces captures there.
+    ASSERT_EQ(a.samplePoints().size(), std::size_t(plan.samples));
+    EXPECT_EQ(a.samplePoints(), b.samplePoints());
+    MemSystem mem(base.mem);
+    FastForward ff(base, {"graph_walk"}, mem);
+    for (int i = 0; i < plan.samples; ++i) {
+        std::uint64_t start = std::uint64_t(i + 1) * plan.fastForward +
+                              std::uint64_t(i) * (plan.warmup + plan.detail);
+        ff.advanceTo(start);
+        std::string image =
+            captureCheckpointBytes(ff, mem, "graph_walk", base.seed);
+        EXPECT_EQ(a.samplePoints()[std::size_t(i)].start, start);
+        EXPECT_EQ(a.samplePoints()[std::size_t(i)].crc, crc32(image.substr(
+                      0, image.size() - 4)))
+            << "sample " << i;
+    }
+
+    // Each config alone measures exactly what it measured paired.
+    EXPECT_EQ(resultJson(Sampler::runOnce(base, "graph_walk", plan)),
+              resultJson(ma));
+    EXPECT_EQ(resultJson(Sampler::runOnce(ltp, "graph_walk", plan)),
+              resultJson(mb));
+}
+
+TEST(SharedChainTest, FreedChainIsRecomputedBitIdentically)
+{
+    SimConfig cfg = SimConfig::ltpProposal(LtpMode::NU);
+    SamplePlan plan = smallPlan();
+    std::size_t built = WarmChain::stats().built;
+    Sampler first(cfg, "graph_walk", plan);
+    Metrics m1 = first.run();
+    // The last participant out freed every point and unregistered.
+    ChainStats after = WarmChain::stats();
+    EXPECT_EQ(after.liveChains, 0u);
+    EXPECT_EQ(after.livePoints, 0u);
+
+    Sampler second(cfg, "graph_walk", plan);
+    Metrics m2 = second.run();
+    EXPECT_EQ(WarmChain::stats().built, built + 2);
+    EXPECT_EQ(second.samplePoints(), first.samplePoints());
+    EXPECT_EQ(resultJson(m2), resultJson(m1));
 }
 
 class SampleCacheTest : public ::testing::Test

@@ -248,10 +248,10 @@ TEST(KernelDsl, RegionsDoNotOverlap)
 {
     // Two regions carved by the same kernel must be disjoint, padded
     // to distinct cache blocks.
-    class Probe : public LoopKernel
+    class Probe : public Kernel<Probe>
     {
       public:
-        Probe() : LoopKernel("probe") {}
+        Probe() : Kernel("probe") {}
         Region a, b;
 
       protected:

@@ -6,12 +6,43 @@
 namespace ltp {
 
 void
-ByteReader::pastEnd(std::size_t n) const
+ByteReader::need(std::size_t n) const
 {
-    throw std::runtime_error(
-        "binio: read of " + std::to_string(n) + " bytes at offset " +
-        std::to_string(off_) + " past end of " +
-        std::to_string(bytes_.size()) + "-byte buffer");
+    // Guard off_ first: a construction offset past the end would make
+    // the size_t subtraction wrap and defeat the bounds check.
+    if (off_ > bytes_.size() || n > bytes_.size() - off_)
+        throw std::runtime_error(
+            "binio: read of " + std::to_string(n) + " bytes at offset " +
+            std::to_string(off_) + " past end of " +
+            std::to_string(bytes_.size()) + "-byte buffer");
+}
+
+std::uint8_t
+ByteReader::u8()
+{
+    need(1);
+    return static_cast<std::uint8_t>(bytes_[off_++]);
+}
+
+std::uint16_t
+ByteReader::u16()
+{
+    std::uint16_t lo = u8();
+    return static_cast<std::uint16_t>(lo | (std::uint16_t(u8()) << 8));
+}
+
+std::uint32_t
+ByteReader::u32()
+{
+    std::uint32_t lo = u16();
+    return lo | (std::uint32_t(u16()) << 16);
+}
+
+std::uint64_t
+ByteReader::u64()
+{
+    std::uint64_t lo = u32();
+    return lo | (std::uint64_t(u32()) << 32);
 }
 
 std::string
@@ -32,31 +63,17 @@ ByteReader::skip(std::size_t n)
 
 namespace {
 
-/** Slicing-by-8 tables: t[0] is the bytewise table, t[k][i] the CRC
- *  of byte i followed by k zero bytes. */
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables
-makeCrcTables()
+std::array<std::uint32_t, 256>
+makeCrcTable()
 {
-    CrcTables t{};
+    std::array<std::uint32_t, 256> table{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        t[0][i] = c;
+        table[i] = c;
     }
-    for (std::size_t k = 1; k < 8; ++k)
-        for (std::size_t i = 0; i < 256; ++i)
-            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
-    return t;
-}
-
-std::uint32_t
-load32le(const unsigned char *p)
-{
-    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
-           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+    return table;
 }
 
 } // namespace
@@ -64,19 +81,11 @@ load32le(const unsigned char *p)
 void
 Crc32::update(const void *data, std::size_t n)
 {
-    static const CrcTables t = makeCrcTables();
+    static const std::array<std::uint32_t, 256> table = makeCrcTable();
     const auto *p = static_cast<const unsigned char *>(data);
     std::uint32_t c = state_;
-    for (; n >= 8; n -= 8, p += 8) {
-        std::uint32_t lo = load32le(p) ^ c;
-        std::uint32_t hi = load32le(p + 4);
-        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
-            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
-            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
-    }
-    for (; n > 0; --n, ++p)
-        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+    for (std::size_t i = 0; i < n; ++i)
+        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
     state_ = c;
 }
 

@@ -25,49 +25,25 @@ putU8(std::string &out, std::uint8_t v)
     out.push_back(static_cast<char>(v));
 }
 
-/** Store the low @p n bytes of @p v at @p p, least significant first. */
-inline void
-storeLe(char *p, std::uint64_t v, int n)
-{
-    for (int i = 0; i < n; ++i)
-        p[i] = static_cast<char>(v >> (8 * i));
-}
-
-/** The @p n-byte little-endian value at @p p. */
-inline std::uint64_t
-loadLe(const unsigned char *p, int n)
-{
-    std::uint64_t v = 0;
-    for (int i = n - 1; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-/** Append the low @p n bytes of @p v, least significant first. */
-inline void
-putLe(std::string &out, std::uint64_t v, int n)
-{
-    char buf[8];
-    storeLe(buf, v, n);
-    out.append(buf, std::size_t(n));
-}
-
 inline void
 putU16le(std::string &out, std::uint16_t v)
 {
-    putLe(out, v, 2);
+    putU8(out, static_cast<std::uint8_t>(v));
+    putU8(out, static_cast<std::uint8_t>(v >> 8));
 }
 
 inline void
 putU32le(std::string &out, std::uint32_t v)
 {
-    putLe(out, v, 4);
+    putU16le(out, static_cast<std::uint16_t>(v));
+    putU16le(out, static_cast<std::uint16_t>(v >> 16));
 }
 
 inline void
 putU64le(std::string &out, std::uint64_t v)
 {
-    putLe(out, v, 8);
+    putU32le(out, static_cast<std::uint32_t>(v));
+    putU32le(out, static_cast<std::uint32_t>(v >> 32));
 }
 /// @}
 
@@ -86,22 +62,10 @@ class ByteReader
     {
     }
 
-    std::uint8_t u8() { return bytes(1)[0]; }
-    std::uint16_t u16() { return std::uint16_t(loadLe(bytes(2), 2)); }
-    std::uint32_t u32() { return std::uint32_t(loadLe(bytes(4), 4)); }
-    std::uint64_t u64() { return loadLe(bytes(8), 8); }
-
-    /** The next @p n bytes in place (bounds-checked), consumed: bulk
-     *  records decode from the pointer with loadLe. */
-    const unsigned char *
-    bytes(std::size_t n)
-    {
-        need(n);
-        const auto *p =
-            reinterpret_cast<const unsigned char *>(bytes_.data()) + off_;
-        off_ += n;
-        return p;
-    }
+    std::uint8_t u8();
+    std::uint16_t u16();
+    std::uint32_t u32();
+    std::uint64_t u64();
 
     /** Read @p n raw bytes. */
     std::string raw(std::size_t n);
@@ -119,16 +83,7 @@ class ByteReader
 
   private:
     /** Check that @p n more bytes exist; throws otherwise. */
-    void
-    need(std::size_t n) const
-    {
-        // Guard off_ first: a construction offset past the end would
-        // make the size_t subtraction wrap and defeat the check.
-        if (off_ > bytes_.size() || n > bytes_.size() - off_)
-            pastEnd(n);
-    }
-
-    [[noreturn]] void pastEnd(std::size_t n) const;
+    void need(std::size_t n) const;
 
     const std::string &bytes_;
     std::size_t off_;

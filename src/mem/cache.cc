@@ -129,10 +129,11 @@ Cache::invalidate(Addr block)
 }
 
 void
-Cache::restoreLines(std::vector<Line> lines, std::uint64_t use_stamp)
+Cache::restoreLines(const std::vector<Line> &lines,
+                    std::uint64_t use_stamp)
 {
-    sim_assert(lines.size() == std::size_t(num_sets_) * cfg_.assoc);
-    lines_ = std::move(lines);
+    sim_assert(lines.size() == lines_.size());
+    lines_ = lines;
     use_stamp_ = use_stamp;
     settle();
 }

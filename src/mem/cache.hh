@@ -102,11 +102,8 @@ class Cache
      * cache's geometry; in-flight fill timing is settled (every
      * restored line reads as resident at cycle 0).
      */
-    void restoreLines(std::vector<Line> lines, std::uint64_t use_stamp);
-
-    /** Move the tag array's storage out, for a decoder to refill and
-     *  hand back through restoreLines (the cache is unusable between). */
-    std::vector<Line> takeLines() { return std::move(lines_); }
+    void restoreLines(const std::vector<Line> &lines,
+                      std::uint64_t use_stamp);
 
     /**
      * Collapse transient fill timing: every valid line becomes

@@ -31,21 +31,28 @@ MemSystem::MemSystem(const MemConfig &cfg)
 {
 }
 
-void
-MemSystem::writeback(int from_level, Addr block, Cycle now)
+bool
+MemSystem::absorbWriteback(int from_level, Addr block)
 {
     // Mostly-inclusive hierarchy: a victim usually hits the level below;
     // when it does not (silent inclusion break), the dirty data goes
     // straight to the next level that has it, or to memory.
     if (from_level <= 1 && l2_.contains(block)) {
         l2_.setDirty(block);
-        return;
+        return true;
     }
     if (from_level <= 2 && l3_.contains(block)) {
         l3_.setDirty(block);
-        return;
+        return true;
     }
-    dram_.access(block, now, /*is_write=*/true);
+    return false;
+}
+
+void
+MemSystem::writeback(int from_level, Addr block, Cycle now)
+{
+    if (!absorbWriteback(from_level, block))
+        dram_.access(block, now, /*is_write=*/true);
 }
 
 Cycle
@@ -185,23 +192,33 @@ MemSystem::fetchAccess(Addr pc, Cycle now)
 }
 
 HitLevel
-MemSystem::warmAccess(Addr pc, Addr addr, bool is_write, Cycle now)
+MemSystem::warmAccess(Addr pc, Addr addr, bool is_write, Cycle now,
+                      bool as_timed)
 {
     // Fully functional: install resident lines with data_ready=0 and
     // keep LRU and prefetcher training warm; never touch MSHR or DRAM
     // timing state so a detailed phase can follow at any clock value.
+    // Dirty L3 victims are dropped (their write is DRAM traffic).
     (void)now;
+    auto evicted = [this, as_timed](int level, const Cache::Victim &v) {
+        if (as_timed && v.valid && v.dirty)
+            absorbWriteback(level, v.addr);
+    };
     Addr block = blockAlign(addr);
     Cycle line_ready;
     HitLevel level = HitLevel::L1;
     if (!l1d_.lookup(block, 0, &line_ready)) {
-        // Functional prefetch: train and install into L2 directly.
+        // Functional prefetch: train and install into L2 directly
+        // (through L3 when @p as_timed, as trainPrefetcher does).
         if (cfg_.prefetchEnabled) {
             pf_scratch_.clear();
             prefetcher_.observe(pc, addr, pf_scratch_);
             for (Addr pf : pf_scratch_) {
-                if (!l1d_.contains(pf) && !l2_.contains(pf))
-                    l2_.fill(pf, 0, 0, true);
+                if (l1d_.contains(pf) || l2_.contains(pf))
+                    continue;
+                if (as_timed && !l3_.lookup(pf, 0, &line_ready))
+                    l3_.fill(pf, 0, 0, true);
+                evicted(2, l2_.fill(pf, 0, 0, true));
             }
         }
         if (l2_.lookup(block, 0, &line_ready)) {
@@ -211,12 +228,11 @@ MemSystem::warmAccess(Addr pc, Addr addr, bool is_write, Cycle now)
                 level = HitLevel::L3;
             } else {
                 level = HitLevel::Dram;
-                auto v3 = l3_.fill(block, 0, 0, false);
-                (void)v3; // functional warm: drop write-back traffic
+                l3_.fill(block, 0, 0, false);
             }
-            l2_.fill(block, 0, 0, false);
+            evicted(2, l2_.fill(block, 0, 0, false));
         }
-        l1d_.fill(block, 0, 0, false);
+        evicted(1, l1d_.fill(block, 0, 0, false));
     }
     if (is_write)
         l1d_.setDirty(block);

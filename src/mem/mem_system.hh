@@ -77,11 +77,19 @@ class MemSystem
 
     /**
      * Functional access: warms tags/LRU/prefetcher without timing.
+     * @param as_timed leave the tag arrays as the timed access() would:
+     *        dirty victims mark the level below dirty and prefetches
+     *        fill L3 as well as L2.  A sampling chain's long functional
+     *        warm needs this — without it a warmed L3 holds no dirty
+     *        lines and no prefetched ones, so every sample under-counts
+     *        write-backs.  The short warm of a full run and the oracle
+     *        pre-pass keep the tag-only form their results are pinned to.
      * @return the level the access would have been satisfied from
      *         (used by the oracle classifier to mark long-latency
      *         loads).
      */
-    HitLevel warmAccess(Addr pc, Addr addr, bool is_write, Cycle now);
+    HitLevel warmAccess(Addr pc, Addr addr, bool is_write, Cycle now,
+                        bool as_timed = false);
 
     /** True if the result latency qualifies as long-latency. */
     bool
@@ -128,6 +136,10 @@ class MemSystem
 
     /** Write back a dirty victim to the next level down from @p from. */
     void writeback(int from_level, Addr block, Cycle now);
+
+    /** Mark a dirty victim of @p from_level dirty in the level below
+     *  that holds it; false when none does (the write goes to DRAM). */
+    bool absorbWriteback(int from_level, Addr block);
 
     void trainPrefetcher(Addr pc, Addr addr, Cycle now);
 

@@ -1,6 +1,5 @@
 #include "sample/checkpoint.hh"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -19,58 +18,26 @@ badCheckpoint(const std::string &what)
     throw std::runtime_error("checkpoint: " + what);
 }
 
-/** The encoder's view of one tag array: a CacheImage or a live Cache. */
-struct CacheView
-{
-    std::uint32_t numSets, assoc;
-    std::uint64_t useStamp;
-    const std::vector<Cache::Line> &lines;
-};
-
-CacheView
-viewOf(const CacheImage &img)
-{
-    return CacheView{img.numSets, img.assoc, img.useStamp, img.lines};
-}
-
-CacheView
-viewOf(const Cache &cache)
-{
-    return CacheView{std::uint32_t(cache.numSets()),
-                     std::uint32_t(cache.assoc()), cache.useStamp(),
-                     cache.lines()};
-}
-
-/** Bytes of one encoded line: flags, tag, LRU stamp. */
-constexpr std::size_t kLineBytes = 1 + 8 + 8;
-
 void
-encodeCache(std::string &out, const CacheView &img)
+encodeCache(std::string &out, const CacheImage &img)
 {
     putU32le(out, img.numSets);
     putU32le(out, img.assoc);
     putU64le(out, img.useStamp);
-    // Lines are the bulk of an image: write them in place.
-    std::size_t off = out.size();
-    out.resize(off + kLineBytes * img.lines.size());
-    char *p = &out[off];
     for (const Cache::Line &line : img.lines) {
-        p[0] = char((line.valid ? 1 : 0) | (line.dirty ? 2 : 0) |
-                    (line.prefetched ? 4 : 0));
-        storeLe(p + 1, line.tag, 8);
-        storeLe(p + 9, line.lastUse, 8);
-        p += kLineBytes;
+        std::uint8_t flags =
+            std::uint8_t((line.valid ? 1 : 0) | (line.dirty ? 2 : 0) |
+                         (line.prefetched ? 4 : 0));
+        putU8(out, flags);
+        putU64le(out, line.tag);
+        putU64le(out, line.lastUse);
     }
 }
 
-/** Decode one tag array, filling @p storage (capacity reused). */
 CacheImage
-decodeCache(ByteReader &in, const char *which,
-            std::vector<Cache::Line> storage = {})
+decodeCache(ByteReader &in, const char *which)
 {
     CacheImage img;
-    img.lines = std::move(storage);
-    img.lines.clear();
     img.numSets = in.u32();
     img.assoc = in.u32();
     img.useStamp = in.u64();
@@ -83,9 +50,8 @@ decodeCache(ByteReader &in, const char *which,
     std::uint64_t count =
         std::uint64_t(img.numSets) * std::uint64_t(img.assoc);
     img.lines.reserve(count);
-    const unsigned char *p = in.bytes(kLineBytes * count);
-    for (std::uint64_t i = 0; i < count; ++i, p += kLineBytes) {
-        std::uint8_t flags = p[0];
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint8_t flags = in.u8();
         if (flags > 7)
             badCheckpoint(std::string(which) + " line " +
                           std::to_string(i) + " has invalid flags " +
@@ -94,9 +60,9 @@ decodeCache(ByteReader &in, const char *which,
         line.valid = (flags & 1) != 0;
         line.dirty = (flags & 2) != 0;
         line.prefetched = (flags & 4) != 0;
-        line.tag = loadLe(p + 1, 8);
+        line.tag = in.u64();
         line.dataReady = 0; // settled by construction
-        line.lastUse = loadLe(p + 9, 8);
+        line.lastUse = in.u64();
         img.lines.push_back(line);
     }
     return img;
@@ -114,7 +80,7 @@ snapshotCache(const Cache &cache)
 }
 
 void
-restoreCache(Cache &cache, CacheImage &&img, const char *which)
+restoreCache(Cache &cache, const CacheImage &img, const char *which)
 {
     if (std::uint32_t(cache.numSets()) != img.numSets ||
         std::uint32_t(cache.assoc()) != img.assoc)
@@ -123,26 +89,15 @@ restoreCache(Cache &cache, CacheImage &&img, const char *which)
             "has %dx%d (sets x ways)",
             which, img.numSets, img.assoc, cache.numSets(),
             cache.assoc()));
-    cache.restoreLines(std::move(img.lines), img.useStamp);
+    cache.restoreLines(img.lines, img.useStamp);
 }
 
-/** Encode @p ckpt with its four tag arrays taken from @p caches
- *  (l1i, l1d, l2, l3). */
+} // namespace
+
 std::string
-encode(const Checkpoint &ckpt, const std::array<CacheView, 4> &caches,
-       std::string out = {})
+checkpointToBytes(const Checkpoint &ckpt)
 {
-    // Exact size up front: a point image is ~0.5 MB, encoded per
-    // sample, and growth by doubling would transiently take twice it.
-    std::size_t size = 8 + 4 + 4 + 8 + 2 + ckpt.workload.size() + 4 + 4;
-    for (const ThreadImage &t : ckpt.threads)
-        size += 8 + 4 + 8 + 4 + t.bpred.counters.size() + 4 +
-                17 * t.bpred.btb.size() + 8 * t.lastWriters.size();
-    for (const CacheView &c : caches)
-        size += 16 + kLineBytes * c.lines.size();
-    size += 4 + 29 * ckpt.prefetcher.size();
-    out.clear();
-    out.reserve(size);
+    std::string out;
     out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
     putU32le(out, kCheckpointVersion);
     putU32le(out, 0); // reserved
@@ -168,8 +123,10 @@ encode(const Checkpoint &ckpt, const std::array<CacheView, 4> &caches,
         for (std::uint64_t w : t.lastWriters)
             putU64le(out, w);
     }
-    for (const CacheView &c : caches)
-        encodeCache(out, c);
+    encodeCache(out, ckpt.l1i);
+    encodeCache(out, ckpt.l1d);
+    encodeCache(out, ckpt.l2);
+    encodeCache(out, ckpt.l3);
     putU32le(out, std::uint32_t(ckpt.prefetcher.size()));
     for (const StridePrefetcher::Entry &e : ckpt.prefetcher) {
         putU64le(out, e.pc);
@@ -179,15 +136,11 @@ encode(const Checkpoint &ckpt, const std::array<CacheView, 4> &caches,
         putU8(out, e.valid ? 1 : 0);
     }
     putU32le(out, crc32(out));
-    sim_assert(out.size() == size);
     return out;
 }
 
-/** Decode and validate @p bytes; with @p mem, the tag arrays are
- *  decoded into its caches' storage (taken out, not yet restored).
- *  @p verify_crc is false only for images this process encoded. */
 Checkpoint
-decode(const std::string &bytes, MemSystem *mem, bool verify_crc)
+checkpointFromBytes(const std::string &bytes)
 {
     // Fixed prefix + name length + thread count + CRC footer.
     constexpr std::size_t min_size = 8 + 4 + 4 + 8 + 2 + 4 + 4;
@@ -208,15 +161,13 @@ decode(const std::string &bytes, MemSystem *mem, bool verify_crc)
                       std::to_string(kCheckpointVersion) + ")");
     in.u32(); // reserved
 
-    if (verify_crc) {
-        std::uint32_t stored = ByteReader(bytes, bytes.size() - 4).u32();
-        Crc32 crc;
-        crc.update(bytes.data(), bytes.size() - 4);
-        if (crc.value() != stored)
-            badCheckpoint(strprintf("CRC mismatch (stored %08x, computed "
-                                    "%08x): file is corrupt",
-                                    stored, crc.value()));
-    }
+    std::uint32_t stored = ByteReader(bytes, bytes.size() - 4).u32();
+    Crc32 crc;
+    crc.update(bytes.data(), bytes.size() - 4);
+    if (crc.value() != stored)
+        badCheckpoint(strprintf("CRC mismatch (stored %08x, computed "
+                                "%08x): file is corrupt",
+                                stored, crc.value()));
 
     Checkpoint ckpt;
     ckpt.seed = in.u64();
@@ -282,14 +233,10 @@ decode(const std::string &bytes, MemSystem *mem, bool verify_crc)
                 w = in.u64();
             ckpt.threads.push_back(std::move(t));
         }
-        auto storage = [mem](Cache &(MemSystem::*level)()) {
-            return mem ? ((*mem).*level)().takeLines()
-                       : std::vector<Cache::Line>{};
-        };
-        ckpt.l1i = decodeCache(in, "l1i", storage(&MemSystem::l1i));
-        ckpt.l1d = decodeCache(in, "l1d", storage(&MemSystem::l1d));
-        ckpt.l2 = decodeCache(in, "l2", storage(&MemSystem::l2));
-        ckpt.l3 = decodeCache(in, "l3", storage(&MemSystem::l3));
+        ckpt.l1i = decodeCache(in, "l1i");
+        ckpt.l1d = decodeCache(in, "l1d");
+        ckpt.l2 = decodeCache(in, "l2");
+        ckpt.l3 = decodeCache(in, "l3");
         std::uint32_t pf = in.u32();
         if (pf > (1u << 20))
             badCheckpoint("absurd prefetcher table size " +
@@ -318,21 +265,6 @@ decode(const std::string &bytes, MemSystem *mem, bool verify_crc)
     return ckpt;
 }
 
-} // namespace
-
-std::string
-checkpointToBytes(const Checkpoint &ckpt)
-{
-    return encode(ckpt, {viewOf(ckpt.l1i), viewOf(ckpt.l1d),
-                         viewOf(ckpt.l2), viewOf(ckpt.l3)});
-}
-
-Checkpoint
-checkpointFromBytes(const std::string &bytes)
-{
-    return decode(bytes, nullptr, true);
-}
-
 Checkpoint
 loadCheckpointFile(const std::string &path)
 {
@@ -359,12 +291,30 @@ writeCheckpointFile(const std::string &path, const std::string &bytes)
         badCheckpoint("short write to '" + path + "'");
 }
 
-namespace {
+std::vector<ThreadImage>
+captureThreads(const FastForward &ff)
+{
+    std::vector<ThreadImage> threads;
+    for (int tid = 0; tid < ff.numThreads(); ++tid) {
+        ThreadImage t;
+        t.position = ff.consumed(tid);
+        t.bpred = ff.branchPred(tid).image();
+        t.lastWriters = ff.lastWriters(tid);
+        threads.push_back(std::move(t));
+    }
+    return threads;
+}
 
-/** Everything but the tag arrays, from a settled @p mem. */
 Checkpoint
-captureHead(const FastForward &ff, MemSystem &mem,
-            const std::string &workload, std::uint64_t seed)
+captureCheckpoint(const FastForward &ff, MemSystem &mem,
+                  const std::string &workload, std::uint64_t seed)
+{
+    return captureCheckpoint(captureThreads(ff), mem, workload, seed);
+}
+
+Checkpoint
+captureCheckpoint(std::vector<ThreadImage> threads, MemSystem &mem,
+                  const std::string &workload, std::uint64_t seed)
 {
     // The capture boundary is a settled hierarchy — collapse any
     // in-flight fill timing before snapshotting the tag arrays.
@@ -373,62 +323,14 @@ captureHead(const FastForward &ff, MemSystem &mem,
     Checkpoint ckpt;
     ckpt.workload = workload;
     ckpt.seed = seed;
-    for (int tid = 0; tid < ff.numThreads(); ++tid) {
-        ThreadImage t;
-        t.position = ff.consumed(tid);
-        t.bpred = ff.branchPred(tid).image();
-        t.lastWriters = ff.lastWriters(tid);
-        ckpt.threads.push_back(std::move(t));
-    }
-    ckpt.prefetcher = mem.prefetcher().table();
-    return ckpt;
-}
-
-} // namespace
-
-Checkpoint
-captureCheckpoint(const FastForward &ff, MemSystem &mem,
-                  const std::string &workload, std::uint64_t seed)
-{
-    Checkpoint ckpt = captureHead(ff, mem, workload, seed);
+    ckpt.threads = std::move(threads);
     ckpt.l1i = snapshotCache(mem.l1i());
     ckpt.l1d = snapshotCache(mem.l1d());
     ckpt.l2 = snapshotCache(mem.l2());
     ckpt.l3 = snapshotCache(mem.l3());
+    ckpt.prefetcher = mem.prefetcher().table();
     return ckpt;
 }
-
-std::string
-captureCheckpointBytes(const FastForward &ff, MemSystem &mem,
-                       const std::string &workload, std::uint64_t seed,
-                       std::string buffer)
-{
-    Checkpoint head = captureHead(ff, mem, workload, seed);
-    return encode(head,
-                  {viewOf(mem.l1i()), viewOf(mem.l1d()), viewOf(mem.l2()),
-                   viewOf(mem.l3())},
-                  std::move(buffer));
-}
-
-namespace {
-
-/** Install @p ckpt's memory image, moving the tag arrays in. */
-void
-installMemImage(Checkpoint &&ckpt, MemSystem &mem)
-{
-    restoreCache(mem.l1i(), std::move(ckpt.l1i), "l1i");
-    restoreCache(mem.l1d(), std::move(ckpt.l1d), "l1d");
-    restoreCache(mem.l2(), std::move(ckpt.l2), "l2");
-    restoreCache(mem.l3(), std::move(ckpt.l3), "l3");
-    if (ckpt.prefetcher.size() != mem.prefetcher().table().size())
-        badCheckpoint(strprintf(
-            "prefetcher table size mismatch: checkpoint has %zu "
-            "entries, this config has %zu",
-            ckpt.prefetcher.size(), mem.prefetcher().table().size()));
-    mem.prefetcher().restoreTable(ckpt.prefetcher);
-}
-
-} // namespace
 
 void
 restoreCheckpoint(const Checkpoint &ckpt, FastForward &ff,
@@ -470,16 +372,17 @@ restoreCheckpoint(const Checkpoint &ckpt, FastForward &ff,
         ff.branchPred(tid).restore(t.bpred);
         ff.lastWriters(tid) = t.lastWriters;
     }
-    installMemImage(Checkpoint(ckpt), mem);
-}
 
-std::vector<ThreadImage>
-restoreMemImage(const std::string &bytes, MemSystem &mem)
-{
-    Checkpoint ckpt = decode(bytes, &mem, false);
-    std::vector<ThreadImage> threads = std::move(ckpt.threads);
-    installMemImage(std::move(ckpt), mem);
-    return threads;
+    restoreCache(mem.l1i(), ckpt.l1i, "l1i");
+    restoreCache(mem.l1d(), ckpt.l1d, "l1d");
+    restoreCache(mem.l2(), ckpt.l2, "l2");
+    restoreCache(mem.l3(), ckpt.l3, "l3");
+    if (ckpt.prefetcher.size() != mem.prefetcher().table().size())
+        badCheckpoint(strprintf(
+            "prefetcher table size mismatch: checkpoint has %zu "
+            "entries, this config has %zu",
+            ckpt.prefetcher.size(), mem.prefetcher().table().size()));
+    mem.prefetcher().restoreTable(ckpt.prefetcher);
 }
 
 std::string

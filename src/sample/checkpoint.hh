@@ -6,10 +6,7 @@
  * warmed memory image (cache tag arrays + prefetcher table) — in a
  * portable, CRC-checked binary file, so a long fast-forward can be
  * paid once and resumed from many times (`ltp checkpoint create` /
- * `ltp sample --from=<ckpt>`).  The same encoding carries a sampled
- * run's in-memory points (warm_chain.hh): captureCheckpointBytes and
- * restoreMemImage (decoding into a MemSystem) skip the intermediate
- * Checkpoint copies of the tag arrays.
+ * `ltp sample --from=<ckpt>`).
  *
  * On-disk layout (all integers little-endian), version 1:
  *
@@ -125,6 +122,14 @@ Checkpoint captureCheckpoint(const FastForward &ff, MemSystem &mem,
                              const std::string &workload,
                              std::uint64_t seed);
 
+/** The same from per-thread images taken earlier (captureThreads). */
+Checkpoint captureCheckpoint(std::vector<ThreadImage> threads,
+                             MemSystem &mem, const std::string &workload,
+                             std::uint64_t seed);
+
+/** @p ff's per-thread images: positions, predictors, last writers. */
+std::vector<ThreadImage> captureThreads(const FastForward &ff);
+
 /**
  * Install @p ckpt into @p ff and @p mem: advances each thread's stream
  * to its stored position (O(1) for trace replays), restores predictor
@@ -136,27 +141,6 @@ Checkpoint captureCheckpoint(const FastForward &ff, MemSystem &mem,
 void restoreCheckpoint(const Checkpoint &ckpt, FastForward &ff,
                        MemSystem &mem, const std::string &workload,
                        std::uint64_t seed);
-
-/** captureCheckpoint + checkpointToBytes in one pass, encoding the
- *  tag arrays straight from @p mem (a sampled run's point images)
- *  into @p buffer's storage. */
-std::string captureCheckpointBytes(const FastForward &ff, MemSystem &mem,
-                                   const std::string &workload,
-                                   std::uint64_t seed,
-                                   std::string buffer = {});
-
-/**
- * Decode @p bytes, an image this process encoded (so its CRC is not
- * re-checked; every field is still validated), and install its memory
- * image into @p mem, decoding the tag arrays in place in @p mem's own
- * storage — how each detailed sample starts from a point of its
- * warming chain.
- * @return the per-thread images (positions, predictors).
- * @throws std::runtime_error on a malformed image or a shape mismatch;
- *         @p mem is then unusable.
- */
-std::vector<ThreadImage> restoreMemImage(const std::string &bytes,
-                                         MemSystem &mem);
 
 /// @}
 

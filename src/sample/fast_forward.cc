@@ -30,7 +30,7 @@ FastForward::retireOne(int tid)
     if (op.isMem())
         mem_.warmAccess(op.pc + threadAddrBase(tid),
                         op.effAddr + threadAddrBase(tid), op.isStore(),
-                        0);
+                        0, /*as_timed=*/true);
     if (op.hasDst())
         t.last_writer[std::size_t(op.dst.flat())] = pos;
     retired_ += 1;

@@ -10,7 +10,7 @@
  * (warm_chain.hh): it owns the per-thread streams and retires *every*
  * op of them functionally, sample windows included.  Nothing detailed
  * ever reads from or writes back into it — a detailed sample runs on
- * clones of the streams and a restored copy of the warmed images — so
+ * clones of the streams and a copy of the warmed hierarchy — so
  * the engine's state at position p is a pure function of (members,
  * seed, memory config, predictor geometry, p).
  *
@@ -19,7 +19,9 @@
  *    stream order, exactly as detailed fetch does (raw PC — the core
  *    indexes its predictor with unoffset PCs);
  *  - loads/stores: MemSystem::warmAccess with the per-thread address
- *    base, warming tags/LRU/dirty bits/prefetcher without timing;
+ *    base, warming tags/LRU/dirty bits/prefetcher without timing, and
+ *    `as_timed` so the tag arrays end as a timed run leaves them
+ *    (dirty victims propagate down, prefetches fill L3);
  *  - register writes: per-thread last-writer positions (the
  *    architectural register image of a timing-only simulation).
  */

@@ -46,13 +46,17 @@ Sampler::restoreFrom(const Checkpoint &ckpt)
     from_crc_ = crc32(checkpointToBytes(ckpt));
 }
 
+ChainSpec
+Sampler::chainSpec() const
+{
+    return ChainSpec{cfg_, members_, workload_name_, plan_, from_,
+                     from_crc_};
+}
+
 Metrics
-Sampler::runSample(int i, const WarmPoint &point,
+Sampler::runSample(int i, WarmPoint &point,
                    const std::function<void(const char *)> &phase)
 {
-    MemSystem mem(cfg_.mem);
-    std::vector<ThreadImage> threads = restoreMemImage(point.image, mem);
-
     // Trace-window bound, exactly as the full Simulator computes it.
     std::size_t max_window = 0;
     if (!isInfinite(cfg_.core.robSize) &&
@@ -62,7 +66,6 @@ Sampler::runSample(int i, const WarmPoint &point,
                      std::size_t(cfg_.core.fetchWidth);
     }
     int n = cfg_.core.numThreads;
-    std::vector<WorkloadPtr> streams;
     std::vector<std::unique_ptr<TraceWindow>> windows;
     std::vector<InstSource *> sources;
     std::vector<OracleClassification> oracles = oracles_;
@@ -70,23 +73,20 @@ Sampler::runSample(int i, const WarmPoint &point,
     std::vector<Workload *> wl_ptrs;
     for (int tid = 0; tid < n; ++tid) {
         std::size_t t = std::size_t(tid);
-        streams.push_back(point.streams[t]->clone());
         windows.push_back(
-            std::make_unique<TraceWindow>(*streams.back(), max_window));
+            std::make_unique<TraceWindow>(*point.streams[t], max_window));
         sources.push_back(windows.back().get());
-        wl_ptrs.push_back(streams.back().get());
+        wl_ptrs.push_back(point.streams[t].get());
         if (oracles[t].valid())
-            oracles[t].setBase(threads[t].position);
+            oracles[t].setBase(point.threads[t].position);
         oracle_ptrs.push_back(oracles[t].valid() ? &oracles[t] : nullptr);
     }
 
-    Core core(cfg_.core, mem, sources, oracle_ptrs);
+    Core core(cfg_.core, point.mem, sources, oracle_ptrs);
     for (int tid = 0; tid < n; ++tid)
-        core.branchPred(tid).restore(threads[std::size_t(tid)].bpred);
-    points_[std::size_t(i)] = SamplePoint{
-        threads[0].position,
-        ByteReader(point.image, point.image.size() - 4).u32()};
-    return runDetailPhases(cfg_, core, mem, wl_ptrs, plan_.warmup,
+        core.branchPred(tid).restore(point.threads[std::size_t(tid)].bpred);
+    starts_[std::size_t(i)] = point.threads[0].position;
+    return runDetailPhases(cfg_, core, point.mem, wl_ptrs, plan_.warmup,
                            plan_.detail, phase);
 }
 
@@ -96,8 +96,7 @@ Sampler::run(const PhaseFn &phase)
     sim_assert(!ran_);
     ran_ = true;
 
-    ChainSpec spec{cfg_, members_, workload_name_, plan_, from_,
-                   from_crc_};
+    ChainSpec spec = chainSpec();
 
     // Oracle pre-pass (limit study): one classification per thread
     // covering every position any sample can reach, up to the last
@@ -114,9 +113,9 @@ Sampler::run(const PhaseFn &phase)
                 members_[tid], cfg_.seed, span, cfg_.mem);
     }
 
-    points_.assign(std::size_t(plan_.samples), SamplePoint{});
+    starts_.assign(std::size_t(plan_.samples), 0);
     WarmChain::Participant me;
-    me.run = [this](int i, const WarmPoint &point,
+    me.run = [this](int i, WarmPoint &point,
                     const std::function<void(const char *)> &inner) {
         return runSample(i, point, inner);
     };

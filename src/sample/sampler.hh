@@ -19,11 +19,11 @@
  * config-vs-config ratio (matched-pair sampling: SMARTS, ISCA 2003;
  * SimFlex, SIGMETRICS 2006).
  *
- * Each sample is a task: decode the chain's point i into a *fresh*
- * MemSystem and Core (predictor image restored), feed the core from
- * clones of the point's streams, rebuild pipeline state with the
- * warmup ops (stats discarded), then measure.  Nothing flows back into
- * the chain, so a sample's fetch-ahead never moves a later sample.
+ * Each sample is a task: a *fresh* Core over the task's own copy of
+ * the chain's point i (hierarchy, predictor image, stream clones)
+ * rebuilds pipeline state with the warmup ops (stats discarded), then
+ * measures.  Nothing flows back into the chain, so a sample's
+ * fetch-ahead never moves a later sample.
  * Tasks of one run may execute on any participant thread of the
  * chain; the Metrics are the same either way.
  */
@@ -45,19 +45,6 @@
 #include "sim/metrics.hh"
 
 namespace ltp {
-
-/** Where one sample started: its position and the CRC-32 of the point
- *  encoding it restored (the `.ltcp` footer). */
-struct SamplePoint
-{
-    std::uint64_t start = 0;
-    std::uint32_t crc = 0;
-
-    bool operator==(const SamplePoint &o) const
-    {
-        return start == o.start && crc == o.crc;
-    }
-};
 
 /** One sampled run: a participant of its key's warming chain. */
 class Sampler
@@ -95,15 +82,23 @@ class Sampler
     /** The workload name the run reports (members joined under SMT). */
     const std::string &workloadName() const { return workload_name_; }
 
+    /** The warming chain this run joins (its key and positions). */
+    ChainSpec chainSpec() const;
+
     /// @name After run(): the chain's engine and the sample starts
     /// @{
     const FastForward &fastForward() const { return chain_->fastForward(); }
-    const std::vector<SamplePoint> &samplePoints() const { return points_; }
+    /** Per-thread stream position each sample started at (S_i). */
+    const std::vector<std::uint64_t> &sampleStarts() const
+    {
+        return starts_;
+    }
     /// @}
 
   private:
-    /** Sample @p i from @p point (any participant thread). */
-    Metrics runSample(int i, const WarmPoint &point,
+    /** Sample @p i on @p point, the task's own copy (any participant
+     *  thread). */
+    Metrics runSample(int i, WarmPoint &point,
                       const std::function<void(const char *)> &phase);
 
     SimConfig cfg_;
@@ -115,7 +110,7 @@ class Sampler
     std::shared_ptr<const Checkpoint> from_;
     std::uint32_t from_crc_ = 0;
     std::shared_ptr<WarmChain> chain_;
-    std::vector<SamplePoint> points_;
+    std::vector<std::uint64_t> starts_;
     bool ran_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "sample/warm_chain.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -11,15 +10,12 @@ namespace ltp {
 
 namespace {
 
-/** The registry of live chains, and the point accounting (atomic, so
- *  a chain counts its points without taking the registry lock). */
+/** The registry of live chains. */
 struct Registry
 {
     std::mutex mutex;
     std::unordered_map<std::string, std::shared_ptr<WarmChain>> live;
-    std::size_t built = 0; ///< under the mutex
-    std::atomic<std::size_t> points{0};
-    std::atomic<std::size_t> peakPoints{0};
+    std::size_t built = 0;
 };
 
 Registry &
@@ -29,14 +25,22 @@ registry()
     return r;
 }
 
-void
-countPoint()
+/** A copy of @p mem, @p threads and clones of @p streams, in @p into's
+ *  storage when given (copy-assignment reuses the tag arrays). */
+std::unique_ptr<WarmPoint>
+fillPoint(std::unique_ptr<WarmPoint> into, const MemSystem &mem,
+          std::vector<ThreadImage> threads,
+          const std::vector<const Workload *> &streams)
 {
-    Registry &r = registry();
-    std::size_t live = r.points.fetch_add(1) + 1;
-    std::size_t peak = r.peakPoints.load();
-    while (live > peak && !r.peakPoints.compare_exchange_weak(peak, live)) {
-    }
+    if (into)
+        into->mem = mem;
+    else
+        into = std::make_unique<WarmPoint>(WarmPoint{mem, {}, {}});
+    into->threads = std::move(threads);
+    into->streams.clear();
+    for (const Workload *stream : streams)
+        into->streams.push_back(stream->clone());
+    return into;
 }
 
 } // namespace
@@ -101,19 +105,42 @@ WarmChain::join(ChainSpec spec, Participant &me)
     return live;
 }
 
-void
+std::unique_ptr<WarmPoint>
 WarmChain::release(Slot &slot)
 {
-    spare_.push_back(std::move(slot.point->image));
-    slot.point.reset();
     live_ -= 1;
     closed_ = true;
-    registry().points -= 1;
+    return std::move(slot.point);
+}
+
+std::unique_ptr<WarmPoint>
+WarmChain::spare()
+{
+    if (spare_.empty())
+        return nullptr;
+    std::unique_ptr<WarmPoint> out = std::move(spare_.back());
+    spare_.pop_back();
+    return out;
+}
+
+std::unique_ptr<WarmPoint>
+WarmChain::take(Slot &slot)
+{
+    if (--slot.users == 0)
+        return release(slot);
+    // Copied under the lock: the last claim may take the point at any
+    // moment after this one, and runs on it.
+    const WarmPoint &point = *slot.point;
+    std::vector<const Workload *> streams;
+    for (const WorkloadPtr &stream : point.streams)
+        streams.push_back(stream.get());
+    return fillPoint(spare(), point.mem, point.threads, streams);
 }
 
 void
 WarmChain::leave(Participant &me)
 {
+    std::vector<std::unique_ptr<WarmPoint>> dropped; // freed unlocked
     {
         // No claims on @p me's tasks after this, and none still
         // running: another thread may be mid-way through one when
@@ -124,18 +151,21 @@ WarmChain::leave(Participant &me)
         cv_.wait(lock, [&me] { return me.running == 0; });
         participants_.erase(std::find(participants_.begin(),
                                       participants_.end(), &me));
-        // Points @p me never ran lose it as a user.
-        for (std::size_t i = std::size_t(unclaimed); i < slots_.size(); ++i)
-            if (--slots_[i].users == 0 && slots_[i].point)
-                release(slots_[i]);
+        // Points @p me never claimed lose it as a user; the last
+        // participant out frees what is left.
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            Slot &slot = slots_[i];
+            if (i >= std::size_t(unclaimed))
+                slot.users -= 1;
+            if (slot.point && (slot.users == 0 || participants_.empty()))
+                dropped.push_back(release(slot));
+        }
         cv_.notify_all();
         if (!participants_.empty())
             return;
-        // The last participant out frees what is left and closes.
-        for (Slot &slot : slots_)
-            if (slot.point)
-                release(slot);
-        spare_ = {};
+        for (std::unique_ptr<WarmPoint> &point : spare_)
+            dropped.push_back(std::move(point));
+        spare_.clear();
         closed_ = true;
     }
     Registry &r = registry();
@@ -146,7 +176,7 @@ WarmChain::leave(Participant &me)
 }
 
 std::unique_ptr<WarmPoint>
-WarmChain::produce(int i, std::string buffer)
+WarmChain::produce(int i, std::unique_ptr<WarmPoint> into)
 {
     if (!ff_) {
         mem_ = std::make_unique<MemSystem>(spec_.cfg.mem);
@@ -157,12 +187,12 @@ WarmChain::produce(int i, std::string buffer)
                               spec_.cfg.seed);
     }
     ff_->advanceTo(spec_.sampleStart(i));
-    auto point = std::make_unique<WarmPoint>();
-    point->image = captureCheckpointBytes(*ff_, *mem_, spec_.workload,
-                                          spec_.cfg.seed, std::move(buffer));
+    mem_->settle();
+    std::vector<const Workload *> streams;
     for (int tid = 0; tid < ff_->numThreads(); ++tid)
-        point->streams.push_back(ff_->stream(tid).clone());
-    return point;
+        streams.push_back(&ff_->stream(tid));
+    return fillPoint(std::move(into), *mem_, captureThreads(*ff_),
+                     streams);
 }
 
 bool
@@ -206,17 +236,13 @@ WarmChain::participate(Participant &me, const PhaseFn &phase)
             int produced = int(slots_.size());
             if (!advancing_ && produced < n && live_ < kMaxLivePoints) {
                 advancing_ = true;
-                std::string buffer;
-                if (!spare_.empty()) {
-                    buffer = std::move(spare_.back());
-                    spare_.pop_back();
-                }
+                std::unique_ptr<WarmPoint> into = spare();
                 lock.unlock();
                 std::unique_ptr<WarmPoint> point;
                 std::exception_ptr failed;
                 try {
                     show("fast-forward " + tag(produced));
-                    point = produce(produced, std::move(buffer));
+                    point = produce(produced, std::move(into));
                 } catch (...) {
                     failed = std::current_exception();
                 }
@@ -230,19 +256,19 @@ WarmChain::participate(Participant &me, const PhaseFn &phase)
                 slots_.push_back(
                     Slot{std::move(point), int(participants_.size())});
                 live_ += 1;
-                countPoint();
                 cv_.notify_all();
                 continue;
             }
             Participant *owner = nullptr;
             int i = -1;
             if (claim(me, &owner, &i)) {
-                const WarmPoint &point = *slots_[std::size_t(i)].point;
+                std::unique_ptr<WarmPoint> point =
+                    take(slots_[std::size_t(i)]);
                 lock.unlock();
                 Metrics m;
                 std::exception_ptr failed;
                 try {
-                    m = owner->run(i, point, [&](const char *p) {
+                    m = owner->run(i, *point, [&](const char *p) {
                         show((std::string(p) == "warmup" ? "warmup "
                                                          : "sample ") +
                              tag(i));
@@ -251,14 +277,13 @@ WarmChain::participate(Participant &me, const PhaseFn &phase)
                     failed = std::current_exception();
                 }
                 lock.lock();
+                if (int(slots_.size()) < n) // storage for a later capture
+                    spare_.push_back(std::move(point));
                 owner->results[std::size_t(i)] = std::move(m);
                 if (failed && !owner->error)
                     owner->error = failed;
                 owner->running -= 1;
                 owner->pending -= 1;
-                Slot &slot = slots_[std::size_t(i)];
-                if (--slot.users == 0)
-                    release(slot);
                 cv_.notify_all();
                 continue;
             }
@@ -291,8 +316,7 @@ WarmChain::stats()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    return ChainStats{r.built, r.live.size(), r.points.load(),
-                      r.peakPoints.load()};
+    return ChainStats{r.built, r.live.size()};
 }
 
 } // namespace ltp

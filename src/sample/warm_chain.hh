@@ -5,10 +5,10 @@
  *
  * A chain is one FastForward engine over its own MemSystem.  It
  * retires every op of the streams functionally and, at each sample
- * start S_i (sample_plan.hh), settles and captures a *point*: the
- * `.ltcp` encoding of the memory, predictor and last-writer images,
- * plus a clone of each thread's generator.  Nothing detailed ever
- * writes back, so a chain is a pure function of its key:
+ * start S_i (sample_plan.hh), settles and captures a *point*: a copy
+ * of the hierarchy, the per-thread predictor and last-writer images
+ * (checkpoint.hh), and a clone of each thread's generator.  Nothing
+ * detailed ever writes back, so a chain is a pure function of its key:
  *
  *   workloadIdentity of each member, seed, plan, memConfigJson(mem),
  *   bpTableBits/btbEntries, and the CRC of a `--from` checkpoint.
@@ -22,20 +22,23 @@
  * once that sample's point exists.  Each participant's thread loops:
  * advance the chain if nobody is, else run any ready task of any
  * participant, else wait — and returns once its own tasks are done.
- * A task decodes its point into a fresh MemSystem/Core and its own
- * stream clones, whichever thread runs it, so results never depend
- * on thread count, join order or sharing.
+ * Every task runs on its own copy of the point (hierarchy and stream
+ * clones), whichever thread runs it, so results never depend on
+ * thread count, join order or sharing.
  *
- * Point lifetime.  A point is freed as soon as every participant of
- * the chain has finished its sample (one image is ~0.5 MB), and the
- * last participant out frees whatever is left.  While kMaxLivePoints
- * are held, the chain does not advance — a free thread runs a ready
- * task instead — so a chain's memory stays bounded however far its
- * tasks lag (a lone participant alternates).  A chain that has freed
- * a point can no longer serve a newcomer from sample 0, so it stops
- * taking joiners: a later request for the key — concurrent or not —
- * builds a new chain, which computes the same points.  Nothing is
- * retained across sweeps.
+ * Point lifetime.  A point is copied for each claim of its task but
+ * the last, which takes the point itself: a lone participant pays one
+ * hierarchy copy per sample, a pair two.  A taken point can no longer
+ * serve a newcomer from sample 0, so the chain then stops taking
+ * joiners: a later request for the key — concurrent or not — builds a
+ * new chain, which computes the same points.  While kMaxLivePoints
+ * points wait for claims the chain does not advance, so its memory
+ * stays bounded however far its tasks lag.  A finished task hands its
+ * point back as spare storage for the next capture or copy: a chain
+ * allocates a handful of hierarchies, not one per sample, which keeps
+ * the per-thread malloc arenas of a threaded sweep from growing.  The
+ * last participant out frees what is left.  Nothing is retained
+ * across sweeps.
  */
 
 #ifndef LTP_SAMPLE_WARM_CHAIN_HH
@@ -68,7 +71,8 @@ using PhaseFn = std::function<void(const std::string &)>;
 /** The chain's state at one sample start. */
 struct WarmPoint
 {
-    std::string image;                ///< `.ltcp` encoding (checkpoint.hh)
+    MemSystem mem;                    ///< settled hierarchy at S_i
+    std::vector<ThreadImage> threads; ///< positions, predictors, writers
     std::vector<WorkloadPtr> streams; ///< per-thread generators at S_i
 };
 
@@ -77,7 +81,7 @@ struct ChainSpec
 {
     SimConfig cfg; ///< seed, mem, predictor geometry, resolved threads
     std::vector<std::string> members; ///< one workload name per thread
-    std::string workload;             ///< run name the images carry
+    std::string workload;             ///< run name @p from must carry
     SamplePlan plan;
     std::shared_ptr<const Checkpoint> from; ///< start state, or null
     std::uint32_t fromCrc = 0;              ///< CRC of @p from's encoding
@@ -89,28 +93,27 @@ struct ChainSpec
     std::uint64_t sampleStart(int i) const;
 };
 
-/** Process-wide chain accounting (tests and reports). */
+/** Process-wide chain accounting (tests). */
 struct ChainStats
 {
     std::size_t built = 0; ///< chains ever built (one per warming pass)
     std::size_t liveChains = 0;
-    std::size_t livePoints = 0;
-    std::size_t peakLivePoints = 0; ///< high-water mark of livePoints
 };
 
 /** One live warming chain and its participants (see the file comment). */
 class WarmChain
 {
   public:
-    /** Unfreed points at which a chain stops advancing. */
+    /** Unclaimed points at which a chain stops advancing. */
     static constexpr int kMaxLivePoints = 2;
 
     /** One Sampler's membership: a task per sample of the plan. */
     struct Participant
     {
-        /** Run sample @p i from @p point, reporting sub-phases through
-         *  the executing thread's callback.  May run on any thread. */
-        std::function<Metrics(int i, const WarmPoint &point,
+        /** Run sample @p i on @p point, the task's own copy, reporting
+         *  sub-phases through the executing thread's callback.  May
+         *  run on any thread. */
+        std::function<Metrics(int i, WarmPoint &point,
                               const std::function<void(const char *)> &)>
             run;
         std::vector<Metrics> results; ///< indexed by sample
@@ -142,23 +145,30 @@ class WarmChain
     static ChainStats stats();
 
   private:
-    /** A produced point and the participants yet to finish its task. */
+    /** A produced point and the participants yet to claim its task. */
     struct Slot
     {
-        std::unique_ptr<WarmPoint> point; ///< null once freed
+        std::unique_ptr<WarmPoint> point; ///< null once taken or freed
         int users = 0;
     };
 
-    /** Capture point @p i into @p buffer's storage (advancing thread,
-     *  outside the lock). */
-    std::unique_ptr<WarmPoint> produce(int i, std::string buffer);
+    /** Capture point @p i into @p into's storage, if any (advancing
+     *  thread, outside the lock). */
+    std::unique_ptr<WarmPoint> produce(int i,
+                                       std::unique_ptr<WarmPoint> into);
+
+    /** A spare point's storage, or null (chain lock held). */
+    std::unique_ptr<WarmPoint> spare();
 
     /** Claim the lowest-indexed ready task, @p me's first on a tie. */
     bool claim(Participant &me, Participant **owner, int *index);
 
-    /** Free @p slot's point, keeping its image storage for the next
-     *  capture; closes the chain to joiners (chain lock held). */
-    void release(Slot &slot);
+    /** Claim @p slot's point for one task: a copy, or the point itself
+     *  on its last claim (chain lock held). */
+    std::unique_ptr<WarmPoint> take(Slot &slot);
+
+    /** Drop @p slot's point (chain lock held). */
+    std::unique_ptr<WarmPoint> release(Slot &slot);
 
     void leave(Participant &me);
 
@@ -170,13 +180,11 @@ class WarmChain
     std::mutex mutex_; ///< after the registry's, when both are held
     std::condition_variable cv_;
     std::vector<Slot> slots_; ///< one per produced point
-    int live_ = 0;            ///< slots whose point is not yet freed
-    /** Image storage of freed points, reused by the next captures so
-     *  a chain holds at most kMaxLivePoints images' worth of heap. */
-    std::vector<std::string> spare_;
+    int live_ = 0;            ///< slots still holding their point
     std::vector<Participant *> participants_;
+    std::vector<std::unique_ptr<WarmPoint>> spare_; ///< finished tasks
     bool advancing_ = false;
-    bool closed_ = false; ///< a point was freed: no more joiners
+    bool closed_ = false; ///< a point was taken: no more joiners
     std::exception_ptr error_;
 };
 

@@ -19,7 +19,6 @@
 
 #include "common/random.hh"
 #include "cpu/core.hh"
-#include "sample/checkpoint.hh"
 #include "sample/fast_forward.hh"
 #include "sample/sampler.hh"
 #include "sim/config.hh"
@@ -694,8 +693,8 @@ TEST(QuietCycleSkip, SmtRunWithQuotaHookMatchesPerCycleRun)
 TEST(QuietCycleSkip, SampledCellMatchesPerCycleSamples)
 {
     // Rebuild the Sampler's schedule from its public pieces — a
-    // functional chain captured at each fixed sample start, every
-    // sample on a fresh hierarchy and core restored from that point —
+    // functional chain settled at each fixed sample start, every
+    // sample on a fresh core over a copy of that hierarchy —
     // ticking every detailed cycle, and compare with the sampled run.
     SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
     SamplePlan plan;
@@ -715,14 +714,12 @@ TEST(QuietCycleSkip, SampledCellMatchesPerCycleSamples)
     for (int i = 0; i < plan.samples; ++i) {
         ff.advanceTo(std::uint64_t(i + 1) * plan.fastForward +
                      std::uint64_t(i) * (plan.warmup + plan.detail));
-        std::string image =
-            captureCheckpointBytes(ff, chain_mem, kernel, cfg.seed);
-        MemSystem mem(cfg.mem);
-        std::vector<ThreadImage> point = restoreMemImage(image, mem);
+        chain_mem.settle();
+        MemSystem mem = chain_mem;
         WorkloadPtr stream = ff.stream(0).clone();
         TraceWindow window(*stream, max_window);
         Core core(cfg.core, mem, window);
-        core.branchPred().restore(point[0].bpred);
+        core.branchPred().restore(ff.branchPred(0).image());
         tickUntil(core, plan.warmup);
         core.resetStats();
         mem.resetStats(core.cycle());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -357,6 +358,56 @@ TEST_F(MemSystemTest, WarmAccessInstallsWithoutTiming)
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->level, HitLevel::L1);
     EXPECT_EQ(r->dataReady, 3 + cfg_.l1d.hitLatency);
+}
+
+/** Tag-array state (timing aside) of every level, plus the prefetcher
+ *  table, as one comparable string. */
+std::string
+tagImage(MemSystem &mem)
+{
+    mem.settle();
+    std::string out;
+    for (Cache *c : {&mem.l1d(), &mem.l2(), &mem.l3()}) {
+        out += c->name() + ":" + std::to_string(c->useStamp()) + ";";
+        for (const Cache::Line &l : c->lines())
+            out += strprintf("%d%d%d/%llx/%llu,", l.valid, l.dirty,
+                             l.prefetched, (unsigned long long)l.tag,
+                             (unsigned long long)l.lastUse);
+    }
+    for (const StridePrefetcher::Entry &e : mem.prefetcher().table())
+        out += strprintf("%d/%llx/%llx/%lld/%d,", e.valid,
+                         (unsigned long long)e.pc,
+                         (unsigned long long)e.lastAddr,
+                         (long long)e.stride, e.confidence);
+    return out;
+}
+
+TEST_F(MemSystemTest, AsTimedWarmLeavesTheTimedTagArrays)
+{
+    // Streaming loads (prefetched), streaming stores larger than L3
+    // (dirty victims at every level) and random misses: the as-timed
+    // functional path must leave exactly the tag arrays — dirty bits
+    // and prefetched L3 lines included — that timed accesses leave.
+    MemSystem timed(cfg_), as_timed(cfg_), tags_only(cfg_);
+    Rng rng(7);
+    Cycle now = 0;
+    for (std::uint64_t i = 0; i < 60000; ++i) {
+        Addr pc, addr;
+        bool store = false;
+        switch (rng.below(3)) {
+          case 0: pc = 0x100; addr = 0x1000000 + 8 * i; break;
+          case 1: pc = 0x200; addr = 0x4000000 + 8 * i; store = true; break;
+          default: pc = 0x300; addr = 0x8000000 + 64 * rng.below(1 << 20);
+        }
+        auto r = timed.access(pc, addr, store, now);
+        ASSERT_TRUE(r.has_value());
+        now = std::max(now + 1, r->dataReady);
+        as_timed.warmAccess(pc, addr, store, 0, /*as_timed=*/true);
+        tags_only.warmAccess(pc, addr, store, 0);
+    }
+    EXPECT_GT(timed.l3().dirtyEvictions.value(), 0u);
+    EXPECT_EQ(tagImage(as_timed), tagImage(timed));
+    EXPECT_NE(tagImage(tags_only), tagImage(timed));
 }
 
 TEST_F(MemSystemTest, FetchPathHitsAfterWarm)

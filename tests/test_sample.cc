@@ -671,7 +671,7 @@ TEST(SharedChainTest, SweepIsIdenticalSoloSharedAndRerun)
     EXPECT_EQ(grid(4), solo);
     EXPECT_EQ(grid(4), solo);
     EXPECT_EQ(grid(1), solo);
-    EXPECT_EQ(WarmChain::stats().livePoints, 0u);
+    EXPECT_EQ(WarmChain::stats().liveChains, 0u);
 }
 
 TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
@@ -708,21 +708,42 @@ TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
     EXPECT_EQ(WarmChain::stats().built, built + 1);
     EXPECT_NE(resultJson(ma), resultJson(mb)); // the configs differ
 
-    // Same S_i, same encoded point — and the same bytes a chain built
-    // from the public pieces captures there.
-    ASSERT_EQ(a.samplePoints().size(), std::size_t(plan.samples));
-    EXPECT_EQ(a.samplePoints(), b.samplePoints());
+    // Same key, same S_i for every sample.
+    EXPECT_EQ(a.chainSpec().key(), b.chainSpec().key());
+    ASSERT_EQ(a.sampleStarts().size(), std::size_t(plan.samples));
+    EXPECT_EQ(a.sampleStarts(), b.sampleStarts());
+
+    // Both configs' tasks receive byte-identical points — the same
+    // bytes a chain built from the public pieces captures there.
+    std::vector<std::string> seen[2] = {
+        std::vector<std::string>(std::size_t(plan.samples)),
+        std::vector<std::string>(std::size_t(plan.samples))};
+    WarmChain::Participant pa, pb;
+    auto record = [seed = base.seed](std::vector<std::string> *out) {
+        return [out, seed](int i, WarmPoint &point,
+                           const std::function<void(const char *)> &) {
+            (*out)[std::size_t(i)] = checkpointToBytes(captureCheckpoint(
+                point.threads, point.mem, "graph_walk", seed));
+            return Metrics{};
+        };
+    };
+    pa.run = record(&seen[0]);
+    pb.run = record(&seen[1]);
+    auto chain = WarmChain::join(a.chainSpec(), pa);
+    EXPECT_EQ(WarmChain::join(b.chainSpec(), pb), chain);
+    chain->participate(pa, {});
+    chain->participate(pb, {});
+    EXPECT_EQ(seen[0], seen[1]);
     MemSystem mem(base.mem);
     FastForward ff(base, {"graph_walk"}, mem);
     for (int i = 0; i < plan.samples; ++i) {
         std::uint64_t start = std::uint64_t(i + 1) * plan.fastForward +
                               std::uint64_t(i) * (plan.warmup + plan.detail);
+        EXPECT_EQ(a.sampleStarts()[std::size_t(i)], start);
         ff.advanceTo(start);
-        std::string image =
-            captureCheckpointBytes(ff, mem, "graph_walk", base.seed);
-        EXPECT_EQ(a.samplePoints()[std::size_t(i)].start, start);
-        EXPECT_EQ(a.samplePoints()[std::size_t(i)].crc, crc32(image.substr(
-                      0, image.size() - 4)))
+        EXPECT_EQ(seen[0][std::size_t(i)],
+                  checkpointToBytes(
+                      captureCheckpoint(ff, mem, "graph_walk", base.seed)))
             << "sample " << i;
     }
 
@@ -741,14 +762,12 @@ TEST(SharedChainTest, FreedChainIsRecomputedBitIdentically)
     Sampler first(cfg, "graph_walk", plan);
     Metrics m1 = first.run();
     // The last participant out freed every point and unregistered.
-    ChainStats after = WarmChain::stats();
-    EXPECT_EQ(after.liveChains, 0u);
-    EXPECT_EQ(after.livePoints, 0u);
+    EXPECT_EQ(WarmChain::stats().liveChains, 0u);
 
     Sampler second(cfg, "graph_walk", plan);
     Metrics m2 = second.run();
     EXPECT_EQ(WarmChain::stats().built, built + 2);
-    EXPECT_EQ(second.samplePoints(), first.samplePoints());
+    EXPECT_EQ(second.sampleStarts(), first.sampleStarts());
     EXPECT_EQ(resultJson(m2), resultJson(m1));
 }
 

@@ -1,8 +1,7 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -25,9 +24,12 @@ JsonValue::kindName(Kind kind)
 std::string
 jsonNum(double v)
 {
+    // to_chars at precision 17 is specified to print exactly what
+    // printf("%.17g") prints (nan/inf spellings included), ~5x faster.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 17);
+    return std::string(buf, res.ptr);
 }
 
 JsonValue
@@ -46,6 +48,16 @@ jsonU64(std::uint64_t n)
     v.kind = JsonValue::Kind::Number;
     v.num = double(n);
     v.str = std::to_string(n);
+    return v;
+}
+
+JsonValue
+jsonDouble(double d)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.num = d;
+    v.str = jsonNum(d);
     return v;
 }
 
@@ -73,20 +85,53 @@ u64FromLexeme(const std::string &s, std::uint64_t *out)
     return true;
 }
 
+std::uint64_t
+jsonToU64(const JsonValue &v)
+{
+    std::uint64_t exact = 0;
+    if (v.isNumber() && u64FromLexeme(v.str, &exact))
+        return exact;
+    // 2^64: the first double past the u64 range.
+    if (!(v.num >= 0.0 && v.num < 18446744073709551616.0))
+        return 0;
+    return static_cast<std::uint64_t>(v.num);
+}
+
+namespace {
+
+/** Append @p s to @p out as a JSON string literal (jsonQuote without
+ *  the temporary). */
+void
+appendJsonQuoted(std::string &out, const std::string &s)
+{
+    out += '"';
+    // Copy runs of plain bytes in bulk; only the four escaped bytes
+    // break a run.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char *esc = nullptr;
+        switch (s[i]) {
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\t': esc = "\\t"; break;
+          default: continue;
+        }
+        out.append(s, run, i - run);
+        out += esc;
+        run = i + 1;
+    }
+    out.append(s, run, std::string::npos);
+    out += '"';
+}
+
+} // namespace
+
 std::string
 jsonQuote(const std::string &s)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    out += '"';
+    std::string out;
+    appendJsonQuoted(out, s);
     return out;
 }
 
@@ -97,8 +142,10 @@ JsonObjectBuilder::render(int indent) const
     std::string inner(static_cast<std::size_t>(indent) + 2, ' ');
     std::string out = "{\n";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
-        out += inner + jsonQuote(fields_[i].first) + ": " +
-               fields_[i].second;
+        out += inner;
+        appendJsonQuoted(out, fields_[i].first);
+        out += ": ";
+        out += fields_[i].second;
         if (i + 1 < fields_.size())
             out += ",";
         out += "\n";
@@ -136,11 +183,19 @@ class JsonParser
                                  std::to_string(pos_) + ": " + why);
     }
 
+    /** The bytes std::isspace accepts in the C locale, without the
+     *  per-byte locale lookup. */
+    static bool
+    isWs(char c)
+    {
+        return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
+               c == '\v' || c == '\f';
+    }
+
     void
     skipWs()
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isWs(text_[pos_]))
             pos_ += 1;
     }
 
@@ -208,9 +263,12 @@ class JsonParser
             return v;
         }
         for (;;) {
-            JsonValue key = stringValue();
+            std::string key = stringValue().str;
             expect(':');
-            v.object[key.str] = value();
+            // Canonical text arrives with sorted keys, so the end is
+            // the right hint; a duplicate key keeps its last value.
+            v.object.insert_or_assign(v.object.end(), std::move(key),
+                                      value());
             char c = peek();
             pos_ += 1;
             if (c == '}')
@@ -247,25 +305,29 @@ class JsonParser
         expect('"');
         JsonValue v;
         v.kind = JsonValue::Kind::String;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_];
-            if (c == '\\') {
-                pos_ += 1;
-                if (pos_ >= text_.size())
-                    fail("bad escape");
-                switch (text_[pos_]) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  default: fail("unsupported escape");
-                }
+        for (;;) {
+            // Append the run up to the next quote or escape in bulk.
+            std::size_t stop = text_.find_first_of("\"\\", pos_);
+            if (stop == std::string::npos) {
+                pos_ = text_.size();
+                fail("unterminated string");
             }
-            v.str += c;
+            v.str.append(text_, pos_, stop - pos_);
+            pos_ = stop;
+            if (text_[pos_] == '"')
+                break;
+            pos_ += 1;
+            if (pos_ >= text_.size())
+                fail("bad escape");
+            switch (text_[pos_]) {
+              case '"': v.str += '"'; break;
+              case '\\': v.str += '\\'; break;
+              case 'n': v.str += '\n'; break;
+              case 't': v.str += '\t'; break;
+              default: fail("unsupported escape");
+            }
             pos_ += 1;
         }
-        if (pos_ >= text_.size())
-            fail("unterminated string");
         pos_ += 1; // closing quote
         return v;
     }
@@ -275,19 +337,18 @@ class JsonParser
     {
         skipWs();
         std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == 'n' ||
-                text_[pos_] == 'i' || text_[pos_] == 'f' ||
-                text_[pos_] == 'a'))
+        auto lexemeChar = [](char c) {
+            return (c >= '0' && c <= '9') || c == '-' || c == '+' ||
+                   c == '.' || c == 'e' || c == 'E' || c == 'n' ||
+                   c == 'i' || c == 'f' || c == 'a';
+        };
+        while (pos_ < text_.size() && lexemeChar(text_[pos_]))
             pos_ += 1;
         if (pos_ == start)
             fail("expected a number");
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        v.str = text_.substr(start, pos_ - start);
+        v.str.assign(text_, start, pos_ - start);
         // Full-lexeme parse: partial consumption ("4..25", "1e") is a
         // typo, not a number.
         char *end = nullptr;
@@ -312,10 +373,13 @@ writeValue(const JsonValue &v, int indent, std::string &out)
         out += v.boolean ? "true" : "false";
         return;
       case JsonValue::Kind::Number:
-        out += v.str.empty() ? jsonNum(v.num) : v.str;
+        if (v.str.empty())
+            out += jsonNum(v.num);
+        else
+            out += v.str;
         return;
       case JsonValue::Kind::String:
-        out += jsonQuote(v.str);
+        appendJsonQuoted(out, v.str);
         return;
       case JsonValue::Kind::Array: {
         if (v.array.empty()) {
@@ -341,7 +405,9 @@ writeValue(const JsonValue &v, int indent, std::string &out)
         out += "{\n";
         std::size_t i = 0;
         for (const auto &[key, value] : v.object) {
-            out += inner + jsonQuote(key) + ": ";
+            out += inner;
+            appendJsonQuoted(out, key);
+            out += ": ";
             writeValue(value, indent + 2, out);
             if (++i < v.object.size())
                 out += ",";
@@ -382,10 +448,13 @@ writeCompact(const JsonValue &v, std::string &out)
         out += v.boolean ? "true" : "false";
         return;
       case JsonValue::Kind::Number:
-        out += v.str.empty() ? jsonNum(v.num) : v.str;
+        if (v.str.empty())
+            out += jsonNum(v.num);
+        else
+            out += v.str;
         return;
       case JsonValue::Kind::String:
-        out += jsonQuote(v.str);
+        appendJsonQuoted(out, v.str);
         return;
       case JsonValue::Kind::Array: {
         out += "[";
@@ -403,7 +472,8 @@ writeCompact(const JsonValue &v, std::string &out)
         for (const auto &[key, value] : v.object) {
             if (i++)
                 out += ",";
-            out += jsonQuote(key) + ":";
+            appendJsonQuoted(out, key);
+            out += ':';
             writeCompact(value, out);
         }
         out += "}";

@@ -75,14 +75,25 @@ std::string jsonNum(double v);
  */
 bool u64FromLexeme(const std::string &s, std::uint64_t *out);
 
+/**
+ * A number value as a u64: its exact lexeme when that is one (exact
+ * above 2^53), else the double truncated toward zero, and 0 for a
+ * negative, NaN or out-of-range double — a defined result for any
+ * input, for readers that tolerate rather than reject.
+ */
+std::uint64_t jsonToU64(const JsonValue &v);
+
 /** Quote and escape @p s as a JSON string literal. */
 std::string jsonQuote(const std::string &s);
 
 /// @name Value-tree leaves, for writers that build a JsonValue (wire
-/// frames, scenario overrides).  A u64 keeps its exact lexeme.
+/// frames, configs, Metrics).  A number keeps the lexeme the text
+/// writers would print (exact for a u64, jsonNum for a double), so a
+/// built tree renders to the same bytes as one parsed from that text.
 /// @{
 JsonValue jsonStr(const std::string &s);
 JsonValue jsonU64(std::uint64_t n);
+JsonValue jsonDouble(double d);
 JsonValue jsonBool(bool b);
 /// @}
 

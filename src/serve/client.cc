@@ -203,7 +203,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
     if (!key.empty())
         frame.object["key"] = jsonStr(key.hex);
     frame.object["workload"] = jsonStr(workload);
-    frame.object["config"] = parseJson(configToJson(cfg));
+    frame.object["config"] = configTree(cfg);
     JsonValue len;
     len.kind = JsonValue::Kind::Object;
     len.object["funcWarm"] = jsonU64(lengths.funcWarm);
@@ -230,8 +230,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
         throw std::runtime_error("serve result frame missing metrics");
 
     CellResult out;
-    out.metrics =
-        metricsFromJson(writeJsonCompact(metricsIt->second));
+    out.metrics = metricsFromJson(metricsIt->second);
     auto flag = [&reply](const char *name) {
         auto it = reply.object.find(name);
         return it != reply.object.end() && it->second.isBool() &&
@@ -261,7 +260,7 @@ ServeBackend::lookup(const CellKey &key, Metrics *out)
     if (metricsIt == reply.object.end() ||
         !metricsIt->second.isObject())
         throw std::runtime_error("serve lookup hit missing metrics");
-    *out = metricsFromJson(writeJsonCompact(metricsIt->second));
+    *out = metricsFromJson(metricsIt->second);
     return true;
 }
 
@@ -319,7 +318,7 @@ ServeBackend::submitScenario(const JsonValue &scenario)
             return it->second;
         };
         out.grid.put(at("row").str, at("series").str,
-                     metricsFromJson(writeJsonCompact(at("metrics"))));
+                     metricsFromJson(at("metrics")));
     }
     return out;
 }

@@ -349,7 +349,7 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
                 cache && cache->lookup(CellKey{key, ""}, &m);
             reply.object["found"] = jsonBool(found);
             if (found)
-                reply.object["metrics"] = parseJson(metricsToJson(m));
+                reply.object["metrics"] = metricsTree(m);
             conn->pipe.writeFrame(reply);
             return;
         }
@@ -394,7 +394,7 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
                 reply.object["workers"] = std::move(arr);
             }
             if (cache) {
-                CacheStats cs = cache->stats();
+                CacheStats cs = cache->usage();
                 reply.object["cacheEntries"] = jsonU64(cs.entries);
                 reply.object["cacheBytes"] = jsonU64(cs.bytes);
                 reply.object["cacheDir"] = jsonStr(cache->dir());
@@ -431,7 +431,7 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
     auto cfgIt = frame.object.find("config");
     if (cfgIt == frame.object.end() || !cfgIt->second.isObject())
         throw std::runtime_error("run frame missing 'config' object");
-    SimConfig cfg = configFromJson(writeJsonCompact(cfgIt->second));
+    SimConfig cfg = configFromJson(cfgIt->second);
 
     std::string workload = frameStr(frame, "workload");
     validateWorkload(workload);
@@ -483,9 +483,10 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
 
         // Streamed progress: this connection's counters after each
         // completed cell (the newline framing keeps it one frame).
-        // Written BEFORE the result so a client that has observed N
-        // results has, by TCP ordering, already received N progress
-        // pushes — the count is deterministic, not racy.
+        // Sent in the same write as, and BEFORE, the result so a client
+        // that has observed N results has, by TCP ordering, already
+        // received N progress pushes — the count is deterministic, not
+        // racy.
         JsonValue prog;
         prog.kind = JsonValue::Kind::Object;
         prog.object["type"] = jsonStr("progress");
@@ -493,18 +494,17 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
         prog.object["total"] =
             jsonU64(conn->total.load(std::memory_order_relaxed));
         prog.object["hits"] = jsonU64(h);
-        conn->pipe.writeFrame(prog);
 
+        JsonValue reply;
         if (!out.error.empty()) {
-            conn->pipe.writeFrame(errorFrame(id, out.error));
+            reply = errorFrame(id, out.error);
         } else {
-            JsonValue reply = objectFrame(id, "result");
+            reply = objectFrame(id, "result");
             reply.object["hit"] = jsonBool(out.hit);
             reply.object["deduped"] = jsonBool(out.deduped);
-            reply.object["metrics"] =
-                parseJson(metricsToJson(out.metrics));
-            conn->pipe.writeFrame(reply);
+            reply.object["metrics"] = metricsTree(out.metrics);
         }
+        conn->pipe.writeFrames({&prog, &reply});
     });
 }
 
@@ -642,11 +642,7 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     reply.object["threads"] = jsonU64(std::uint64_t(res.threads));
     reply.object["simulations"] = jsonU64(res.simulations);
     reply.object["cacheHits"] = jsonU64(res.cacheHits);
-    JsonValue wall;
-    wall.kind = JsonValue::Kind::Number;
-    wall.num = res.wallMs;
-    wall.str = jsonNum(res.wallMs);
-    reply.object["wall_ms"] = wall;
+    reply.object["wall_ms"] = jsonDouble(res.wallMs);
     JsonValue results;
     results.kind = JsonValue::Kind::Array;
     // Declared order, so the client renders rows as the file lists them.
@@ -655,8 +651,7 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
         cell.kind = JsonValue::Kind::Object;
         cell.object["row"] = jsonStr(row);
         cell.object["series"] = jsonStr(series);
-        cell.object["metrics"] =
-            parseJson(metricsToJson(res.grid.at(row, series)));
+        cell.object["metrics"] = metricsTree(res.grid.at(row, series));
         results.array.push_back(std::move(cell));
     }
     reply.object["results"] = std::move(results);

@@ -227,27 +227,31 @@ LineConn::readLine(std::string &out)
 }
 
 bool
-LineConn::writeLine(const std::string &line)
+LineConn::writeFrames(std::initializer_list<const JsonValue *> frames)
+{
+    std::string framed;
+    for (const JsonValue *frame : frames) {
+        framed += writeJsonCompact(*frame);
+        framed += '\n';
+    }
+    return sendAll(framed);
+}
+
+bool
+LineConn::sendAll(const std::string &bytes)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    std::string framed = line + "\n";
     std::size_t sent = 0;
-    while (sent < framed.size()) {
+    while (sent < bytes.size()) {
         // MSG_NOSIGNAL: a vanished peer must surface as a false
         // return, not a process-killing SIGPIPE.
-        ssize_t n = ::send(fd_, framed.data() + sent,
-                           framed.size() - sent, MSG_NOSIGNAL);
+        ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                           MSG_NOSIGNAL);
         if (n <= 0)
             return false;
         sent += static_cast<std::size_t>(n);
     }
     return true;
-}
-
-bool
-LineConn::writeFrame(const JsonValue &frame)
-{
-    return writeLine(writeJsonCompact(frame));
 }
 
 void

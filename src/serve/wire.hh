@@ -24,6 +24,7 @@
 #define LTP_SERVE_WIRE_HH
 
 #include <atomic>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 
@@ -77,8 +78,8 @@ class Listener
 
 /**
  * One connected socket carrying newline-delimited frames.  readLine is
- * single-consumer (one reader thread per connection); writeLine is
- * safe from any number of threads.
+ * single-consumer (one reader thread per connection); writeFrame(s)
+ * is safe from any number of threads.
  */
 class LineConn
 {
@@ -94,18 +95,26 @@ class LineConn
      *  error — the connection is done either way. */
     bool readLine(std::string &out);
 
-    /** Write @p line + '\n' atomically w.r.t. other writers.
-     *  @return false when the peer is gone. */
-    bool writeLine(const std::string &line);
+    /** Write @p frame, compact-rendered, + '\n' atomically w.r.t.
+     *  other writers.  @return false when the peer is gone. */
+    bool
+    writeFrame(const JsonValue &frame)
+    {
+        return writeFrames({&frame});
+    }
 
-    /** writeLine of a compact-rendered JSON frame. */
-    bool writeFrame(const JsonValue &frame);
+    /** writeFrame of each of @p frames, in order, in one locked write:
+     *  no other writer's frame can fall between them. */
+    bool writeFrames(std::initializer_list<const JsonValue *> frames);
 
     /** Half-close both directions, unblocking a reader stuck in
      *  recv() (used to tear down connection threads). */
     void shutdown();
 
   private:
+    /** Send all of @p bytes under the write lock. */
+    bool sendAll(const std::string &bytes);
+
     int fd_;
     std::string buf_;        ///< bytes received past the last line
     std::mutex writeMutex_;

@@ -10,12 +10,6 @@
 namespace ltp {
 
 std::string
-canonicalJson(const std::string &text)
-{
-    return writeJsonCompact(parseJson(text));
-}
-
-std::string
 workloadIdentity(const std::string &name)
 {
     if (isSmtName(name)) {
@@ -61,7 +55,7 @@ cellKeyFor(const SimConfig &cfg, const std::string &workload,
     Sha256 h;
     h.update(strprintf("ltp-cell-v%d\n", kCellKeyVersion));
     h.update(strprintf("model: %d\n", kModelVersion));
-    h.update("config: " + canonicalJson(configToJson(cfg)) + "\n");
+    h.update("config: " + writeJsonCompact(configTree(cfg)) + "\n");
     h.update("workload: " + key.workload + "\n");
     h.update(strprintf("staging: %llu/%llu/%llu\n",
                        static_cast<unsigned long long>(lengths.funcWarm),

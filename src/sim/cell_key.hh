@@ -7,9 +7,9 @@
  * golden/replay harness prove it bit for bit.  This module turns that
  * purity into a stable SHA-256 key:
  *
- *  - the config (seed included) is serialized and re-rendered in
- *    canonical form (sorted keys, compact), so the key is independent
- *    of field order and formatting;
+ *  - the config (seed included) is rendered in canonical form
+ *    (configTree: sorted keys, compact), so the key is independent of
+ *    field order and formatting;
  *  - the workload contributes a content identity, not a spelling:
  *    kernels by name, `trace:<path>` members by the kernel name and
  *    CRC-32 stored in the `.lttr` file (so a renamed or copied trace
@@ -55,11 +55,6 @@ struct CellKey
 
     bool empty() const { return hex.empty(); }
 };
-
-/** Canonical single-line rendering of a JSON text: parse + compact
- *  re-render with sorted keys, so field order and whitespace cannot
- *  affect a key.  @throws std::runtime_error on malformed input. */
-std::string canonicalJson(const std::string &text);
 
 /**
  * Content identity of a workload name: "kernel/<name>" for DSL

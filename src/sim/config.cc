@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace ltp {
 
@@ -369,36 +370,41 @@ parseFetch(const std::string &s, const std::string &where)
               " (expected roundRobin|icount)");
 }
 
-/** JSON fragment for one scalar field (sizes print kInfiniteSize as
+/** JSON value of one scalar field (sizes print kInfiniteSize as
  *  "inf", matching what the parsers accept). */
-std::string
-fieldFragment(const Field &f)
+JsonValue
+fieldValue(const Field &f)
 {
     switch (f.kind) {
       case FieldKind::Int: {
         int v = *static_cast<int *>(f.p);
-        return v == kInfiniteSize ? "\"inf\"" : std::to_string(v);
+        if (v == kInfiniteSize)
+            return jsonStr("inf");
+        JsonValue n;
+        n.kind = JsonValue::Kind::Number;
+        n.num = v;
+        n.str = std::to_string(v);
+        return n;
       }
       case FieldKind::U64:
-        return std::to_string(*static_cast<std::uint64_t *>(f.p));
+        return jsonU64(*static_cast<std::uint64_t *>(f.p));
       case FieldKind::Double:
-        return jsonNum(*static_cast<double *>(f.p));
+        return jsonDouble(*static_cast<double *>(f.p));
       case FieldKind::Bool:
-        return *static_cast<bool *>(f.p) ? "true" : "false";
+        return jsonBool(*static_cast<bool *>(f.p));
       case FieldKind::String:
-        return jsonQuote(*static_cast<std::string *>(f.p));
+        return jsonStr(*static_cast<std::string *>(f.p));
       case FieldKind::Mode:
-        return jsonQuote(ltpModeName(*static_cast<LtpMode *>(f.p)));
+        return jsonStr(ltpModeName(*static_cast<LtpMode *>(f.p)));
       case FieldKind::Classifier:
-        return jsonQuote(
+        return jsonStr(
             classifierName(*static_cast<ClassifierKind *>(f.p)));
       case FieldKind::Wakeup:
-        return jsonQuote(wakeupName(*static_cast<WakeupPolicy *>(f.p)));
+        return jsonStr(wakeupName(*static_cast<WakeupPolicy *>(f.p)));
       case FieldKind::Fetch:
-        return jsonQuote(
-            fetchPolicyName(*static_cast<FetchPolicy *>(f.p)));
+        return jsonStr(fetchPolicyName(*static_cast<FetchPolicy *>(f.p)));
     }
-    return "null";
+    return JsonValue{};
 }
 
 /** Nest [lo, hi) — all sharing @p prefix_len path prefix — into one
@@ -413,7 +419,7 @@ buildObject(const std::vector<Field> &fs, std::size_t lo, std::size_t hi,
         const char *rest = fs[i].path + prefix_len;
         const char *dot = std::strchr(rest, '.');
         if (!dot) {
-            o.field(rest, fieldFragment(fs[i]));
+            o.field(rest, writeJsonCompact(fieldValue(fs[i])));
             i += 1;
             continue;
         }
@@ -569,39 +575,84 @@ didYouMean(const std::string &path)
     return out;
 }
 
-/** Recursively apply a JSON object's keys through the registry. */
-void
-applyObject(const std::vector<Field> &fs, const JsonValue &v,
-            const std::string &reg_prefix, const std::string &err_prefix)
+/** Registry paths in sorted order, each with its registry index —
+ *  built once; fieldsOf() always returns the same order. */
+const std::vector<std::pair<std::string_view, std::size_t>> &
+sortedPaths()
 {
-    for (const auto &[key, val] : v.object) {
-        std::string reg_path =
-            reg_prefix.empty() ? key : reg_prefix + "." + key;
-        std::string err_path =
-            err_prefix.empty() ? reg_path : err_prefix + "." + reg_path;
+    static const auto sorted = [] {
+        SimConfig scratch;
+        std::vector<Field> fs = fieldsOf(scratch);
+        std::vector<std::pair<std::string_view, std::size_t>> out;
+        for (std::size_t i = 0; i < fs.size(); ++i)
+            out.emplace_back(fs[i].path, i);
+        std::sort(out.begin(), out.end());
+        return out;
+    }();
+    return sorted;
+}
 
-        const Field *exact = nullptr;
-        bool is_group = false;
-        std::string nested = reg_path + ".";
-        for (const Field &f : fs) {
-            if (reg_path == f.path) {
-                exact = &f;
-                break;
-            }
-            if (std::strncmp(f.path, nested.c_str(), nested.size()) == 0)
-                is_group = true;
+/** How a dotted path resolves against the registry. */
+struct PathMatch
+{
+    const Field *field = nullptr; ///< exact match
+    bool group = false;           ///< a prefix of some field's path
+};
+
+PathMatch
+matchPath(const std::vector<Field> &fs, std::string_view path)
+{
+    const auto &sorted = sortedPaths();
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), path,
+        [](const auto &e, std::string_view p) { return e.first < p; });
+    PathMatch m;
+    // Paths extending @p path sort contiguously from the lower bound.
+    for (; it != sorted.end() && it->first.substr(0, path.size()) == path;
+         ++it) {
+        if (it->first.size() == path.size()) {
+            m.field = &fs[it->second];
+            return m;
         }
-        if (exact) {
-            setFromJson(*exact, val, err_path);
-        } else if (is_group) {
-            if (!val.isObject())
-                badConfig("expected an object at " + err_path + ", got " +
-                          JsonValue::kindName(val.kind));
-            applyObject(fs, val, reg_path, err_prefix);
-        } else {
-            badConfig("unknown config key '" + err_path + "'");
+        if (it->first[path.size()] == '.') {
+            m.group = true;
+            return m;
         }
     }
+    return m;
+}
+
+/**
+ * Recursively apply a JSON object's keys through the registry.
+ * @p path holds the registry prefix on entry (a scratch buffer, so no
+ * key costs a string of its own); errors name it under @p err_prefix.
+ */
+void
+applyObject(const std::vector<Field> &fs, const JsonValue &v,
+            std::string &path, const std::string &err_prefix)
+{
+    std::size_t base = path.size();
+    for (const auto &[key, val] : v.object) {
+        path.resize(base);
+        if (base)
+            path += '.';
+        path += key;
+        PathMatch m = matchPath(fs, path);
+        std::string err_path =
+            err_prefix.empty() ? std::string() : err_prefix + "." + path;
+        const std::string &where = err_prefix.empty() ? path : err_path;
+        if (m.field) {
+            setFromJson(*m.field, val, where);
+        } else if (m.group) {
+            if (!val.isObject())
+                badConfig("expected an object at " + where + ", got " +
+                          JsonValue::kindName(val.kind));
+            applyObject(fs, val, path, err_prefix);
+        } else {
+            badConfig("unknown config key '" + where + "'");
+        }
+    }
+    path.resize(base);
 }
 
 } // namespace
@@ -631,12 +682,31 @@ memConfigJson(const MemConfig &mem)
         .render(0);
 }
 
-SimConfig
-configFromJson(const std::string &json)
+JsonValue
+configTree(const SimConfig &cfg)
 {
-    JsonValue root = parseJson(json);
+    // The registry needs mutable pointers; emission never writes.
+    SimConfig &c = const_cast<SimConfig &>(cfg);
+    JsonValue root;
+    root.kind = JsonValue::Kind::Object;
+    for (const Field &f : fieldsOf(c)) {
+        JsonValue *node = &root;
+        std::string_view path = f.path;
+        for (std::size_t dot; (dot = path.find('.')) != path.npos;
+             path.remove_prefix(dot + 1)) {
+            node = &node->object[std::string(path.substr(0, dot))];
+            node->kind = JsonValue::Kind::Object;
+        }
+        node->object.emplace(path, fieldValue(f));
+    }
+    return root;
+}
+
+SimConfig
+configFromJson(const JsonValue &v)
+{
     SimConfig cfg;
-    applyConfigJson(cfg, root);
+    applyConfigJson(cfg, v);
     return cfg;
 }
 
@@ -649,7 +719,8 @@ applyConfigJson(SimConfig &cfg, const JsonValue &v,
                   (where.empty() ? std::string("<top level>") : where) +
                   ", got " + JsonValue::kindName(v.kind));
     std::vector<Field> fs = fieldsOf(cfg);
-    applyObject(fs, v, "", where);
+    std::string path;
+    applyObject(fs, v, path, where);
 }
 
 void
@@ -657,9 +728,8 @@ applyOverride(SimConfig &cfg, const std::string &path,
               const std::string &value)
 {
     std::vector<Field> fs = fieldsOf(cfg);
-    for (const Field &f : fs) {
-        if (path != f.path)
-            continue;
+    if (const Field *match = matchPath(fs, path).field) {
+        const Field &f = *match;
         switch (f.kind) {
           case FieldKind::Int:
             *static_cast<int *>(f.p) = parseIntValue(value, path);

@@ -70,8 +70,16 @@ struct SimConfig
 /// command-line override setter, so the three can never disagree.
 /// @{
 
-/** Serialize @p cfg as a nested JSON object (round-trip exact). */
+/** Serialize @p cfg as a nested JSON object (round-trip exact),
+ *  fields in registry order: the human-facing form. */
 std::string configToJson(const SimConfig &cfg, int indent = 0);
+
+/**
+ * @p cfg as a value tree, every registered field nested by its path.
+ * writeJsonCompact of it is the canonical config text: what the cell
+ * key hashes and the `config` object of a serve `run` frame.
+ */
+JsonValue configTree(const SimConfig &cfg);
 
 /**
  * Serialize just the `mem` section (compact, registry order): the
@@ -80,11 +88,12 @@ std::string configToJson(const SimConfig &cfg, int indent = 0);
 std::string memConfigJson(const MemConfig &mem);
 
 /**
- * Build a SimConfig from JSON: defaults, then every present key
- * applied.  Partial objects are fine; unknown keys or wrong value
- * types throw std::runtime_error naming the offending path.
+ * Build a SimConfig from a parsed JSON object: defaults, then every
+ * present key applied (text callers parse it first).  Partial objects
+ * are fine; unknown keys or wrong value types throw
+ * std::runtime_error naming the offending path.
  */
-SimConfig configFromJson(const std::string &json);
+SimConfig configFromJson(const JsonValue &v);
 
 /**
  * Apply a parsed (possibly partial) JSON object onto @p cfg.

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,6 +17,74 @@ namespace ltp {
 
 namespace {
 
+/** One top-level number of the Metrics report: an exact integer
+ *  counter or a double (exactly one member pointer is set). */
+struct ScalarField
+{
+    const char *key;
+    std::uint64_t Metrics::*count;
+    double Metrics::*real;
+};
+
+constexpr ScalarField
+counter(const char *key, std::uint64_t Metrics::*f)
+{
+    return {key, f, nullptr};
+}
+
+constexpr ScalarField
+real(const char *key, double Metrics::*f)
+{
+    return {key, nullptr, f};
+}
+
+/** The report's top-level numbers in report order: those before the
+ *  energy block, then those after it.  One list for the text writer,
+ *  the tree writer and the reader. */
+constexpr ScalarField kBeforeEnergy[] = {
+    counter("insts", &Metrics::insts),
+    counter("cycles", &Metrics::cycles),
+    real("ipc", &Metrics::ipc),
+    real("cpi", &Metrics::cpi),
+    real("avgOutstanding", &Metrics::avgOutstanding),
+    real("avgLoadLatency", &Metrics::avgLoadLatency),
+    counter("dramReads", &Metrics::dramReads),
+    real("iqOcc", &Metrics::iqOcc),
+    real("robOcc", &Metrics::robOcc),
+    real("lqOcc", &Metrics::lqOcc),
+    real("sqOcc", &Metrics::sqOcc),
+    real("rfOcc", &Metrics::rfOcc),
+    real("ltpOcc", &Metrics::ltpOcc),
+    real("ltpRegsOcc", &Metrics::ltpRegsOcc),
+    real("ltpLoadsOcc", &Metrics::ltpLoadsOcc),
+    real("ltpStoresOcc", &Metrics::ltpStoresOcc),
+    real("ltpEnabledFrac", &Metrics::ltpEnabledFrac),
+    real("parkedFrac", &Metrics::parkedFrac),
+    counter("parked", &Metrics::parked),
+    counter("unparked", &Metrics::unparked),
+    counter("forcedUnparks", &Metrics::forcedUnparks),
+    counter("pressureUnparks", &Metrics::pressureUnparks),
+    real("llpredAccuracy", &Metrics::llpredAccuracy),
+    real("bpAccuracy", &Metrics::bpAccuracy),
+};
+constexpr ScalarField kAfterEnergy[] = {
+    real("ed2p", &Metrics::ed2p),
+    real("edp", &Metrics::edp),
+};
+
+/** The top-level number named @p key, or null. */
+const ScalarField *
+scalarField(const std::string &key)
+{
+    for (const ScalarField &f : kBeforeEnergy)
+        if (key == f.key)
+            return &f;
+    for (const ScalarField &f : kAfterEnergy)
+        if (key == f.key)
+            return &f;
+    return nullptr;
+}
+
 // Writing uses the shared ordered builder (common/json.hh) so field
 // order matches the Metrics declaration rather than map order.
 
@@ -25,42 +92,25 @@ JsonObjectBuilder
 metricsObject(const Metrics &m, int indent)
 {
     JsonObjectBuilder o;
+    auto scalars = [&](const auto &fields) {
+        for (const ScalarField &f : fields) {
+            if (f.count)
+                o.u64(f.key, m.*f.count);
+            else
+                o.num(f.key, m.*f.real);
+        }
+    };
     o.u64("schemaVersion", kMetricsSchemaVersion);
     o.str("config", m.config);
     o.str("workload", m.workload);
-    o.u64("insts", m.insts);
-    o.u64("cycles", m.cycles);
-    o.num("ipc", m.ipc);
-    o.num("cpi", m.cpi);
-    o.num("avgOutstanding", m.avgOutstanding);
-    o.num("avgLoadLatency", m.avgLoadLatency);
-    o.u64("dramReads", m.dramReads);
-    o.num("iqOcc", m.iqOcc);
-    o.num("robOcc", m.robOcc);
-    o.num("lqOcc", m.lqOcc);
-    o.num("sqOcc", m.sqOcc);
-    o.num("rfOcc", m.rfOcc);
-    o.num("ltpOcc", m.ltpOcc);
-    o.num("ltpRegsOcc", m.ltpRegsOcc);
-    o.num("ltpLoadsOcc", m.ltpLoadsOcc);
-    o.num("ltpStoresOcc", m.ltpStoresOcc);
-    o.num("ltpEnabledFrac", m.ltpEnabledFrac);
-    o.num("parkedFrac", m.parkedFrac);
-    o.u64("parked", m.parked);
-    o.u64("unparked", m.unparked);
-    o.u64("forcedUnparks", m.forcedUnparks);
-    o.u64("pressureUnparks", m.pressureUnparks);
-    o.num("llpredAccuracy", m.llpredAccuracy);
-    o.num("bpAccuracy", m.bpAccuracy);
+    scalars(kBeforeEnergy);
 
     JsonObjectBuilder energy;
     energy.num("iq", m.energy.iq);
     energy.num("rf", m.energy.rf);
     energy.num("ltp", m.energy.ltp);
     o.field("energy", energy.render(indent + 2));
-
-    o.num("ed2p", m.ed2p);
-    o.num("edp", m.edp);
+    scalars(kAfterEnergy);
 
     // SMT breakdown: emitted only for genuinely multi-context runs so
     // single-threaded Metrics JSON (and the committed golden
@@ -117,8 +167,8 @@ metricsObject(const Metrics &m, int indent)
     return o;
 }
 
-// Parsing uses the shared reader (common/json.hh); missing keys keep
-// their zero defaults so old archives stay readable.
+// Parsing reads the tree the shared reader (common/json.hh) built;
+// missing keys keep their zero defaults so old archives stay readable.
 
 double
 numAt(const JsonValue &obj, const std::string &key)
@@ -131,14 +181,7 @@ std::uint64_t
 u64At(const JsonValue &obj, const std::string &key)
 {
     auto it = obj.object.find(key);
-    if (it == obj.object.end())
-        return 0;
-    // Prefer the source lexeme: exact for integers above 2^53.
-    const JsonValue &v = it->second;
-    std::uint64_t exact = 0;
-    if (v.isNumber() && u64FromLexeme(v.str, &exact))
-        return exact;
-    return static_cast<std::uint64_t>(v.num);
+    return it == obj.object.end() ? 0 : jsonToU64(it->second);
 }
 
 std::string
@@ -150,6 +193,77 @@ strAt(const JsonValue &obj, const std::string &key)
 
 } // namespace
 
+/**
+ * metricsObject's report as a value tree.  Kept in step with it by
+ * hand; the test suite checks the two agree field for field.
+ */
+JsonValue
+metricsTree(const Metrics &m)
+{
+    auto object = []() {
+        JsonValue v;
+        v.kind = JsonValue::Kind::Object;
+        return v;
+    };
+    JsonValue o = object();
+    auto &f = o.object;
+    auto scalars = [&](const auto &fields) {
+        for (const ScalarField &sf : fields)
+            f[sf.key] = sf.count ? jsonU64(m.*sf.count)
+                                 : jsonDouble(m.*sf.real);
+    };
+    f["schemaVersion"] = jsonU64(kMetricsSchemaVersion);
+    f["config"] = jsonStr(m.config);
+    f["workload"] = jsonStr(m.workload);
+    scalars(kBeforeEnergy);
+
+    JsonValue energy = object();
+    energy.object["iq"] = jsonDouble(m.energy.iq);
+    energy.object["rf"] = jsonDouble(m.energy.rf);
+    energy.object["ltp"] = jsonDouble(m.energy.ltp);
+    f["energy"] = std::move(energy);
+    scalars(kAfterEnergy);
+
+    if (m.threads.size() > 1) {
+        JsonValue threads;
+        threads.kind = JsonValue::Kind::Array;
+        for (const ThreadMetrics &tm : m.threads) {
+            JsonValue to = object();
+            to.object["workload"] = jsonStr(tm.workload);
+            to.object["insts"] = jsonU64(tm.insts);
+            to.object["cycles"] = jsonU64(tm.cycles);
+            to.object["ipc"] = jsonDouble(tm.ipc);
+            threads.array.push_back(std::move(to));
+        }
+        JsonValue smt = object();
+        smt.object["weightedSpeedup"] = jsonDouble(m.weightedSpeedup);
+        smt.object["threads"] = std::move(threads);
+        f["smt"] = std::move(smt);
+    }
+
+    if (m.sampling.enabled()) {
+        const SamplingStats &s = m.sampling;
+        JsonValue so = object();
+        so.object["samples"] = jsonU64(std::uint64_t(s.samples));
+        so.object["fastForward"] = jsonU64(s.fastForward);
+        so.object["warmup"] = jsonU64(s.warmup);
+        so.object["detail"] = jsonU64(s.detail);
+        so.object["meanIpc"] = jsonDouble(s.meanIpc);
+        if (s.hasCi()) {
+            so.object["ipcStdDev"] = jsonDouble(s.ipcStdDev);
+            so.object["ci95Half"] = jsonDouble(s.ci95Half);
+        }
+        so.object["ffKips"] = jsonDouble(s.ffKips);
+        JsonValue ipcs;
+        ipcs.kind = JsonValue::Kind::Array;
+        for (double ipc : s.sampleIpcs)
+            ipcs.array.push_back(jsonDouble(ipc));
+        so.object["sampleIpcs"] = std::move(ipcs);
+        f["sampling"] = std::move(so);
+    }
+    return o;
+}
+
 std::string
 metricsToJson(const Metrics &m, int indent)
 {
@@ -157,9 +271,8 @@ metricsToJson(const Metrics &m, int indent)
 }
 
 Metrics
-metricsFromJson(const std::string &json)
+metricsFromJson(const JsonValue &root)
 {
-    JsonValue root = parseJson(json);
     if (root.kind != JsonValue::Kind::Object)
         throw std::runtime_error("metricsFromJson: not a JSON object");
 
@@ -179,30 +292,16 @@ metricsFromJson(const std::string &json)
     Metrics m;
     m.config = strAt(root, "config");
     m.workload = strAt(root, "workload");
-    m.insts = u64At(root, "insts");
-    m.cycles = u64At(root, "cycles");
-    m.ipc = numAt(root, "ipc");
-    m.cpi = numAt(root, "cpi");
-    m.avgOutstanding = numAt(root, "avgOutstanding");
-    m.avgLoadLatency = numAt(root, "avgLoadLatency");
-    m.dramReads = u64At(root, "dramReads");
-    m.iqOcc = numAt(root, "iqOcc");
-    m.robOcc = numAt(root, "robOcc");
-    m.lqOcc = numAt(root, "lqOcc");
-    m.sqOcc = numAt(root, "sqOcc");
-    m.rfOcc = numAt(root, "rfOcc");
-    m.ltpOcc = numAt(root, "ltpOcc");
-    m.ltpRegsOcc = numAt(root, "ltpRegsOcc");
-    m.ltpLoadsOcc = numAt(root, "ltpLoadsOcc");
-    m.ltpStoresOcc = numAt(root, "ltpStoresOcc");
-    m.ltpEnabledFrac = numAt(root, "ltpEnabledFrac");
-    m.parkedFrac = numAt(root, "parkedFrac");
-    m.parked = u64At(root, "parked");
-    m.unparked = u64At(root, "unparked");
-    m.forcedUnparks = u64At(root, "forcedUnparks");
-    m.pressureUnparks = u64At(root, "pressureUnparks");
-    m.llpredAccuracy = numAt(root, "llpredAccuracy");
-    m.bpAccuracy = numAt(root, "bpAccuracy");
+    auto scalars = [&](const auto &fields) {
+        for (const ScalarField &f : fields) {
+            if (f.count)
+                m.*f.count = u64At(root, f.key);
+            else
+                m.*f.real = numAt(root, f.key);
+        }
+    };
+    scalars(kBeforeEnergy);
+    scalars(kAfterEnergy);
 
     auto energy = root.object.find("energy");
     if (energy != root.object.end()) {
@@ -210,9 +309,6 @@ metricsFromJson(const std::string &json)
         m.energy.rf = numAt(energy->second, "rf");
         m.energy.ltp = numAt(energy->second, "ltp");
     }
-
-    m.ed2p = numAt(root, "ed2p");
-    m.edp = numAt(root, "edp");
 
     auto sampling = root.object.find("sampling");
     if (sampling != root.object.end() && sampling->second.isObject()) {
@@ -377,12 +473,7 @@ reportToCsv(const SweepResult &result)
 bool
 isViewName(const std::string &view)
 {
-    if (view == "perf" || view == "ed2p")
-        return true;
-    static const JsonValue report = parseJson(metricsToJson(Metrics{}));
-    auto it = report.object.find(view);
-    return view != "schemaVersion" && it != report.object.end() &&
-           it->second.isNumber();
+    return view == "perf" || view == "ed2p" || scalarField(view);
 }
 
 std::string
@@ -412,13 +503,12 @@ renderViews(const SweepResult &result,
         return &result.grid.at(it->first, it->second.front());
     };
 
-    // The report's integer counters (the o.u64 keys of metricsObject)
-    // print exactly, every other key to 4 decimals.
-    static const std::set<std::string> counters = {
-        "insts",    "cycles",        "dramReads",      "parked",
-        "unparked", "forcedUnparks", "pressureUnparks"};
     std::string out;
     for (const std::string &view : views) {
+        const ScalarField *field = scalarField(view);
+        if (!field && view != "perf" && view != "ed2p")
+            throw std::out_of_range("renderViews: unknown view '" + view +
+                                    "'");
         std::vector<std::string> header = {"row"};
         header.insert(header.end(), columns.begin(), columns.end());
         Table t(header);
@@ -436,11 +526,11 @@ renderViews(const SweepResult &result,
                 } else if (view == "ed2p") {
                     cells.push_back(Table::pct(m.ed2pDeltaPct(*ref)));
                 } else {
-                    JsonValue report = parseJson(metricsToJson(m));
-                    const JsonValue &v = report.object.at(view);
-                    cells.push_back(counters.count(view)
-                                        ? v.str
-                                        : Table::num(v.num, 4));
+                    // Counters print exactly, every other key to 4
+                    // decimals.
+                    cells.push_back(field->count
+                                        ? std::to_string(m.*field->count)
+                                        : Table::num(m.*field->real, 4));
                 }
             }
             t.addRow(std::move(cells));

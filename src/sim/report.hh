@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/metrics.hh"
 #include "sim/runner.hh"
 
@@ -25,10 +26,17 @@ namespace ltp {
 std::string metricsToJson(const Metrics &m, int indent = 0);
 
 /**
- * Parse a JSON object produced by metricsToJson.
- * @throws std::runtime_error on malformed input.
+ * The metricsToJson report as a value tree: numbers keep the lexemes
+ * metricsToJson prints, so writeJsonCompact of it equals the compact
+ * rendering of the parsed text.  What the serve wire carries.
  */
-Metrics metricsFromJson(const std::string &json);
+JsonValue metricsTree(const Metrics &m);
+
+/**
+ * Read a parsed metricsToJson object (text callers parse it first).
+ * @throws std::runtime_error on a non-object or a newer schemaVersion.
+ */
+Metrics metricsFromJson(const JsonValue &root);
 
 /**
  * Serialize a whole sweep: name, shard/thread counts, wall-clock, and

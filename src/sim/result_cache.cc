@@ -36,6 +36,28 @@ isHexKey(const std::string &s)
     return true;
 }
 
+/** Call fn(path, key, bytes) for each entry file under @p dir. */
+template <class Fn>
+void
+forEachEntry(const std::string &dir, Fn fn)
+{
+    std::error_code ec;
+    fs::recursive_directory_iterator it(dir, ec), end;
+    if (ec)
+        return;
+    for (; it != end; it.increment(ec)) {
+        if (ec)
+            break;
+        if (!it->is_regular_file(ec))
+            continue;
+        const fs::path &p = it->path();
+        std::string key = p.stem().string();
+        if (p.extension() != ".json" || !isHexKey(key))
+            continue; // temp files and strays are not entries
+        fn(p, std::move(key), std::uint64_t(it->file_size(ec)));
+    }
+}
+
 /** Parse one entry file; throws on any structural or version defect. */
 CacheEntryInfo
 parseEntry(const std::string &key, const std::string &text,
@@ -51,8 +73,7 @@ parseEntry(const std::string &key, const std::string &text,
                                      name + "'");
         return it->second;
     };
-    if (std::uint64_t(field("cacheSchema").num) !=
-        std::uint64_t(kCacheSchemaVersion))
+    if (jsonToU64(field("cacheSchema")) != std::uint64_t(kCacheSchemaVersion))
         throw std::runtime_error("cacheSchema version mismatch");
     if (field("key").str != key)
         throw std::runtime_error("stored key disagrees with file name");
@@ -64,9 +85,7 @@ parseEntry(const std::string &key, const std::string &text,
     const JsonValue &lengths = field("lengths");
     auto u64of = [&](const char *name) {
         auto it = lengths.object.find(name);
-        return it == lengths.object.end()
-                   ? std::uint64_t(0)
-                   : std::uint64_t(it->second.num);
+        return it == lengths.object.end() ? 0 : jsonToU64(it->second);
     };
     info.funcWarm = u64of("funcWarm");
     info.pipeWarm = u64of("pipeWarm");
@@ -74,7 +93,7 @@ parseEntry(const std::string &key, const std::string &text,
 
     // metricsFromJson re-checks the embedded schemaVersion and throws
     // on anything newer than this reader.
-    Metrics m = metricsFromJson(writeJson(field("metrics")));
+    Metrics m = metricsFromJson(field("metrics"));
     if (metrics_out)
         *metrics_out = m;
     info.valid = true;
@@ -175,33 +194,21 @@ std::vector<CacheEntryInfo>
 ResultCache::list() const
 {
     std::vector<CacheEntryInfo> out;
-    std::error_code ec;
-    fs::recursive_directory_iterator it(dir_, ec), end;
-    if (ec)
-        return out;
-    for (; it != end; it.increment(ec)) {
-        if (ec)
-            break;
-        if (!it->is_regular_file())
-            continue;
-        fs::path p = it->path();
-        if (p.extension() != ".json" || !isHexKey(p.stem().string()))
-            continue; // temp files and strays are not entries
+    forEachEntry(dir_, [&](const fs::path &p, std::string key,
+                           std::uint64_t bytes) {
         CacheEntryInfo info;
-        info.key = p.stem().string();
-        info.bytes = std::uint64_t(fs::file_size(p, ec));
+        info.key = std::move(key);
         std::ifstream in(p, std::ios::binary);
         std::ostringstream text;
         text << in.rdbuf();
         try {
-            std::uint64_t bytes = info.bytes;
             info = parseEntry(info.key, text.str(), nullptr);
-            info.bytes = bytes;
         } catch (const std::runtime_error &) {
             info.valid = false;
         }
+        info.bytes = bytes;
         out.push_back(std::move(info));
-    }
+    });
     std::sort(out.begin(), out.end(),
               [](const CacheEntryInfo &a, const CacheEntryInfo &b) {
                   return a.key < b.key;
@@ -219,6 +226,18 @@ ResultCache::stats() const
         if (!e.valid)
             s.invalid += 1;
     }
+    return s;
+}
+
+CacheStats
+ResultCache::usage() const
+{
+    CacheStats s;
+    forEachEntry(dir_, [&](const fs::path &, std::string,
+                           std::uint64_t bytes) {
+        s.entries += 1;
+        s.bytes += bytes;
+    });
     return s;
 }
 

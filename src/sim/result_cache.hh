@@ -78,7 +78,12 @@ class ResultCache
     /** Every entry on disk, sorted by key; invalid ones flagged. */
     std::vector<CacheEntryInfo> list() const;
 
+    /** Entry count, bytes, and invalid entries (reads every entry). */
     CacheStats stats() const;
+
+    /** Entry count and bytes from a directory walk: no entry is read,
+     *  so `invalid` stays 0. */
+    CacheStats usage() const;
 
     /**
      * Remove invalid entries, plus valid ones older than @p maxAgeDays

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "sim/cell_key.hh"
 #include "sim/exec_backend.hh"
 #include "sim/report.hh"
@@ -71,11 +72,18 @@ class CacheTest : public ::testing::Test
 // Canonicalization and key stability
 // ---------------------------------------------------------------------------
 
+/** The canonical form a key hashes: parse + compact re-render. */
+std::string
+canonical(const std::string &text)
+{
+    return writeJsonCompact(parseJson(text));
+}
+
 TEST(CanonicalJson, IndependentOfFieldOrderAndWhitespace)
 {
-    EXPECT_EQ(canonicalJson("{\"b\": 1, \"a\": {\"y\": 2, \"x\": 3}}"),
-              canonicalJson("{ \"a\" : { \"x\" :3, \"y\" :2},\"b\":1 }"));
-    EXPECT_NE(canonicalJson("{\"a\": 1}"), canonicalJson("{\"a\": 2}"));
+    EXPECT_EQ(canonical("{\"b\": 1, \"a\": {\"y\": 2, \"x\": 3}}"),
+              canonical("{ \"a\" : { \"x\" :3, \"y\" :2},\"b\":1 }"));
+    EXPECT_NE(canonical("{\"a\": 1}"), canonical("{\"a\": 2}"));
 }
 
 TEST(CanonicalJson, NumberLexemesSurviveExactly)
@@ -83,7 +91,7 @@ TEST(CanonicalJson, NumberLexemesSurviveExactly)
     // Integers above 2^53 and float lexemes must not be reformatted
     // through a lossy double.
     std::string canon =
-        canonicalJson("{\"big\": 18446744073709551615, \"f\": 0.1}");
+        canonical("{\"big\": 18446744073709551615, \"f\": 0.1}");
     EXPECT_NE(canon.find("18446744073709551615"), std::string::npos);
     EXPECT_NE(canon.find("0.1"), std::string::npos);
 }
@@ -93,9 +101,55 @@ TEST(CellKeyTest, StableAcrossConfigRoundTrip)
     SimConfig cfg = SimConfig::baseline().withIq(48).withSeed(7);
     // Serializing and re-parsing the config must not move the key:
     // the canonical form absorbs any field-order or formatting drift.
-    SimConfig round = configFromJson(configToJson(cfg));
+    SimConfig round = configFromJson(parseJson(configToJson(cfg)));
     EXPECT_EQ(cellKeyFor(cfg, "paper_loop", tiny()).hex,
               cellKeyFor(round, "paper_loop", tiny()).hex);
+}
+
+/** A config whose canonical text exercises a non-default double and
+ *  the two escaped bytes a name can carry. */
+SimConfig
+escapedConfig()
+{
+    SimConfig c = SimConfig::ltpProposal(LtpMode::NRNU);
+    c.name = "odd \"quoted\" back\\slash";
+    c.mem.dram.cpuCyclesPerDramCycle = 3.7;
+    c.seed = 42;
+    return c;
+}
+
+TEST(CellKeyTest, KeysArePinned)
+{
+    // Existing caches must keep their keys: a change here needs a
+    // kCellKeyVersion (or kModelVersion) bump.
+    RunLengths l = tiny();
+    EXPECT_EQ(cellKeyFor(SimConfig::baseline(), "paper_loop", l).hex,
+              "02a8ec6f0d76006f8fa5f684dcaebcf2"
+              "e69241519ba979ebb6ea92b6e824bcd7");
+    EXPECT_EQ(cellKeyFor(SimConfig::ltpProposal(LtpMode::NU), "paper_loop",
+                         l)
+                  .hex,
+              "4aa361d692abf01371d877aa262b7e78"
+              "bdc2a40ffebbcfcdccc73ed9eed5d550");
+    // Infinite sizes key as the string "inf".
+    EXPECT_EQ(cellKeyFor(SimConfig::limitStudy(LtpMode::NRNU), "paper_loop",
+                         l)
+                  .hex,
+              "ca4bb6015a37932f1f42db5a8ea48d0f"
+              "582ca13ec7d7a5d75ba0ffbd96b91025");
+    EXPECT_EQ(cellKeyFor(escapedConfig(), "paper_loop", l).hex,
+              "4b1463c137ac8643d3235c47bc78fcd3"
+              "f0ea5f2305a39c86ceb7549103edcee9");
+}
+
+TEST(CellKeyTest, ConfigTreeIsTheCanonicalConfigText)
+{
+    for (const SimConfig &c :
+         {SimConfig::baseline(), SimConfig::ltpProposal(LtpMode::NU),
+          SimConfig::limitStudy(LtpMode::NRNU), escapedConfig()})
+        EXPECT_EQ(writeJsonCompact(configTree(c)),
+                  canonical(configToJson(c)))
+            << c.name;
 }
 
 TEST(CellKeyTest, DistinctAcrossEveryInput)
@@ -215,6 +269,11 @@ TEST_F(CacheTest, FutureSchemaVersionsReadAsMisses)
 
     EXPECT_FALSE(cache.lookup(key, nullptr));
     EXPECT_EQ(cache.stats().invalid, 1u);
+    // usage() walks without reading: the invalid entry still counts.
+    CacheStats usage = cache.usage();
+    EXPECT_EQ(usage.entries, 1u);
+    EXPECT_EQ(usage.bytes, cache.stats().bytes);
+    EXPECT_EQ(usage.invalid, 0u);
     EXPECT_EQ(cache.gc(), 1u);
     EXPECT_EQ(cache.stats().entries, 0u);
 }
@@ -225,7 +284,7 @@ TEST(MetricsSchema, ReaderRejectsNewerVersions)
                                    tiny());
     std::string json = metricsToJson(m);
     // Round-trips at the current version...
-    EXPECT_EQ(metricsToJson(metricsFromJson(json)), json);
+    EXPECT_EQ(metricsToJson(metricsFromJson(parseJson(json))), json);
 
     // ...and refuses anything newer, naming the supported range.
     std::string needle =
@@ -235,7 +294,7 @@ TEST(MetricsSchema, ReaderRejectsNewerVersions)
     json.replace(at, needle.size(),
                  "\"schemaVersion\": " +
                      std::to_string(kMetricsSchemaVersion + 1));
-    EXPECT_THROW(metricsFromJson(json), std::runtime_error);
+    EXPECT_THROW(metricsFromJson(parseJson(json)), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ void
 expectExactRoundTrip(const SimConfig &c)
 {
     std::string json = configToJson(c);
-    SimConfig back = configFromJson(json);
+    SimConfig back = configFromJson(parseJson(json));
     EXPECT_EQ(configToJson(back), json) << json;
 }
 
@@ -71,7 +71,7 @@ TEST(ConfigJson, RoundTripEveryFluentMutator)
                       .withSeed(0xdeadbeefcafe1234ull);
     expectExactRoundTrip(c);
 
-    SimConfig back = configFromJson(configToJson(c));
+    SimConfig back = configFromJson(parseJson(configToJson(c)));
     EXPECT_EQ(back.name, "mutated \"config\"");
     EXPECT_EQ(back.core.iqSize, 48);
     EXPECT_EQ(back.core.intRegs, 112);
@@ -100,7 +100,7 @@ TEST(ConfigJson, InfiniteSizesSpellInf)
     std::string json = configToJson(c);
     EXPECT_NE(json.find("\"iq\": \"inf\""), std::string::npos) << json;
 
-    SimConfig back = configFromJson(json);
+    SimConfig back = configFromJson(parseJson(json));
     EXPECT_EQ(back.core.iqSize, kInfiniteSize);
     EXPECT_EQ(back.core.intRegs, kInfiniteSize);
     EXPECT_EQ(back.mem.l1dMshrs, kInfiniteSize);
@@ -108,9 +108,9 @@ TEST(ConfigJson, InfiniteSizesSpellInf)
 
 TEST(ConfigJson, PartialJsonAppliesOntoDefaults)
 {
-    SimConfig c = configFromJson(
+    SimConfig c = configFromJson(parseJson(
         "{\"core\": {\"iq\": 24, \"ltp\": {\"mode\": \"NR+NU\"}},"
-        " \"mem\": {\"prefetchEnabled\": false}}");
+        " \"mem\": {\"prefetchEnabled\": false}}"));
     EXPECT_EQ(c.core.iqSize, 24);
     EXPECT_EQ(c.core.ltp.mode, LtpMode::NRNU);
     EXPECT_FALSE(c.mem.prefetchEnabled);
@@ -121,8 +121,8 @@ TEST(ConfigJson, PartialJsonAppliesOntoDefaults)
 
 TEST(ConfigJson, FlatDottedKeysAreEquivalentToNesting)
 {
-    SimConfig nested = configFromJson("{\"core\": {\"iq\": 24}}");
-    SimConfig flat = configFromJson("{\"core.iq\": 24}");
+    SimConfig nested = configFromJson(parseJson("{\"core\": {\"iq\": 24}}"));
+    SimConfig flat = configFromJson(parseJson("{\"core.iq\": 24}"));
     EXPECT_EQ(configToJson(nested), configToJson(flat));
 }
 
@@ -216,10 +216,10 @@ TEST(ConfigJson, OutOfRangeAndFractionalValuesAreRejected)
     applyOverride(c, "core.iq", "010");
     EXPECT_EQ(c.core.iqSize, 10);
 
-    msg = messageOf([]() { configFromJson("{\"seed\": 2.5}"); });
+    msg = messageOf([]() { configFromJson(parseJson("{\"seed\": 2.5}")); });
     EXPECT_NE(msg.find("seed"), std::string::npos) << msg;
 
-    msg = messageOf([]() { configFromJson("{\"seed\": -1}"); });
+    msg = messageOf([]() { configFromJson(parseJson("{\"seed\": -1}")); });
     EXPECT_NE(msg.find("seed"), std::string::npos) << msg;
 }
 
@@ -247,40 +247,41 @@ TEST(ConfigJson, ApplyOverrideBadValueNamesThePath)
 TEST(ConfigJson, UnknownKeyNamesThePath)
 {
     std::string msg = messageOf([]() {
-        configFromJson("{\"core\": {\"iqq\": 32}}");
+        configFromJson(parseJson("{\"core\": {\"iqq\": 32}}"));
     });
     EXPECT_NE(msg.find("core.iqq"), std::string::npos) << msg;
 
-    msg = messageOf([]() { configFromJson("{\"cores\": {}}"); });
+    msg = messageOf([]() { configFromJson(parseJson("{\"cores\": {}}")); });
     EXPECT_NE(msg.find("cores"), std::string::npos) << msg;
 }
 
 TEST(ConfigJson, WrongTypeNamesThePath)
 {
     std::string msg = messageOf([]() {
-        configFromJson("{\"core\": {\"iq\": true}}");
+        configFromJson(parseJson("{\"core\": {\"iq\": true}}"));
     });
     EXPECT_NE(msg.find("core.iq"), std::string::npos) << msg;
     EXPECT_NE(msg.find("number"), std::string::npos) << msg;
 
     msg = messageOf([]() {
-        configFromJson("{\"mem\": {\"prefetchEnabled\": 3}}");
+        configFromJson(parseJson("{\"mem\": {\"prefetchEnabled\": 3}}"));
     });
     EXPECT_NE(msg.find("mem.prefetchEnabled"), std::string::npos) << msg;
 
-    msg = messageOf([]() { configFromJson("{\"core\": 7}"); });
+    msg = messageOf([]() { configFromJson(parseJson("{\"core\": 7}")); });
     EXPECT_NE(msg.find("core"), std::string::npos) << msg;
 }
 
 TEST(ConfigJson, MalformedJsonThrows)
 {
-    EXPECT_THROW(configFromJson("{\"core\": "), std::runtime_error);
-    EXPECT_THROW(configFromJson("[1, 2]"), std::runtime_error);
+    EXPECT_THROW(configFromJson(parseJson("{\"core\": ")), std::runtime_error);
+    EXPECT_THROW(configFromJson(parseJson("[1, 2]")), std::runtime_error);
     // Partially-parseable number lexemes are typos, not numbers.
-    EXPECT_THROW(configFromJson("{\"mem\": {\"dram\": "
-                                "{\"cpuCyclesPerDramCycle\": 4..25}}}"),
+    EXPECT_THROW(configFromJson(parseJson("{\"mem\": {\"dram\": "
+                                "{\"cpuCyclesPerDramCycle\": 4..25}}}")),
                  std::runtime_error);
-    EXPECT_THROW(configFromJson("{\"seed\": 1e}"), std::runtime_error);
+    EXPECT_THROW(configFromJson(parseJson("{\"seed\": 1e}")),
+                 std::runtime_error);
 }
 
 TEST(ConfigJson, ConfigPathsEnumerateTheSchema)

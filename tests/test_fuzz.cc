@@ -1,0 +1,376 @@
+/**
+ * @file
+ * Seeded mutation fuzzing of the readers that take untrusted bytes on
+ * the serve hit path: a `run` frame, a `result` frame and a result-cache
+ * entry.  Each seed input is mutated by byte flips, truncation,
+ * insertion and duplicated object keys, under a fixed seed and a fixed
+ * mutation count (well under 2 s, also under ASan/UBSan).
+ *
+ * The invariant is reject-cleanly-or-round-trip:
+ *  - parseJson either throws std::runtime_error or yields a tree whose
+ *    compact and indented renderings parse back to an equal tree;
+ *  - configFromJson / metricsFromJson on the parsed subtree either
+ *    throw std::runtime_error or yield a value that round-trips
+ *    exactly through its tree;
+ *  - ResultCache::lookup on a mutated entry misses, or returns exactly
+ *    the Metrics those bytes encode (read independently, through the
+ *    text); an entry whose metrics bytes are untouched returns exactly
+ *    the stored Metrics.  (Entries carry no checksum: a mutation inside
+ *    the metrics bytes that still parses reads as a different value.)
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "common/json.hh"
+#include "common/random.hh"
+#include "sim/cell_key.hh"
+#include "sim/config.hh"
+#include "sim/report.hh"
+#include "sim/result_cache.hh"
+
+namespace ltp {
+namespace {
+
+constexpr std::uint64_t kSeed = 0x17f0221e5;
+constexpr int kMutationsPerCorpus = 500;
+
+bool
+treeEqual(const JsonValue &a, const JsonValue &b)
+{
+    if (a.kind != b.kind || a.boolean != b.boolean || a.str != b.str ||
+        a.array.size() != b.array.size() ||
+        a.object.size() != b.object.size())
+        return false;
+    if (a.isNumber() && std::memcmp(&a.num, &b.num, sizeof(double)) != 0)
+        return false;
+    for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!treeEqual(a.array[i], b.array[i]))
+            return false;
+    auto bi = b.object.begin();
+    for (const auto &[key, value] : a.object) {
+        if (key != bi->first || !treeEqual(value, bi->second))
+            return false;
+        ++bi;
+    }
+    return true;
+}
+
+/** Byte strings that steer mutations toward the grammar's edges. */
+const std::vector<std::string> &
+tokens()
+{
+    static const std::vector<std::string> t = {
+        "\"", "\\", "{", "}", "[", "]", ",", ":", " ", "\n", "\t",
+        std::string(1, '\0'), "0", "9", "-", "+", ".", "e", "E", "nan",
+        "-inf", "1e400", "-1", "18446744073709551616", "null", "true",
+        "\"inf\"", "{}", "[]", "\\u0041", "\xff"};
+    return t;
+}
+
+/** Compact rendering with one object member duplicated: the
+ *  @p target-th object (pre-order) repeats one of its members, with
+ *  its own value or a sibling's. */
+void
+renderDuplicating(const JsonValue &v, Rng &rng, int target, int &seen,
+                  std::string &out)
+{
+    if (v.isArray()) {
+        out += '[';
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            if (i)
+                out += ',';
+            renderDuplicating(v.array[i], rng, target, seen, out);
+        }
+        out += ']';
+        return;
+    }
+    if (!v.isObject() || v.object.empty()) {
+        out += writeJsonCompact(v);
+        return;
+    }
+    bool dup = seen++ == target;
+    std::size_t pick = dup ? rng.below(v.object.size()) : 0;
+    std::size_t from = dup ? rng.below(v.object.size()) : 0;
+    out += '{';
+    std::size_t i = 0;
+    for (const auto &[key, value] : v.object) {
+        if (i)
+            out += ',';
+        out += jsonQuote(key) + ":";
+        renderDuplicating(value, rng, target, seen, out);
+        if (dup && i == pick) {
+            auto other = std::next(v.object.begin(), long(from));
+            out += "," + jsonQuote(key) + ":" +
+                   writeJsonCompact(other->second);
+        }
+        i += 1;
+    }
+    out += '}';
+}
+
+int
+objectCount(const JsonValue &v)
+{
+    int n = v.isObject() && !v.object.empty() ? 1 : 0;
+    for (const JsonValue &e : v.array)
+        n += objectCount(e);
+    for (const auto &kv : v.object)
+        n += objectCount(kv.second);
+    return n;
+}
+
+enum class Mutation { Flip, Truncate, Insert, Duplicate };
+
+/** One mutant of @p seed; @p kind reports which mutation made it. */
+std::string
+mutate(const std::string &seed, const JsonValue &tree, Rng &rng,
+       Mutation *kind)
+{
+    *kind = Mutation(rng.below(4));
+    std::string s = seed;
+    std::size_t at = rng.below(s.size() + 1);
+    switch (*kind) {
+      case Mutation::Flip:
+        at = rng.below(s.size());
+        if (rng.below(2))
+            s[at] = char(s[at] ^ char(1u << rng.below(8)));
+        else
+            s[at] = char(rng.below(256));
+        return s;
+      case Mutation::Truncate:
+        return s.substr(0, at);
+      case Mutation::Insert:
+        if (rng.below(2))
+            s.insert(at, tokens()[rng.below(tokens().size())]);
+        else
+            s.insert(at, 1, char(rng.below(256)));
+        return s;
+      case Mutation::Duplicate: {
+        std::string out;
+        int seen = 0;
+        renderDuplicating(tree, rng, int(rng.below(objectCount(tree))),
+                          seen, out);
+        return out;
+      }
+    }
+    return s;
+}
+
+/** parseJson's half of the invariant; @return true when @p text parsed
+ *  (into @p out). */
+bool
+parsesAndRoundTrips(const std::string &text, JsonValue *out)
+{
+    try {
+        *out = parseJson(text);
+    } catch (const std::runtime_error &) {
+        return false;
+    }
+    std::string compact = writeJsonCompact(*out);
+    JsonValue again = parseJson(compact);
+    EXPECT_TRUE(treeEqual(*out, again)) << text;
+    EXPECT_EQ(writeJsonCompact(again), compact);
+    EXPECT_TRUE(treeEqual(*out, parseJson(writeJson(*out)))) << text;
+    return true;
+}
+
+const JsonValue *
+member(const JsonValue &v, const char *key)
+{
+    if (!v.isObject())
+        return nullptr;
+    auto it = v.object.find(key);
+    return it == v.object.end() ? nullptr : &it->second;
+}
+
+/** A Metrics value with every block present. */
+Metrics
+richMetrics()
+{
+    Metrics m;
+    m.config = "ltp-NU-iq32-rf96";
+    m.workload = "graph_walk";
+    m.insts = 12345;
+    m.cycles = 23456;
+    m.ipc = 0.52630364;
+    m.cpi = 1.9000729;
+    m.avgOutstanding = 3.25;
+    m.dramReads = 321;
+    m.iqOcc = 29.5;
+    m.parked = 77;
+    m.parkedFrac = 0.125;
+    m.energy.iq = 0.1;
+    m.energy.rf = 0.2;
+    m.energy.ltp = 0.3;
+    m.ed2p = 1e-9;
+    m.weightedSpeedup = 1.5;
+    ThreadMetrics a, b;
+    a.workload = "graph_walk";
+    a.ipc = 0.25;
+    b.workload = "paper_loop";
+    b.insts = 100;
+    m.threads = {a, b};
+    m.sampling.samples = 2;
+    m.sampling.detail = 5000;
+    m.sampling.meanIpc = 0.5;
+    m.sampling.ipcStdDev = 0.01;
+    m.sampling.ci95Half = 0.02;
+    m.sampling.sampleIpcs = {0.49, 0.51};
+    return m;
+}
+
+std::string
+runFrame()
+{
+    JsonValue frame = parseJson(
+        R"({"id":7,"type":"run","workload":"graph_walk",)"
+        R"("lengths":{"funcWarm":2000,"pipeWarm":400,"detail":1000},)"
+        R"("sampling":{"fastForward":1,"warmup":2,"detail":3,)"
+        R"("samples":4}})");
+    SimConfig cfg = SimConfig::limitStudy(LtpMode::NRNU);
+    cfg.name = "q\"b\\n";
+    frame.object["config"] = configTree(cfg);
+    return writeJsonCompact(frame);
+}
+
+std::string
+resultFrame()
+{
+    JsonValue frame = parseJson(
+        R"({"id":7,"type":"result","hit":true,"deduped":false})");
+    frame.object["metrics"] = metricsTree(richMetrics());
+    return writeJsonCompact(frame);
+}
+
+TEST(MutationFuzz, RunFramesRejectCleanlyOrRoundTrip)
+{
+    std::string seed = runFrame();
+    JsonValue tree = parseJson(seed);
+    Rng rng(kSeed);
+    int configs = 0;
+    for (int i = 0; i < kMutationsPerCorpus; ++i) {
+        Mutation kind;
+        std::string text = mutate(seed, tree, rng, &kind);
+        JsonValue frame;
+        if (!parsesAndRoundTrips(text, &frame))
+            continue;
+        const JsonValue *cfgv = member(frame, "config");
+        if (!cfgv)
+            continue;
+        SimConfig cfg;
+        try {
+            cfg = configFromJson(*cfgv);
+        } catch (const std::runtime_error &) {
+            continue;
+        }
+        configs += 1;
+        std::string canon = writeJsonCompact(configTree(cfg));
+        EXPECT_EQ(writeJsonCompact(configTree(configFromJson(configTree(cfg)))),
+                  canon)
+            << text;
+    }
+    EXPECT_GT(configs, 0);
+}
+
+TEST(MutationFuzz, ResultFramesRejectCleanlyOrRoundTrip)
+{
+    std::string seed = resultFrame();
+    JsonValue tree = parseJson(seed);
+    Rng rng(kSeed + 1);
+    int read = 0;
+    for (int i = 0; i < kMutationsPerCorpus; ++i) {
+        Mutation kind;
+        std::string text = mutate(seed, tree, rng, &kind);
+        JsonValue frame;
+        if (!parsesAndRoundTrips(text, &frame))
+            continue;
+        const JsonValue *mv = member(frame, "metrics");
+        if (!mv)
+            continue;
+        Metrics m;
+        try {
+            m = metricsFromJson(*mv);
+        } catch (const std::runtime_error &) {
+            continue;
+        }
+        read += 1;
+        EXPECT_EQ(metricsToJson(metricsFromJson(metricsTree(m))),
+                  metricsToJson(m))
+            << text;
+    }
+    EXPECT_GT(read, 0);
+}
+
+TEST(MutationFuzz, CacheEntriesMissOrReadExactly)
+{
+    std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("ltp_fuzz_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    ResultCache cache(dir);
+    SimConfig cfg = SimConfig::ltpProposal(LtpMode::NU);
+    RunLengths lengths;
+    CellKey key = cellKeyFor(cfg, "graph_walk", lengths);
+    Metrics stored = richMetrics();
+    cache.store(key, cfg, lengths, stored);
+    std::string path = dir + "/" + key.hex.substr(0, 2) + "/" +
+                       key.hex.substr(2, 2) + "/" + key.hex + ".json";
+    std::string seed;
+    {
+        std::ifstream in(path, std::ios::binary);
+        seed.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(seed.empty());
+    JsonValue tree = parseJson(seed);
+    std::string want = metricsToJson(stored);
+    // The bytes of the stored "metrics" value: a mutation outside them
+    // must read back as exactly the stored Metrics, or miss.
+    std::size_t metrics_lo = seed.find("\"metrics\"");
+    std::size_t metrics_hi = seed.rfind('}', seed.rfind('}') - 1) + 1;
+    ASSERT_NE(metrics_lo, std::string::npos);
+
+    Rng rng(kSeed + 2);
+    int hits = 0;
+    for (int i = 0; i < kMutationsPerCorpus; ++i) {
+        Mutation kind;
+        std::string text = mutate(seed, tree, rng, &kind);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << text;
+        }
+        Metrics got;
+        if (!cache.lookup(key, &got))
+            continue;
+        hits += 1;
+        // Read the same bytes independently, through the text.
+        JsonValue root = parseJson(text);
+        Metrics oracle = metricsFromJson(
+            parseJson(writeJson(root.object.at("metrics"))));
+        EXPECT_EQ(metricsToJson(got), metricsToJson(oracle)) << text;
+        bool metrics_untouched =
+            kind == Mutation::Truncate ||
+            (kind != Mutation::Duplicate &&
+             text.compare(metrics_lo, metrics_hi - metrics_lo, seed,
+                          metrics_lo, metrics_hi - metrics_lo) == 0 &&
+             text.size() == seed.size());
+        if (metrics_untouched) {
+            EXPECT_EQ(metricsToJson(got), want) << text;
+        }
+    }
+    EXPECT_GT(hits, 0);
+    std::filesystem::remove_all(dir);
+}
+
+} // namespace
+} // namespace ltp

@@ -302,7 +302,7 @@ distinctiveMetrics()
 TEST(Report, MetricsJsonRoundTripIsExact)
 {
     Metrics m = distinctiveMetrics();
-    Metrics back = metricsFromJson(metricsToJson(m));
+    Metrics back = metricsFromJson(parseJson(metricsToJson(m)));
     expectIdentical(m, back);
     EXPECT_EQ(back.config, "cfg \"quoted\"");
     EXPECT_EQ(back.workload, "kernel\\path");
@@ -313,11 +313,51 @@ TEST(Report, MetricsJsonRoundTripIsExact)
     EXPECT_EQ(back.edp, m.edp);
 }
 
+TEST(Report, MetricsTreeRendersLikeTheParsedReport)
+{
+    // metricsTree is kept in step with metricsToJson by hand: every
+    // block (SMT threads, sampling with and without a CI, NaN values)
+    // must build the tree the text parses to.
+    Metrics plain = distinctiveMetrics();
+    Metrics smt = plain;
+    smt.weightedSpeedup = 1.625;
+    ThreadMetrics t0, t1;
+    t0.workload = "a";
+    t0.insts = 1500;
+    t0.ipc = 1.2156;
+    t1.workload = "b\tc";
+    t1.cycles = 987;
+    smt.threads = {t0, t1};
+    Metrics sampled = plain;
+    sampled.sampling.samples = 3;
+    sampled.sampling.fastForward = 200000;
+    sampled.sampling.warmup = 2000;
+    sampled.sampling.detail = 5000;
+    sampled.sampling.meanIpc = 1.25;
+    sampled.sampling.ipcStdDev = 0.125;
+    sampled.sampling.ci95Half = 0.0625;
+    sampled.sampling.ffKips = 24500.5;
+    sampled.sampling.sampleIpcs = {1.0, 1.25, 1.5};
+    Metrics no_ci = sampled;
+    no_ci.sampling.samples = 1;
+    no_ci.sampling.ipcStdDev = std::nan("");
+    no_ci.sampling.ci95Half = std::nan("");
+    no_ci.ipc = std::nan("");
+    for (const Metrics &m : {plain, smt, sampled, no_ci}) {
+        std::string want = writeJsonCompact(parseJson(metricsToJson(m)));
+        EXPECT_EQ(writeJsonCompact(metricsTree(m)), want);
+        EXPECT_EQ(metricsToJson(metricsFromJson(metricsTree(m))),
+                  metricsToJson(m));
+    }
+}
+
 TEST(Report, MalformedJsonThrows)
 {
-    EXPECT_THROW(metricsFromJson("{\"ipc\": "), std::runtime_error);
-    EXPECT_THROW(metricsFromJson("not json at all"), std::runtime_error);
-    EXPECT_THROW(metricsFromJson("{\"a\": 1} trailing"),
+    EXPECT_THROW(metricsFromJson(parseJson("{\"ipc\": ")),
+                 std::runtime_error);
+    EXPECT_THROW(metricsFromJson(parseJson("not json at all")),
+                 std::runtime_error);
+    EXPECT_THROW(metricsFromJson(parseJson("{\"a\": 1} trailing")),
                  std::runtime_error);
 }
 

@@ -451,7 +451,7 @@ TEST(SamplingMetricsTest, SingleSampleReportsCiUnavailable)
     EXPECT_NE(json.find("\"sampling\""), std::string::npos);
     EXPECT_EQ(json.find("ci95Half"), std::string::npos);
     EXPECT_EQ(json.find("ipcStdDev"), std::string::npos);
-    Metrics round = metricsFromJson(json);
+    Metrics round = metricsFromJson(parseJson(json));
     EXPECT_FALSE(round.sampling.hasCi());
     EXPECT_TRUE(std::isnan(round.sampling.ci95Half));
 
@@ -525,7 +525,7 @@ TEST(SamplingMetricsTest, JsonRoundTripPreservesSamplingBlock)
 {
     SimConfig cfg = SimConfig::baseline();
     Metrics m = Sampler::runOnce(cfg, "graph_walk", smallPlan());
-    Metrics round = metricsFromJson(metricsToJson(m));
+    Metrics round = metricsFromJson(parseJson(metricsToJson(m)));
     EXPECT_EQ(metricsToJson(round), metricsToJson(m));
     EXPECT_TRUE(round.sampling.enabled());
     EXPECT_EQ(round.sampling.sampleIpcs, m.sampling.sampleIpcs);

@@ -22,6 +22,7 @@
 #include "serve/server.hh"
 #include "sim/cell_key.hh"
 #include "sim/report.hh"
+#include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 
@@ -214,6 +215,117 @@ TEST_F(ServeTest, UnknownWorkloadComesBackAsError)
         std::runtime_error);
     // The connection survives a failed cell.
     EXPECT_NO_THROW(client->rpc("ping"));
+}
+
+// ---------------------------------------------------------------------------
+// Wire bytes, pinned: a change here is a protocol change, and needs a
+// kServeProtocolVersion bump.
+// ---------------------------------------------------------------------------
+
+TEST(ServeWireTest, RunFrameBytesArePinned)
+{
+    // A stand-in daemon records the client's first frame and fails
+    // the request.
+    Listener listener(0);
+    std::string line;
+    std::thread daemon([&]() {
+        LineConn conn(listener.accept());
+        if (conn.readLine(line))
+            conn.writeFrame(parseJson(
+                R"({"id":1,"message":"recorded","type":"error"})"));
+        std::string rest;
+        while (conn.readLine(rest)) {
+        }
+    });
+    {
+        SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
+        cfg.name = "odd \"quoted\" back\\slash";
+        cfg.mem.dram.cpuCyclesPerDramCycle = 3.7;
+        cfg.seed = 42;
+        ServeBackend client("127.0.0.1", listener.port());
+        EXPECT_THROW(client.runCell(cellKeyFor(cfg, "paper_loop", tiny()),
+                                    cfg, "paper_loop", tiny(),
+                                    SamplePlan{}),
+                     std::runtime_error);
+    }
+    daemon.join();
+    EXPECT_EQ(line,
+        R"({"config":{"core":{"bpTableBits":14,"btbEntries":4096,)"
+        R"("commitWidth":8,"decodeWidth":8,"fetchPolicy":"roundRobin",)"
+        R"("fetchQueueCap":64,"fetchWidth":8,"fpRegs":96,)"
+        R"("frontendDepth":3,"fu":{"alu":4,"fp":2,"ld":2,"mul":2,)"
+        R"("st":1},"intRegs":96,"iq":32,"issueWidth":6,"lq":64,)"
+        R"("ltp":{"classifier":"learned","delayLqSq":false,)"
+        R"("entries":128,"extractPorts":4,"insertPorts":4,)"
+        R"("mode":"NR+NU","monitor":true,"reservedLqSq":4,)"
+        R"("reservedRegs":8,"tickets":64,"uitAssoc":4,"uitEntries":256,)"
+        R"("wakeup":"robProximity"},"numThreads":1,"redirectPenalty":8,)"
+        R"("renameWidth":8,"rob":256,"sq":32,"sqDrainWidth":2,)"
+        R"("wbWidth":8},"mem":{"dram":{"banks":8,"burstCk":4,)"
+        R"("channels":2,"clCk":11,"controllerLatency":20,)"
+        R"("cpuCyclesPerDramCycle":3.7000000000000002,"rcdCk":11,)"
+        R"("rowBytes":8192,"rpCk":11},"earlyLead":8,"l1d":{"assoc":8,)"
+        R"("hitLatency":4,"sizeKB":32},"l1dMshrs":"inf",)"
+        R"("l1i":{"assoc":8,"hitLatency":4,"sizeKB":32},)"
+        R"("l2":{"assoc":8,"hitLatency":12,"sizeKB":256},)"
+        R"("l3":{"assoc":16,"hitLatency":36,"sizeKB":1024},)"
+        R"("llThreshold":40,"prefetchDegree":4,"prefetchEnabled":true},)"
+        R"("name":"odd \"quoted\" back\\slash","seed":42},"id":1,)"
+        R"("key":"4b1463c137ac8643d3235c47bc78fcd3)"
+        R"(f0ea5f2305a39c86ceb7549103edcee9",)"
+        R"("lengths":{"detail":1000,"funcWarm":2000,"pipeWarm":400},)"
+        R"("type":"run","workload":"paper_loop"})");
+}
+
+TEST_F(ServeTest, HitReplyBytesArePinned)
+{
+    SimConfig cfg = SimConfig::baseline();
+    CellKey key = cellKeyFor(cfg, "paper_loop", tiny());
+    Metrics m;
+    m.config = cfg.name;
+    m.workload = "paper_loop";
+    m.insts = 1000;
+    m.cycles = 1234;
+    m.ipc = 1000.0 / 1234.0;
+    m.cpi = 1.234;
+    m.avgOutstanding = 2.5;
+    m.dramReads = 77;
+    m.iqOcc = 31.25;
+    m.parked = 5;
+    m.energy.iq = 0.1;
+    m.energy.rf = 0.2;
+    m.energy.ltp = 0.3;
+    m.ed2p = 1e-9;
+    ResultCache(cacheDir_).store(key, cfg, tiny(), m);
+
+    LineConn conn(connectTcp("127.0.0.1", server_->port()));
+    JsonValue run = parseJson(
+        R"({"config":{"name":"base-iq64-rf128","core":{"ltp":)"
+        R"({"mode":"off"}}},"id":9,"lengths":{"detail":1000,)"
+        R"("funcWarm":2000,"pipeWarm":400},"type":"run",)"
+        R"("workload":"paper_loop"})");
+    run.object["key"] = jsonStr(key.hex);
+    ASSERT_TRUE(conn.writeFrame(run));
+    // The progress push, then the result, in one write.
+    std::string progress, result;
+    ASSERT_TRUE(conn.readLine(progress));
+    ASSERT_TRUE(conn.readLine(result));
+    EXPECT_EQ(progress,
+        R"({"done":1,"hits":1,"total":1,"type":"progress"})");
+    EXPECT_EQ(result,
+        R"({"deduped":false,"hit":true,"id":9,)"
+        R"("metrics":{"avgLoadLatency":0,"avgOutstanding":2.5,)"
+        R"("bpAccuracy":0,"config":"base-iq64-rf128","cpi":1.234,)"
+        R"("cycles":1234,"dramReads":77,"ed2p":1.0000000000000001e-09,)"
+        R"("edp":0,"energy":{"iq":0.10000000000000001,)"
+        R"("ltp":0.29999999999999999,"rf":0.20000000000000001},)"
+        R"("forcedUnparks":0,"insts":1000,"ipc":0.81037277147487841,)"
+        R"("iqOcc":31.25,"llpredAccuracy":0,"lqOcc":0,)"
+        R"("ltpEnabledFrac":0,"ltpLoadsOcc":0,"ltpOcc":0,)"
+        R"("ltpRegsOcc":0,"ltpStoresOcc":0,"parked":5,"parkedFrac":0,)"
+        R"("pressureUnparks":0,"rfOcc":0,"robOcc":0,"schemaVersion":2,)"
+        R"("sqOcc":0,"unparked":0,"workload":"paper_loop"},)"
+        R"("type":"result"})");
 }
 
 // ---------------------------------------------------------------------------

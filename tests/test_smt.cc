@@ -285,7 +285,7 @@ TEST(SmtMetricsJson, RoundTripCoversPerThreadFields)
 
     std::string json = metricsToJson(m);
     EXPECT_NE(json.find("\"smt\""), std::string::npos);
-    Metrics back = metricsFromJson(json);
+    Metrics back = metricsFromJson(parseJson(json));
     ASSERT_EQ(back.threads.size(), 2u);
     EXPECT_EQ(back.threads[0].workload, "a");
     EXPECT_EQ(back.threads[1].workload, "b");

@@ -1008,7 +1008,7 @@ cmdSampleCompare(const Cli &cli)
                 return it->second;
             };
             r.cells[get("row").str + "|" + get("series").str] =
-                metricsFromJson(writeJsonCompact(get("metrics")));
+                metricsFromJson(get("metrics"));
         }
         return r;
     };

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/thread_pool.hh"
-#include "sample/sampler.hh"
 #include "serve/worker_pool.hh"
 #include "sim/cell_key.hh"
 #include "sim/config.hh"
@@ -19,30 +18,12 @@
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
-#include "sim/simulator.hh"
 #include "trace/suite.hh"
 #include "trace/trace_workload.hh"
 
 namespace ltp {
 
 namespace {
-
-/** Outcome of one computed (or failed) cell, shared between the
- *  computing request and any deduped waiters. */
-struct ComputedCell
-{
-    Metrics metrics;
-    std::string error; ///< non-empty = the simulation threw
-};
-
-/** What one execCell() produced, and where the answer came from. */
-struct ExecOutcome
-{
-    Metrics metrics;
-    std::string error; ///< non-empty = the cell failed
-    bool hit = false;  ///< local cache, peer cache, or worker cache
-    bool deduped = false;
-};
 
 /** One client connection: the line pipe + its progress counters. */
 struct Conn
@@ -139,6 +120,159 @@ poolThreads(const ServeOptions &o, const WorkerPool *workers)
                     2 * workers->totalCapacity());
 }
 
+/**
+ * The stack `ltp run --cache-dir` builds, with the daemon's compute
+ * backend at the bottom: the test seam if set, else the worker pool in
+ * frontend mode, else in-process simulation.
+ */
+ExecBackendPtr
+cellStack(const ServeOptions &o, const std::shared_ptr<ResultCache> &cache,
+          const std::shared_ptr<WorkerPool> &workers)
+{
+    ExecBackendPtr compute = o.compute;
+    if (!compute && workers)
+        compute = workers;
+    if (!compute)
+        compute = std::make_shared<LocalBackend>();
+    if (!cache)
+        return compute;
+    return std::make_shared<CachedBackend>(std::move(compute), cache);
+}
+
+/**
+ * The daemon's one cell path, shared by `run` frames and the Runner
+ * of a `scenario` frame: in-flight dedupe, drain accounting and the
+ * stats counters over the cell stack.
+ *
+ * Identical cells in flight at the same moment (same key hex, possibly
+ * from different clients) compute once: the first claims the key, the
+ * rest wait on its shared_future.  The claim comes BEFORE the stack
+ * looks at the cache, and CachedBackend stores before the claim is
+ * released, so a late request either dedupes onto the running
+ * computation or hits the cache — never re-runs.
+ */
+class DaemonBackend : public ExecBackend
+{
+  public:
+    explicit DaemonBackend(ExecBackendPtr stack) : stack_(std::move(stack))
+    {
+    }
+
+    std::string name() const override { return "daemon"; }
+
+    bool wantsKey() const override { return true; }
+
+    CellResult runCell(const CellKey &key, const SimConfig &cfg,
+                       const std::string &workload,
+                       const RunLengths &lengths,
+                       const SamplePlan &sampling) override;
+
+    /** Cells executing right now (computing, dispatched, or waiting
+     *  on a dedupe), whatever frame submitted them. */
+    std::size_t
+    activeCells() const
+    {
+        std::lock_guard<std::mutex> lock(activeMutex_);
+        return active_;
+    }
+
+    /** Wait up to @p deadlineMs for no cell to be active.
+     *  @return the cells still active. */
+    std::size_t
+    waitIdle(int deadlineMs)
+    {
+        std::unique_lock<std::mutex> lock(activeMutex_);
+        activeCv_.wait_for(lock, std::chrono::milliseconds(deadlineMs),
+                           [this]() { return active_ == 0; });
+        return active_;
+    }
+
+    /// @name Lifetime counters (the `stats` reply)
+    /// @{
+    std::atomic<std::uint64_t> computed{0};
+    std::atomic<std::uint64_t> cacheHits{0}; ///< any cache, local or remote
+    std::atomic<std::uint64_t> deduped{0};
+    /// @}
+
+  private:
+    /** Scope guard around one executing cell (exception-safe drain
+     *  accounting). */
+    struct ActiveGuard
+    {
+        explicit ActiveGuard(DaemonBackend &d) : db(d)
+        {
+            std::lock_guard<std::mutex> lock(db.activeMutex_);
+            db.active_ += 1;
+        }
+        ~ActiveGuard()
+        {
+            std::lock_guard<std::mutex> lock(db.activeMutex_);
+            db.active_ -= 1;
+            db.activeCv_.notify_all();
+        }
+        ActiveGuard(const ActiveGuard &) = delete;
+        ActiveGuard &operator=(const ActiveGuard &) = delete;
+        DaemonBackend &db;
+    };
+
+    ExecBackendPtr stack_;
+
+    // Key hex -> the result of the request computing it.  An entry
+    // exists only while its owner runs (on a pool thread or a Runner
+    // thread), so a waiter always has an active computer to wait on —
+    // no idle-deadlock for any pool size.
+    std::mutex inflightMutex_;
+    std::map<std::string, std::shared_future<CellResult>> inflight_;
+
+    mutable std::mutex activeMutex_;
+    std::condition_variable activeCv_;
+    std::size_t active_ = 0;
+};
+
+CellResult
+DaemonBackend::runCell(const CellKey &key, const SimConfig &cfg,
+                       const std::string &workload,
+                       const RunLengths &lengths,
+                       const SamplePlan &sampling)
+{
+    ActiveGuard active(*this);
+    std::promise<CellResult> mine;
+    std::shared_future<CellResult> theirs;
+    {
+        std::lock_guard<std::mutex> lock(inflightMutex_);
+        auto it = inflight_.find(key.hex);
+        if (it != inflight_.end())
+            theirs = it->second;
+        else
+            inflight_.emplace(key.hex, mine.get_future().share());
+    }
+    if (theirs.valid()) {
+        deduped.fetch_add(1, std::memory_order_relaxed);
+        CellResult r = theirs.get(); // rethrows the owner's failure
+        r.cacheHit = true;
+        r.deduped = true;
+        return r;
+    }
+
+    auto release = [this, &key]() {
+        std::lock_guard<std::mutex> lock(inflightMutex_);
+        inflight_.erase(key.hex);
+    };
+    CellResult r;
+    try {
+        r = stack_->runCell(key, cfg, workload, lengths, sampling);
+    } catch (...) {
+        release();
+        mine.set_exception(std::current_exception());
+        throw;
+    }
+    (r.cacheHit ? cacheHits : computed)
+        .fetch_add(1, std::memory_order_relaxed);
+    release();
+    mine.set_value(r);
+    return r;
+}
+
 } // namespace
 
 struct ServerImpl
@@ -146,46 +280,30 @@ struct ServerImpl
     explicit ServerImpl(const ServeOptions &o)
         : opts(o), listener(o.port),
           cache(o.useCache
-                    ? std::make_unique<ResultCache>(o.cacheDir)
+                    ? std::make_shared<ResultCache>(o.cacheDir)
                     : nullptr),
           workers(o.workers.empty()
                       ? nullptr
-                      : std::make_unique<WorkerPool>(
+                      : std::make_shared<WorkerPool>(
                             o.workers, ServeClientOptions{}, o.quiet)),
+          cells(std::make_shared<DaemonBackend>(
+              cellStack(o, cache, workers))),
           pool(poolThreads(o, workers.get()))
     {
     }
 
     ServeOptions opts;
     Listener listener;
-    std::unique_ptr<ResultCache> cache;
-    std::unique_ptr<WorkerPool> workers; ///< null = compute locally
+    std::shared_ptr<ResultCache> cache;   ///< null = compute-only
+    std::shared_ptr<WorkerPool> workers;  ///< null = compute locally
+    std::shared_ptr<DaemonBackend> cells; ///< every cell goes through here
 
     std::thread acceptThread;
     std::mutex connMutex;
     std::vector<std::shared_ptr<Conn>> conns;
     std::vector<std::thread> connThreads;
 
-    // In-flight dedupe: key hex -> the future of the request computing
-    // it.  An entry exists only while its computing task is running on
-    // a pool thread, so a waiter (itself a pool task) always has an
-    // active computer to wait on — no idle-deadlock for any pool size.
-    std::mutex inflightMutex;
-    std::map<std::string, std::shared_future<std::shared_ptr<ComputedCell>>>
-        inflight;
-
     std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> computed{0};
-    std::atomic<std::uint64_t> cacheHits{0};
-    std::atomic<std::uint64_t> deduped{0};
-    std::atomic<std::uint64_t> peerHits{0};
-
-    // Cells currently executing (local compute, worker dispatch, or
-    // dedupe-wait), whatever path submitted them — what a graceful
-    // shutdown drains.
-    std::mutex activeMutex;
-    std::condition_variable activeCv;
-    std::size_t activeCells = 0;
 
     std::mutex stateMutex;
     std::condition_variable stateCv;
@@ -193,8 +311,8 @@ struct ServerImpl
     bool stopped = false;
 
     // Declared last, so destroyed first: ~ThreadPool drains queued
-    // cells while the state they touch (in-flight map, counters, drain
-    // accounting) is still alive.
+    // cells while the state they touch (the cell path, connections) is
+    // still alive.
     ThreadPool pool;
 
     void acceptLoop();
@@ -205,27 +323,8 @@ struct ServerImpl
                    const JsonValue &frame);
     void handleScenario(const std::shared_ptr<Conn> &conn,
                         std::uint64_t id, const JsonValue &frame);
-    ExecOutcome execCell(const std::string &key, const SimConfig &cfg,
-                         const std::string &workload,
-                         const RunLengths &lengths,
-                         const SamplePlan &sampling);
     std::size_t drainActive(int deadlineMs);
     void requestStop();
-
-    void
-    beginCell()
-    {
-        std::lock_guard<std::mutex> lock(activeMutex);
-        activeCells += 1;
-    }
-
-    void
-    endCell()
-    {
-        std::lock_guard<std::mutex> lock(activeMutex);
-        activeCells -= 1;
-        activeCv.notify_all();
-    }
 
     void
     note(const char *fmt, ...) const
@@ -240,59 +339,6 @@ struct ServerImpl
         va_end(ap);
     }
 };
-
-namespace {
-
-/** Scope guard around one executing cell (exception-safe drain
- *  accounting). */
-struct ActiveGuard
-{
-    explicit ActiveGuard(ServerImpl &s) : srv(s) { srv.beginCell(); }
-    ~ActiveGuard() { srv.endCell(); }
-    ActiveGuard(const ActiveGuard &) = delete;
-    ActiveGuard &operator=(const ActiveGuard &) = delete;
-    ServerImpl &srv;
-};
-
-/**
- * The daemon's own exec path as an ExecBackend, so a submitted
- * scenario runs through the stock Runner (identical sharding and
- * group reduction to a local sweep) while every cell still gets the
- * full dedupe → cache → peer-lookup → worker-dispatch treatment.
- */
-class DaemonBackend : public ExecBackend
-{
-  public:
-    explicit DaemonBackend(ServerImpl &srv) : srv_(srv) {}
-
-    std::string name() const override { return "daemon"; }
-
-    bool wantsKey() const override { return true; }
-
-    CellResult
-    runCell(const CellKey &key, const SimConfig &cfg,
-            const std::string &workload, const RunLengths &lengths,
-            const SamplePlan &sampling) override
-    {
-        std::string hex =
-            key.hex.empty()
-                ? cellKeyFor(cfg, workload, lengths, &sampling).hex
-                : key.hex;
-        ExecOutcome out =
-            srv_.execCell(hex, cfg, workload, lengths, sampling);
-        if (!out.error.empty())
-            throw std::runtime_error(out.error);
-        CellResult r;
-        r.metrics = out.metrics;
-        r.cacheHit = out.hit || out.deduped;
-        return r;
-    }
-
-  private:
-    ServerImpl &srv_;
-};
-
-} // namespace
 
 void
 ServerImpl::acceptLoop()
@@ -363,21 +409,19 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
         if (type == "stats") {
             JsonValue reply = objectFrame(id, "stats");
             reply.object["requests"] = jsonU64(requests.load());
-            reply.object["computed"] = jsonU64(computed.load());
-            reply.object["cacheHits"] = jsonU64(cacheHits.load());
-            reply.object["deduped"] = jsonU64(deduped.load());
+            reply.object["computed"] = jsonU64(cells->computed.load());
+            reply.object["cacheHits"] = jsonU64(cells->cacheHits.load());
+            reply.object["deduped"] = jsonU64(cells->deduped.load());
             reply.object["threads"] =
                 jsonU64(std::uint64_t(pool.threadCount()));
-            {
-                std::lock_guard<std::mutex> alock(activeMutex);
-                reply.object["activeCells"] =
-                    jsonU64(std::uint64_t(activeCells));
-            }
+            reply.object["activeCells"] =
+                jsonU64(std::uint64_t(cells->activeCells()));
             if (workers) {
-                reply.object["peerHits"] = jsonU64(peerHits.load());
+                std::uint64_t peerHits = 0;
                 JsonValue arr;
                 arr.kind = JsonValue::Kind::Array;
                 for (const WorkerStats &w : workers->stats()) {
+                    peerHits += w.peerHits;
                     JsonValue ws;
                     ws.kind = JsonValue::Kind::Object;
                     ws.object["worker"] = jsonStr(w.address);
@@ -391,6 +435,7 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
                     ws.object["peerHits"] = jsonU64(w.peerHits);
                     arr.array.push_back(std::move(ws));
                 }
+                reply.object["peerHits"] = jsonU64(peerHits);
                 reply.object["workers"] = std::move(arr);
             }
             if (cache) {
@@ -460,25 +505,38 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
 
     // Clients normally send the key they derived; a raw client may
     // omit it, in which case the server derives the identical one.
-    std::string key;
+    // Either way the key carries the workload's content identity, the
+    // same one a local CachedBackend records in its entries.
+    CellKey key;
     auto keyIt = frame.object.find("key");
-    if (keyIt != frame.object.end() && keyIt->second.isString())
-        key = keyIt->second.str;
-    if (key.empty())
-        key = cellKeyFor(cfg, workload, lengths, &sampling).hex;
+    if (keyIt != frame.object.end() && keyIt->second.isString() &&
+        !keyIt->second.str.empty())
+        key = CellKey{keyIt->second.str, workloadIdentity(workload)};
+    else
+        key = cellKeyFor(cfg, workload, lengths, &sampling);
 
     conn->total.fetch_add(1, std::memory_order_relaxed);
 
-    pool.submit([this, conn, id, key, cfg = std::move(cfg),
+    pool.submit([this, conn, id, key = std::move(key), cfg = std::move(cfg),
                  workload = std::move(workload), lengths, sampling]() {
-        ExecOutcome out =
-            execCell(key, cfg, workload, lengths, sampling);
+        JsonValue reply;
+        bool hit = false;
+        try {
+            CellResult r =
+                cells->runCell(key, cfg, workload, lengths, sampling);
+            hit = r.cacheHit;
+            reply = objectFrame(id, "result");
+            reply.object["hit"] = jsonBool(r.cacheHit && !r.deduped);
+            reply.object["deduped"] = jsonBool(r.deduped);
+            reply.object["metrics"] = metricsTree(r.metrics);
+        } catch (const std::exception &e) {
+            reply = errorFrame(id, e.what());
+        }
 
         std::uint64_t d =
             conn->done.fetch_add(1, std::memory_order_relaxed) + 1;
         std::uint64_t h =
-            out.hit || out.deduped
-                ? conn->hits.fetch_add(1, std::memory_order_relaxed) + 1
+            hit ? conn->hits.fetch_add(1, std::memory_order_relaxed) + 1
                 : conn->hits.load(std::memory_order_relaxed);
 
         // Streamed progress: this connection's counters after each
@@ -494,109 +552,8 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
         prog.object["total"] =
             jsonU64(conn->total.load(std::memory_order_relaxed));
         prog.object["hits"] = jsonU64(h);
-
-        JsonValue reply;
-        if (!out.error.empty()) {
-            reply = errorFrame(id, out.error);
-        } else {
-            reply = objectFrame(id, "result");
-            reply.object["hit"] = jsonBool(out.hit);
-            reply.object["deduped"] = jsonBool(out.deduped);
-            reply.object["metrics"] = metricsTree(out.metrics);
-        }
         conn->pipe.writeFrames({&prog, &reply});
     });
-}
-
-ExecOutcome
-ServerImpl::execCell(const std::string &key, const SimConfig &cfg,
-                     const std::string &workload,
-                     const RunLengths &lengths,
-                     const SamplePlan &sampling)
-{
-    ActiveGuard active(*this);
-    ExecOutcome out;
-    std::shared_ptr<ComputedCell> cell;
-    CellKey cellKey{key, workload};
-
-    // Claim the key BEFORE looking at the cache: whoever wins the
-    // in-flight race is the only request that may touch the cache,
-    // the workers, or the simulator for this key, so identical
-    // concurrent cells compute exactly once (the cache store happens
-    // before the claim is released, so a late request either dedupes
-    // onto the running computation or hits the cache — never re-runs).
-    std::promise<std::shared_ptr<ComputedCell>> mine;
-    std::shared_future<std::shared_ptr<ComputedCell>> theirs;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex);
-        auto it = inflight.find(key);
-        if (it != inflight.end())
-            theirs = it->second;
-        else
-            inflight.emplace(key, mine.get_future().share());
-    }
-    if (theirs.valid()) {
-        // An entry exists only while its owner runs on another
-        // thread, so this wait always has an active computer to wait
-        // on — no idle-deadlock for any pool size.
-        out.deduped = true;
-        deduped.fetch_add(1, std::memory_order_relaxed);
-        cell = theirs.get();
-    } else {
-        cell = std::make_shared<ComputedCell>();
-        Metrics cached;
-        if (cache && cache->lookup(cellKey, &cached)) {
-            out.hit = true;
-            cell->metrics = cached;
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-        } else if (workers &&
-                   workers->peerLookup(cellKey, &cached)) {
-            // A peer worker already has this cell: answer from its
-            // cache and replicate into the local one, so the next
-            // probe for a hot cell never leaves this host.
-            out.hit = true;
-            cell->metrics = cached;
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            peerHits.fetch_add(1, std::memory_order_relaxed);
-            if (cache)
-                cache->store(cellKey, cfg, lengths, cell->metrics);
-        } else {
-            try {
-                if (opts.onCellStart)
-                    opts.onCellStart();
-                bool remote_hit = false;
-                cell->metrics =
-                    workers ? workers->runCell(cellKey, cfg, workload,
-                                               lengths, sampling,
-                                               &remote_hit)
-                    : sampling.enabled()
-                        ? Sampler::runOnce(cfg, workload, sampling)
-                        : Simulator::runOnce(cfg, workload, lengths);
-                if (remote_hit) {
-                    out.hit = true;
-                    cacheHits.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    computed.fetch_add(1, std::memory_order_relaxed);
-                }
-                // Store-back: the computing worker cached its copy on
-                // its own run path; this store replicates the result
-                // to the frontend.
-                if (cache)
-                    cache->store(cellKey, cfg, lengths, cell->metrics);
-            } catch (const std::exception &e) {
-                cell->error = e.what();
-            }
-        }
-        {
-            std::lock_guard<std::mutex> lock(inflightMutex);
-            inflight.erase(key);
-        }
-        mine.set_value(cell);
-    }
-
-    out.metrics = cell->metrics;
-    out.error = cell->error;
-    return out;
 }
 
 void
@@ -613,16 +570,15 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     Scenario scenario =
         scenarioFromJson(writeJsonCompact(scIt->second), opts.traceDir);
 
-    // Run through the stock Runner over the daemon's own exec path —
-    // the grid and its group reduction are bit-identical to a local
-    // sweep of the same scenario, while each cell still dedupes,
-    // caches, and fans out to workers.  The Runner spawns its own
-    // pool, so the daemon's task pool is never deadlocked by this
-    // long-running request (which deliberately occupies only the
-    // submitting connection's reader thread).
-    auto backend = std::make_shared<DaemonBackend>(*this);
+    // Run through the stock Runner over the daemon's cell path — the
+    // grid and its group reduction are bit-identical to a local sweep
+    // of the same scenario, while each cell still dedupes, caches, and
+    // fans out to workers.  The Runner spawns its own pool, so the
+    // daemon's task pool is never deadlocked by this long-running
+    // request (which deliberately occupies only the submitting
+    // connection's reader thread).
     int threads = pool.threadCount();
-    SweepSpec spec = scenario.compile(threads, backend);
+    SweepSpec spec = scenario.compile(threads, cells);
 
     // Streamed progress keeps the client's silence timeout fed during
     // long runs (the Runner throttles to ~4 frames/s).
@@ -635,7 +591,7 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
         prog.object["hits"] = jsonU64(p.hits);
         conn->pipe.writeFrame(prog);
     };
-    SweepResult res = Runner(threads, backend).run(spec, progress);
+    SweepResult res = Runner(threads, cells).run(spec, progress);
 
     JsonValue reply = objectFrame(id, "sweep");
     reply.object["name"] = jsonStr(res.name);
@@ -661,20 +617,15 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
 std::size_t
 ServerImpl::drainActive(int deadlineMs)
 {
-    std::unique_lock<std::mutex> lock(activeMutex);
-    std::size_t before = activeCells;
+    std::size_t before = cells->activeCells();
     if (before == 0)
         return 0;
     note("draining %zu in-flight cell(s), deadline %d ms", before,
          deadlineMs);
-    if (opts.onDrainStart) {
-        lock.unlock();
+    if (opts.onDrainStart)
         opts.onDrainStart();
-        lock.lock();
-    }
-    activeCv.wait_for(lock, std::chrono::milliseconds(deadlineMs),
-                      [this]() { return activeCells == 0; });
-    return activeCells < before ? before - activeCells : 0;
+    std::size_t left = cells->waitIdle(deadlineMs);
+    return left < before ? before - left : 0;
 }
 
 void

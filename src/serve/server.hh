@@ -36,12 +36,19 @@
  * Requests are pipelined: each connection has one reader thread that
  * parses frames and submits `run` cells to the shared pool, so
  * responses can arrive out of submission order — clients match them by
- * id.  Identical cells in flight at the same moment (same CellKey hex,
- * possibly from different clients) are deduped: one computes, the rest
- * wait on its shared_future and reply with deduped=true.  Results are
- * answered from — and persisted to — the same on-disk ResultCache the
- * local CachedBackend uses, so a warm serve daemon and a warm local
- * cache are interchangeable.
+ * id.
+ *
+ * Every cell — from a `run` frame or a `scenario` frame's Runner —
+ * takes one path: in-flight dedupe over the ExecBackend stack that
+ * `ltp run --cache-dir` uses.  Identical cells in flight at the same
+ * moment (same CellKey hex, possibly from different clients) are
+ * deduped: one computes, the rest wait on its result and reply with
+ * deduped=true.  Below the dedupe, a CachedBackend (unless --no-cache)
+ * answers from — and persists to — the same on-disk ResultCache, with
+ * the same entry bytes, as a local sweep; a warm serve daemon and a
+ * warm local cache are interchangeable.  Below the cache sits one
+ * compute backend: the WorkerPool in frontend mode, a LocalBackend
+ * otherwise.
  */
 
 #ifndef LTP_SERVE_SERVER_HH
@@ -57,6 +64,7 @@
 #include <vector>
 
 #include "serve/wire.hh"
+#include "sim/exec_backend.hh"
 
 namespace ltp {
 
@@ -91,10 +99,11 @@ struct ServeOptions
 
     /// @name Test seams (unset in normal use)
     /// @{
-    /** Runs on the pool thread as a cell that missed every cache
-     *  starts computing; the cell already counts as in flight, so a
-     *  test can hold it there until it chooses to release it. */
-    std::function<void()> onCellStart;
+    /** Replaces the compute backend below the cache (the WorkerPool
+     *  or a LocalBackend).  A test passes a fake that blocks, then
+     *  delegates: the cell already counts as in flight, so it can be
+     *  held there until the test chooses to release it. */
+    ExecBackendPtr compute;
     /** Runs on the shutdown path once the drain has counted the cells
      *  in flight, before it waits for them. */
     std::function<void()> onDrainStart;

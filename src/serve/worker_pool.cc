@@ -5,8 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "sample/sampler.hh"
-
 namespace ltp {
 
 double
@@ -135,12 +133,16 @@ WorkerPool::markDown(Worker *w, const std::string &why)
     cv_.notify_all();
 }
 
-Metrics
+CellResult
 WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
                     const std::string &workload,
-                    const RunLengths &lengths, const SamplePlan &sampling,
-                    bool *remoteHit)
+                    const RunLengths &lengths, const SamplePlan &sampling)
 {
+    CellResult peer;
+    if (peerLookup(key, &peer.metrics)) {
+        peer.cacheHit = true;
+        return peer;
+    }
     double cost = cellCost(cfg, lengths, sampling);
     int attempt = 0;
     for (;;) {
@@ -149,10 +151,7 @@ WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
             // Every worker is down: compute in-process so the sweep
             // still completes (bit-identically — the simulation is a
             // pure function of its inputs wherever it runs).
-            *remoteHit = false;
-            return sampling.enabled()
-                       ? Sampler::runOnce(cfg, workload, sampling)
-                       : Simulator::runOnce(cfg, workload, lengths);
+            return local_.runCell(key, cfg, workload, lengths, sampling);
         }
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -168,8 +167,7 @@ WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
                 w->completed += 1;
             }
             releaseSlot(w);
-            *remoteHit = r.cacheHit;
-            return r.metrics;
+            return r;
         } catch (const std::exception &e) {
             std::string msg = e.what();
             {

@@ -21,9 +21,13 @@
  * completes.  Downed workers stay down — reconnecting is the
  * operator's job (restart the frontend).
  *
- * Each worker also acts as a cache peer: peerLookup() probes the
- * up workers' result caches via the `lookup` frame, so a cell any
- * worker has ever computed is never re-simulated by the pool.
+ * Each worker also acts as a cache peer: before dispatching, runCell()
+ * probes the up workers' result caches via the `lookup` frame, so a
+ * cell any worker has ever computed is never re-simulated by the pool.
+ *
+ * The pool is the frontend daemon's compute backend: the daemon stacks
+ * its CachedBackend on top, exactly as `ltp run --cache-dir` stacks one
+ * on a LocalBackend.
  */
 
 #ifndef LTP_SERVE_WORKER_POOL_HH
@@ -64,7 +68,7 @@ double cellCost(const SimConfig &cfg, const RunLengths &lengths,
                 const SamplePlan &sampling);
 
 /** Persistent connections to N worker daemons + the LPT dispatcher. */
-class WorkerPool
+class WorkerPool : public ExecBackend
 {
   public:
     /**
@@ -84,23 +88,23 @@ class WorkerPool
     /** Workers not yet marked down. */
     std::size_t upCount() const;
 
+    std::string name() const override { return "workers"; }
+
+    bool wantsKey() const override { return true; }
+
     /**
-     * Run one cell on a worker: wait for a slot (LPT order), dispatch,
-     * and on transport failure mark the worker down and re-dispatch
-     * elsewhere.  Falls back to an in-process simulation when every
-     * worker is down.  @p remoteHit reports whether the answer came
-     * from a worker's cache (or dedupe) rather than a fresh compute.
-     * Thread-safe; blocking.
+     * Run one cell: probe the up workers' caches (a hit sets
+     * cacheHit), else wait for a slot (LPT order), dispatch, and on
+     * transport failure mark the worker down and re-dispatch
+     * elsewhere.  Falls back to an in-process LocalBackend when every
+     * worker is down.  cacheHit also reports a worker's own cache hit
+     * or dedupe.  Thread-safe; blocking.
      * @throws std::runtime_error for workload errors (never retried).
      */
-    Metrics runCell(const CellKey &key, const SimConfig &cfg,
-                    const std::string &workload,
-                    const RunLengths &lengths, const SamplePlan &sampling,
-                    bool *remoteHit);
-
-    /** Probe the up workers' caches for @p key (no compute anywhere).
-     *  @return true and fill @p out on the first hit. */
-    bool peerLookup(const CellKey &key, Metrics *out);
+    CellResult runCell(const CellKey &key, const SimConfig &cfg,
+                       const std::string &workload,
+                       const RunLengths &lengths,
+                       const SamplePlan &sampling) override;
 
     std::vector<WorkerStats> stats() const;
 
@@ -139,6 +143,9 @@ class WorkerPool
         Worker *assigned = nullptr;
     };
 
+    /** Probe the up workers' caches for @p key (no compute anywhere).
+     *  @return true and fill @p out on the first hit. */
+    bool peerLookup(const CellKey &key, Metrics *out);
     /** Block until a slot is granted (LPT order) or every worker is
      *  down (returns nullptr: caller computes locally). */
     Worker *acquireSlot(double cost);
@@ -156,6 +163,7 @@ class WorkerPool
     std::uint64_t nextSeq_ = 0;
     int totalCapacity_ = 0;
     bool quiet_ = false;
+    LocalBackend local_; ///< every worker down: compute in-process
 };
 
 /** Parse a --workers file: one host:port per line, '#' comments and

@@ -14,7 +14,14 @@
  *  - ServeBackend  (serve/client.hh) — submits cells to an `ltp serve`
  *    daemon over TCP, which schedules them on its own pool, dedupes
  *    identical in-flight cells across clients, and answers from the
- *    shared cache.
+ *    shared cache;
+ *  - WorkerPool    (serve/worker_pool.hh) — a frontend daemon's compute
+ *    backend: probes the worker daemons' caches, then dispatches the
+ *    cell to one of them (LPT order), falling back to a LocalBackend.
+ *
+ * The daemon computes every cell through the same stack the CLI uses
+ * (CachedBackend over WorkerPool or LocalBackend), under one layer of
+ * its own: in-flight dedupe.
  *
  * runCell() must be thread-safe: the Runner invokes it concurrently
  * from pool workers.  The seed rides inside @p cfg (SimConfig::seed)
@@ -43,7 +50,11 @@ namespace ltp {
 struct CellResult
 {
     Metrics metrics;
-    bool cacheHit = false; ///< answered from a cache (local or remote)
+    bool cacheHit = false; ///< not computed by this call: a cache hit
+                           ///< (local or remote) or a dedupe
+    /** Answered by joining an identical in-flight computation (the
+     *  serve daemon's dedupe; implies cacheHit). */
+    bool deduped = false;
 };
 
 /** Where cells run: in-process, through the cache, or on a daemon. */

@@ -169,6 +169,21 @@ Scenario scenarioFromJson(const std::string &text,
                           const std::string &baseDir = "");
 
 /**
+ * The `lengths` block at @p where: a preset name (default|quick|bench)
+ * or an object whose absent fields keep the defaults.  Shared with
+ * `ltp sweep --submit`, which layers staging flags onto it.
+ * @throws std::runtime_error naming @p where on bad keys or values.
+ */
+RunLengths parseLengths(const JsonValue &v, const std::string &where);
+
+/**
+ * The `sampling` block at @p where: "default" or an object whose absent
+ * fields keep SamplePlan::defaults().  Shared with `ltp sweep --submit`.
+ * @throws std::runtime_error naming @p where on bad keys or values.
+ */
+SamplePlan parseSampling(const JsonValue &v, const std::string &where);
+
+/**
  * The `views` list of scenario JSON @p root (default {"ipc"}), checked
  * against the Metrics report keys.  Shared with `ltp sweep --submit`,
  * which renders a daemon-compiled scenario.

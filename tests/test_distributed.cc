@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +26,8 @@
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/simulator.hh"
+
+#include "held_backend.hh"
 
 namespace {
 
@@ -366,7 +367,7 @@ TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
     // A standalone daemon with one cell held in flight: shutdown must
     // wait for it (bounded) and report it drained, and the client must
     // still receive the result.  The server's test seams make the
-    // order deterministic: the cell blocks as it starts computing and
+    // order deterministic: the cell blocks in the compute backend and
     // is released only once the shutdown drain has counted it.
     std::string cache_dir =
         (std::filesystem::temp_directory_path() /
@@ -374,18 +375,14 @@ TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
             .string();
     std::filesystem::remove_all(cache_dir);
 
-    std::promise<void> started, release;
-    std::shared_future<void> released = release.get_future().share();
+    auto held = std::make_shared<HeldBackend>();
     ServeOptions opts;
     opts.port = 0;
     opts.threads = 2;
     opts.cacheDir = cache_dir;
     opts.quiet = true;
-    opts.onCellStart = [&started, released]() {
-        started.set_value();
-        released.wait();
-    };
-    opts.onDrainStart = [&release]() { release.set_value(); };
+    opts.compute = held;
+    opts.onDrainStart = [held]() { held->release(); };
     Server server(opts);
     server.start();
 
@@ -401,7 +398,7 @@ TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
                 .metrics);
     });
 
-    started.get_future().wait();
+    held->waitStarted();
     ServeBackend control("127.0.0.1", server.port());
     EXPECT_EQ(statU64(control.rpc("stats"), "activeCells"), 1u);
     JsonValue ok = control.rpc("shutdown");

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 
@@ -150,13 +149,15 @@ TEST(Runner, GroupAveragesBitIdenticalToSerial)
     expectIdentical(serial.grid.at("g", "mlp"),
                     parallel.grid.at("g", "mlp"));
 
-    // The average label is preserved and the runner matches the
-    // experiment-layer helper.
+    // The average label is preserved and the group row is the
+    // kernel-order average of direct simulations.
     EXPECT_EQ(serial.grid.at("g", "ilp").workload, "ilp");
-    Metrics direct = runGroupAverage(
-        SimConfig::baseline(), {"dense_compute", "reduction", "div_heavy"},
-        "ilp", RunLengths::quick());
-    expectIdentical(serial.grid.at("g", "ilp"), direct);
+    std::vector<Metrics> direct;
+    for (const char *k : {"dense_compute", "reduction", "div_heavy"})
+        direct.push_back(Simulator::runOnce(SimConfig::baseline(), k,
+                                            RunLengths::quick()));
+    expectIdentical(serial.grid.at("g", "ilp"),
+                    averageMetrics(direct, "ilp"));
 }
 
 TEST(Runner, SerialPathReportsProgressPerCell)
@@ -194,18 +195,16 @@ TEST(Runner, ThreadedPathReportsFinalProgress)
     EXPECT_EQ(seen.back().total, spec.simulationCount());
 }
 
-TEST(Runner, ExperimentHelpersMatchDirectSimulation)
+TEST(Runner, ShardedCellsMatchDirectSimulation)
 {
-    std::vector<Metrics> suite =
-        runSuite(SimConfig::baseline(), {"paper_loop", "hash_probe"},
-                 RunLengths::quick(), 2);
-    ASSERT_EQ(suite.size(), 2u);
-    expectIdentical(suite[0],
-                    Simulator::runOnce(SimConfig::baseline(), "paper_loop",
-                                       RunLengths::quick()));
-    expectIdentical(suite[1],
-                    Simulator::runOnce(SimConfig::baseline(), "hash_probe",
-                                       RunLengths::quick()));
+    SimConfig cfg = SimConfig::baseline().withName("base");
+    SweepSpec spec = SweepSpec::cross("direct", {cfg},
+                                      {"paper_loop", "hash_probe"},
+                                      RunLengths::quick());
+    SweepResult res = Runner(2).run(spec);
+    for (const char *k : {"paper_loop", "hash_probe"})
+        expectIdentical(res.grid.at(k, "base"),
+                        Simulator::runOnce(cfg, k, RunLengths::quick()));
 }
 
 // ---------------------------------------------------------------------------

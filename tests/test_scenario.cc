@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include "sim/exec_backend.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
@@ -109,6 +108,13 @@ expectSpecsIdentical(const SweepSpec &a, const SweepSpec &b)
         EXPECT_EQ(configToJson(ja.cfg), configToJson(jb.cfg))
             << "job " << i << " (" << ja.row << ", " << ja.series << ")";
     }
+}
+
+/** Row label of one swept size, as the scenario files spell it. */
+std::string
+sizeLabel(int size)
+{
+    return isInfinite(size) ? "inf" : std::to_string(size);
 }
 
 /** Which resource a Figure 6 row sweeps. */

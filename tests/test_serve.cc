@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +29,8 @@
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
+
+#include "held_backend.hh"
 
 namespace {
 
@@ -402,21 +408,103 @@ TEST_F(ServeTest, ProgressTrafficKeepsASlowRequestAlive)
 {
     // The timeout measures *silence*, not latency: a cell that takes
     // longer than replyTimeoutMs must still succeed as long as the
-    // server streams anything (progress, other results) meanwhile.
-    auto client = connect();
-    ServeClientOptions opts;
-    opts.replyTimeoutMs = 150;
-    ServeBackend slow("127.0.0.1", server_->port(), opts);
+    // server sends anything (pongs, other results) meanwhile.  A
+    // daemon whose compute backend holds the cell makes it slow.
+    auto held = std::make_shared<HeldBackend>();
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.threads = 2;
+    sopts.useCache = false;
+    sopts.quiet = true;
+    sopts.compute = held;
+    Server server(sopts);
+    server.start();
 
-    // Pinging through `slow` while the server answers keeps traffic
-    // flowing; the real run below finishes well within one silence
-    // window per frame on this workload, proving normal operation is
-    // unaffected by a tight timeout.
-    SimConfig cfg = SimConfig::baseline();
-    cfg.seed = 11;
-    CellResult r = slow.runCell(CellKey{}, cfg, "paper_loop", tiny(),
-                                SamplePlan{});
-    EXPECT_GT(r.metrics.ipc, 0.0);
+    constexpr int kTimeoutMs = 150;
+    ServeClientOptions opts;
+    opts.replyTimeoutMs = kTimeoutMs;
+    ServeBackend slow("127.0.0.1", server.port(), opts);
+
+    SimConfig cfg = SimConfig::baseline().withSeed(11);
+    std::atomic<bool> done{false};
+    std::string result_json, error;
+    auto start = std::chrono::steady_clock::now();
+    std::thread cell([&]() {
+        try {
+            result_json = metricsToJson(
+                slow.runCell(CellKey{}, cfg, "paper_loop", tiny(),
+                             SamplePlan{})
+                    .metrics);
+        } catch (const std::exception &e) {
+            error = e.what();
+        }
+        done = true;
+    });
+
+    // Hold the cell for four silence windows while pings on the same
+    // connection keep traffic flowing; keep pinging after the release
+    // too, so the cell's own compute time is never silent either.
+    held->waitStarted();
+    bool released = false;
+    while (!done) {
+        EXPECT_NO_THROW(slow.rpc("ping"));
+        if (!released && std::chrono::steady_clock::now() - start >
+                             std::chrono::milliseconds(4 * kTimeoutMs)) {
+            held->release();
+            released = true;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (!released)
+        held->release(); // the request failed early: free the pool
+    cell.join();
+    double held_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+
+    EXPECT_EQ(error, "");
+    EXPECT_GT(held_ms, 4.0 * kTimeoutMs);
+    EXPECT_EQ(result_json, metricsToJson(Simulator::runOnce(
+                               cfg, "paper_loop", tiny())));
+    server.stop();
+}
+
+TEST_F(ServeTest, ServedAndLocalCacheEntriesAreByteIdentical)
+{
+    // One cell, missed once through the daemon and once through a
+    // local CachedBackend: the two caches must hold the same bytes, so
+    // a served cache and a local one are interchangeable.
+    SimConfig cfg = SimConfig::baseline().withSeed(5);
+    CellKey key = cellKeyFor(cfg, "paper_loop", tiny());
+    auto client = connect();
+    EXPECT_FALSE(
+        client->runCell(key, cfg, "paper_loop", tiny(), SamplePlan{})
+            .cacheHit);
+
+    std::string local_dir = cacheDir_ + "_local";
+    std::filesystem::remove_all(local_dir);
+    auto local_cache = std::make_shared<ResultCache>(local_dir);
+    CachedBackend local(LocalBackend::instance(), local_cache);
+    EXPECT_FALSE(
+        local.runCell(key, cfg, "paper_loop", tiny(), SamplePlan{})
+            .cacheHit);
+
+    // Each cache holds exactly this one entry file.
+    auto entryBytes = [](const std::string &dir) {
+        std::vector<std::string> files;
+        for (const auto &e :
+             std::filesystem::recursive_directory_iterator(dir))
+            if (e.is_regular_file())
+                files.push_back(e.path().string());
+        EXPECT_EQ(files.size(), 1u) << dir;
+        std::ifstream in(files.at(0), std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_EQ(ResultCache(cacheDir_).list().at(0).workload,
+              "kernel/paper_loop");
+    EXPECT_EQ(entryBytes(cacheDir_), entryBytes(local_dir));
+    std::error_code ec;
+    std::filesystem::remove_all(local_dir, ec);
 }
 
 TEST_F(ServeTest, StatsCountsRequestsAndShutdownStopsTheServer)

@@ -9,8 +9,8 @@
 
 #include <stdexcept>
 
-#include "sim/experiment.hh"
 #include "sim/mlp_class.hh"
+#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "trace/suite.hh"
 
@@ -176,17 +176,14 @@ TEST(Experiment, ResultGridMissingKeyNamesTheKey)
     }
 }
 
-TEST(Experiment, SizeLabels)
-{
-    EXPECT_EQ(sizeLabel(64), "64");
-    EXPECT_EQ(sizeLabel(kInfiniteSize), "inf");
-}
-
 TEST(Experiment, GroupAverageRuns)
 {
-    Metrics avg = runGroupAverage(SimConfig::baseline(),
-                                  {"dense_compute", "reduction"}, "ilp",
-                                  RunLengths::quick());
+    SweepSpec spec;
+    spec.name = "group";
+    spec.lengths = RunLengths::quick();
+    spec.addGroup("g", "base", SimConfig::baseline(),
+                  {"dense_compute", "reduction"}, "ilp");
+    Metrics avg = Runner(1).run(spec).grid.at("g", "base");
     EXPECT_EQ(avg.workload, "ilp");
     EXPECT_GT(avg.ipc, 1.0);
 }

@@ -44,7 +44,6 @@
 #include "serve/worker_pool.hh"
 #include "sim/config.hh"
 #include "sim/exec_backend.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
@@ -218,6 +217,18 @@ maybeArchive(const Cli &cli, const SweepResult &result)
         writeCsvReport(result, csv);
 }
 
+/** Apply the standard --warm/--pipewarm/--detail staging flags onto
+ *  @p dflt (shared by every `ltp` simulation command). */
+RunLengths
+stagingLengths(const Cli &cli, const RunLengths &dflt)
+{
+    RunLengths lengths = dflt;
+    lengths.funcWarm = cli.integer("warm", lengths.funcWarm);
+    lengths.pipeWarm = cli.integer("pipewarm", lengths.pipeWarm);
+    lengths.detail = cli.integer("detail", lengths.detail);
+    return lengths;
+}
+
 /** The shared "--flag=1 means the conventional BENCH_ name" rule for
  *  artifacts that are not a SweepResult report. */
 std::string
@@ -314,52 +325,32 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
               "in the scenario file");
 
     JsonValue root;
+    std::vector<std::string> views;
+    RunLengths lengths;
+    SamplePlan sampling;
     try {
         root = parseJson(readFileText(path));
-    } catch (const std::runtime_error &e) {
-        fatal("%s: %s", path.c_str(), e.what());
-    }
-    if (!root.isObject())
-        fatal("%s: scenario root is not an object", path.c_str());
-    // The daemon compiles the scenario; only its views render here.
-    std::vector<std::string> views;
-    try {
+        if (!root.isObject())
+            throw std::runtime_error("scenario root is not an object");
+        // The daemon compiles the scenario; only its views render here.
         views = scenarioViews(root);
+        // The flags below layer onto the file's blocks as
+        // scenarioFromJson reads them (preset name or partial object).
+        auto it = root.object.find("lengths");
+        if (it != root.object.end())
+            lengths = parseLengths(it->second, "lengths");
+        it = root.object.find("sampling");
+        if (it != root.object.end())
+            sampling = parseSampling(it->second, "sampling");
     } catch (const std::runtime_error &e) {
         fatal("%s: %s", path.c_str(), e.what());
     }
-
-    auto u64In = [](const JsonValue &obj, const char *key,
-                    std::uint64_t dflt) {
-        auto it = obj.object.find(key);
-        std::uint64_t out = dflt;
-        if (it != obj.object.end() && it->second.isNumber())
-            u64FromLexeme(it->second.str, &out);
-        return out;
-    };
 
     if (cli.has("seed"))
         root.object["seed"] = jsonU64(cli.integer("seed", 1));
 
     if (cli.has("warm") || cli.has("pipewarm") || cli.has("detail")) {
-        // Re-derive the file's staging base the way scenarioFromJson
-        // does (preset name or partial object), layer the flags, and
-        // write the full object back.
-        RunLengths base;
-        auto it = root.object.find("lengths");
-        if (it != root.object.end()) {
-            const JsonValue &l = it->second;
-            if (l.isString() && l.str == "quick")
-                base = RunLengths::quick();
-            else if (l.isString() && l.str == "bench")
-                base = RunLengths::bench();
-            else if (l.isObject()) {
-                base.funcWarm = u64In(l, "funcWarm", base.funcWarm);
-                base.pipeWarm = u64In(l, "pipeWarm", base.pipeWarm);
-                base.detail = u64In(l, "detail", base.detail);
-            }
-        }
-        RunLengths lengths = stagingLengths(cli, base);
+        lengths = stagingLengths(cli, lengths);
         JsonValue l;
         l.kind = JsonValue::Kind::Object;
         l.object["funcWarm"] = jsonU64(lengths.funcWarm);
@@ -370,29 +361,13 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
 
     if (cli.has("samples") || cli.has("sample-ff") ||
         cli.has("sample-warmup") || cli.has("sample-detail")) {
-        SamplePlan base;
-        auto it = root.object.find("sampling");
-        if (it != root.object.end()) {
-            const JsonValue &sp = it->second;
-            if ((sp.isString() && sp.str == "default") ||
-                sp.isObject())
-                base = SamplePlan::defaults();
-            if (sp.isObject()) {
-                base.fastForward =
-                    u64In(sp, "fastForward", base.fastForward);
-                base.warmup = u64In(sp, "warmup", base.warmup);
-                base.detail = u64In(sp, "detail", base.detail);
-                base.samples = int(u64In(
-                    sp, "samples", std::uint64_t(base.samples)));
-            }
-        }
-        SamplePlan plan = samplePlanFromCli(cli, base);
+        sampling = samplePlanFromCli(cli, sampling);
         JsonValue sp;
         sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jsonU64(plan.fastForward);
-        sp.object["warmup"] = jsonU64(plan.warmup);
-        sp.object["detail"] = jsonU64(plan.detail);
-        sp.object["samples"] = jsonU64(std::uint64_t(plan.samples));
+        sp.object["fastForward"] = jsonU64(sampling.fastForward);
+        sp.object["warmup"] = jsonU64(sampling.warmup);
+        sp.object["detail"] = jsonU64(sampling.detail);
+        sp.object["samples"] = jsonU64(std::uint64_t(sampling.samples));
         root.object["sampling"] = std::move(sp);
     }
 

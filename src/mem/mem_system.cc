@@ -192,31 +192,30 @@ MemSystem::fetchAccess(Addr pc, Cycle now)
 }
 
 HitLevel
-MemSystem::warmAccess(Addr pc, Addr addr, bool is_write, Cycle now,
-                      bool as_timed)
+MemSystem::warmAccess(Addr pc, Addr addr, bool is_write, Cycle now)
 {
     // Fully functional: install resident lines with data_ready=0 and
     // keep LRU and prefetcher training warm; never touch MSHR or DRAM
     // timing state so a detailed phase can follow at any clock value.
     // Dirty L3 victims are dropped (their write is DRAM traffic).
     (void)now;
-    auto evicted = [this, as_timed](int level, const Cache::Victim &v) {
-        if (as_timed && v.valid && v.dirty)
+    auto evicted = [this](int level, const Cache::Victim &v) {
+        if (v.valid && v.dirty)
             absorbWriteback(level, v.addr);
     };
     Addr block = blockAlign(addr);
     Cycle line_ready;
     HitLevel level = HitLevel::L1;
     if (!l1d_.lookup(block, 0, &line_ready)) {
-        // Functional prefetch: train and install into L2 directly
-        // (through L3 when @p as_timed, as trainPrefetcher does).
+        // Functional prefetch: train and install into L2 through L3,
+        // as trainPrefetcher does.
         if (cfg_.prefetchEnabled) {
             pf_scratch_.clear();
             prefetcher_.observe(pc, addr, pf_scratch_);
             for (Addr pf : pf_scratch_) {
                 if (l1d_.contains(pf) || l2_.contains(pf))
                     continue;
-                if (as_timed && !l3_.lookup(pf, 0, &line_ready))
+                if (!l3_.lookup(pf, 0, &line_ready))
                     l3_.fill(pf, 0, 0, true);
                 evicted(2, l2_.fill(pf, 0, 0, true));
             }

@@ -76,20 +76,17 @@ class MemSystem
     MemAccessResult fetchAccess(Addr pc, Cycle now);
 
     /**
-     * Functional access: warms tags/LRU/prefetcher without timing.
-     * @param as_timed leave the tag arrays as the timed access() would:
-     *        dirty victims mark the level below dirty and prefetches
-     *        fill L3 as well as L2.  A sampling chain's long functional
-     *        warm needs this — without it a warmed L3 holds no dirty
-     *        lines and no prefetched ones, so every sample under-counts
-     *        write-backs.  The short warm of a full run and the oracle
-     *        pre-pass keep the tag-only form their results are pinned to.
+     * Functional access: warms tags/LRU/dirty bits/prefetcher without
+     * timing, leaving the tag arrays exactly as the timed access()
+     * would — dirty victims mark the level below dirty and prefetches
+     * fill L3 as well as L2.  Every functional warm uses it: a full
+     * run's warm, the oracle pre-pass and a sampling chain's
+     * fast-forward.
      * @return the level the access would have been satisfied from
      *         (used by the oracle classifier to mark long-latency
      *         loads).
      */
-    HitLevel warmAccess(Addr pc, Addr addr, bool is_write, Cycle now,
-                        bool as_timed = false);
+    HitLevel warmAccess(Addr pc, Addr addr, bool is_write, Cycle now);
 
     /** True if the result latency qualifies as long-latency. */
     bool

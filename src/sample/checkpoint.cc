@@ -120,8 +120,6 @@ checkpointToBytes(const Checkpoint &ckpt)
             putU64le(out, e.target);
             putU8(out, e.valid ? 1 : 0);
         }
-        for (std::uint64_t w : t.lastWriters)
-            putU64le(out, w);
     }
     encodeCache(out, ckpt.l1i);
     encodeCache(out, ckpt.l1d);
@@ -229,8 +227,6 @@ checkpointFromBytes(const std::string &bytes)
                 e.valid = valid != 0;
                 t.bpred.btb.push_back(e);
             }
-            for (std::uint64_t &w : t.lastWriters)
-                w = in.u64();
             ckpt.threads.push_back(std::move(t));
         }
         ckpt.l1i = decodeCache(in, "l1i");
@@ -299,7 +295,6 @@ captureThreads(const FastForward &ff)
         ThreadImage t;
         t.position = ff.consumed(tid);
         t.bpred = ff.branchPred(tid).image();
-        t.lastWriters = ff.lastWriters(tid);
         threads.push_back(std::move(t));
     }
     return threads;
@@ -309,13 +304,6 @@ Checkpoint
 captureCheckpoint(const FastForward &ff, MemSystem &mem,
                   const std::string &workload, std::uint64_t seed)
 {
-    return captureCheckpoint(captureThreads(ff), mem, workload, seed);
-}
-
-Checkpoint
-captureCheckpoint(std::vector<ThreadImage> threads, MemSystem &mem,
-                  const std::string &workload, std::uint64_t seed)
-{
     // The capture boundary is a settled hierarchy — collapse any
     // in-flight fill timing before snapshotting the tag arrays.
     mem.settle();
@@ -323,7 +311,7 @@ captureCheckpoint(std::vector<ThreadImage> threads, MemSystem &mem,
     Checkpoint ckpt;
     ckpt.workload = workload;
     ckpt.seed = seed;
-    ckpt.threads = std::move(threads);
+    ckpt.threads = captureThreads(ff);
     ckpt.l1i = snapshotCache(mem.l1i());
     ckpt.l1d = snapshotCache(mem.l1d());
     ckpt.l2 = snapshotCache(mem.l2());
@@ -370,7 +358,6 @@ restoreCheckpoint(const Checkpoint &ckpt, FastForward &ff,
                 (unsigned long long)t.position));
         ff.skip(tid, t.position - consumed);
         ff.branchPred(tid).restore(t.bpred);
-        ff.lastWriters(tid) = t.lastWriters;
     }
 
     restoreCache(mem.l1i(), ckpt.l1i, "l1i");

@@ -2,16 +2,15 @@
  * @file
  * Architectural checkpoints (`.ltcp`): everything a sampled run's
  * fast-forward phase accumulates — per-thread stream positions,
- * branch-predictor images, architectural register writers, and the
- * warmed memory image (cache tag arrays + prefetcher table) — in a
- * portable, CRC-checked binary file, so a long fast-forward can be
- * paid once and resumed from many times (`ltp checkpoint create` /
- * `ltp sample --from=<ckpt>`).
+ * branch-predictor images, and the warmed memory image (cache tag
+ * arrays + prefetcher table) — in a portable, CRC-checked binary
+ * file, so a long fast-forward can be paid once and resumed from many
+ * times (`ltp checkpoint create` / `ltp sample --from=<ckpt>`).
  *
- * On-disk layout (all integers little-endian), version 1:
+ * On-disk layout (all integers little-endian), version 2:
  *
  *   magic   8B   "LTPCKPT\0"
- *   u32          version (1)
+ *   u32          version (2)
  *   u32          reserved (0)
  *   u64          seed
  *   u16          workload name length, + that many bytes
@@ -21,7 +20,6 @@
  *     bp image:  u32 tableBits, u64 history,
  *                u32 counterCount + counters (1B each, value <= 3),
  *                u32 btbCount x { u64 pc, u64 target, u8 valid }
- *     u64 x 64   last-writer stream positions, flat arch-reg order
  *   mem image:
  *     4 caches (l1i, l1d, l2, l3), each:
  *       u32 numSets, u32 assoc, u64 useStamp,
@@ -34,6 +32,8 @@
  * Transient timing state (in-flight fills, MSHRs, DRAM banks) is
  * deliberately *not* stored: the capture boundary is a settled
  * hierarchy, exactly the state a fresh detailed phase starts from.
+ * Version 1 also stored 64 last-writer positions per thread, which no
+ * detailed phase ever read; version-1 files are rejected.
  *
  * Readers reject — with a thrown std::runtime_error naming the defect
  * — bad magic, unsupported versions, truncation, trailing garbage,
@@ -44,13 +44,11 @@
 #ifndef LTP_SAMPLE_CHECKPOINT_HH
 #define LTP_SAMPLE_CHECKPOINT_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cpu/branch_pred.hh"
-#include "isa/reg.hh"
 #include "mem/cache.hh"
 #include "mem/mem_system.hh"
 #include "mem/prefetcher.hh"
@@ -61,7 +59,7 @@ namespace ltp {
 /** File magic ("LTPCKPT\0") and the version this build reads/writes. */
 inline constexpr char kCheckpointMagic[8] = {'L', 'T', 'P', 'C',
                                             'K', 'P', 'T', '\0'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** One cache level's architectural image. */
 struct CacheImage
@@ -77,7 +75,6 @@ struct ThreadImage
 {
     std::uint64_t position = 0; ///< micro-ops consumed from the stream
     BranchPredictor::Image bpred;
-    std::array<std::uint64_t, kTotalArchRegs> lastWriters{};
 };
 
 /** A complete architectural checkpoint. */
@@ -115,25 +112,20 @@ void writeCheckpointFile(const std::string &path,
 /// @{
 
 /**
- * Capture the architectural state of @p ff and @p mem (which must be
- * settle()d — asserted via the cache images' dataReady fields).
+ * Capture the architectural state of @p ff and @p mem (settled first,
+ * so the cache images carry no in-flight timing).
  */
 Checkpoint captureCheckpoint(const FastForward &ff, MemSystem &mem,
                              const std::string &workload,
                              std::uint64_t seed);
 
-/** The same from per-thread images taken earlier (captureThreads). */
-Checkpoint captureCheckpoint(std::vector<ThreadImage> threads,
-                             MemSystem &mem, const std::string &workload,
-                             std::uint64_t seed);
-
-/** @p ff's per-thread images: positions, predictors, last writers. */
+/** @p ff's per-thread images: positions and predictors. */
 std::vector<ThreadImage> captureThreads(const FastForward &ff);
 
 /**
  * Install @p ckpt into @p ff and @p mem: advances each thread's stream
  * to its stored position (O(1) for trace replays), restores predictor
- * and register-writer images, and installs the memory image.
+ * images, and installs the memory image.
  * @throws std::runtime_error when the checkpoint's workload, seed, or
  *         geometry (threads, predictor tables, cache shapes) disagree
  *         with the run being restored into.

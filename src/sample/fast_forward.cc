@@ -23,16 +23,13 @@ void
 FastForward::retireOne(int tid)
 {
     ThreadState &t = threads_[std::size_t(tid)];
-    std::uint64_t pos = t.consumed++; // position of this op
+    t.consumed += 1;
     MicroOp op = t.stream->next();
     if (op.isBranch())
         t.bpred.predict(op.pc, op.taken, op.target);
     if (op.isMem())
         mem_.warmAccess(op.pc + threadAddrBase(tid),
-                        op.effAddr + threadAddrBase(tid), op.isStore(),
-                        0, /*as_timed=*/true);
-    if (op.hasDst())
-        t.last_writer[std::size_t(op.dst.flat())] = pos;
+                        op.effAddr + threadAddrBase(tid), op.isStore(), 0);
     retired_ += 1;
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Functional fast-forward engine: retires instructions architecturally
- * — branch-predictor training, cache/prefetcher image, architectural
- * register writers — with no pipeline modeling (no IQ/ROB/LSQ/LTP, no
- * cycles), so the stream position advances at an order of magnitude
- * higher rate than detailed simulation.
+ * — branch-predictor training and the cache/prefetcher image — with no
+ * pipeline modeling (no IQ/ROB/LSQ/LTP, no cycles), so the stream
+ * position advances at an order of magnitude higher rate than detailed
+ * simulation.
  *
  * The engine is the body of a sampled run's warming chain
  * (warm_chain.hh): it owns the per-thread streams and retires *every*
@@ -19,24 +19,25 @@
  *    stream order, exactly as detailed fetch does (raw PC — the core
  *    indexes its predictor with unoffset PCs);
  *  - loads/stores: MemSystem::warmAccess with the per-thread address
- *    base, warming tags/LRU/dirty bits/prefetcher without timing, and
- *    `as_timed` so the tag arrays end as a timed run leaves them
- *    (dirty victims propagate down, prefetches fill L3);
- *  - register writes: per-thread last-writer positions (the
- *    architectural register image of a timing-only simulation).
+ *    base, warming tags/LRU/dirty bits/prefetcher without timing, so
+ *    the tag arrays end as a timed run leaves them (dirty victims
+ *    propagate down, prefetches fill L3).  A full run's functional
+ *    warm leaves the same hierarchy at the same position.
+ *
+ * A timing-only model has no register values, so there is no register
+ * image to carry: the detailed core rebuilds its rename state from
+ * the stream.
  */
 
 #ifndef LTP_SAMPLE_FAST_FORWARD_HH
 #define LTP_SAMPLE_FAST_FORWARD_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cpu/branch_pred.hh"
-#include "isa/reg.hh"
 #include "mem/mem_system.hh"
 #include "sim/config.hh"
 #include "trace/workload.hh"
@@ -89,19 +90,6 @@ class FastForward
         return threads_[std::size_t(tid)].bpred;
     }
 
-    /** Last-writer stream positions, flat arch-reg order (checkpoints). */
-    const std::array<std::uint64_t, kTotalArchRegs> &
-    lastWriters(int tid) const
-    {
-        return threads_[std::size_t(tid)].last_writer;
-    }
-
-    std::array<std::uint64_t, kTotalArchRegs> &
-    lastWriters(int tid)
-    {
-        return threads_[std::size_t(tid)].last_writer;
-    }
-
     /** Functionally-retired instructions. */
     std::uint64_t retired() const { return retired_; }
 
@@ -115,7 +103,6 @@ class FastForward
         WorkloadPtr stream;
         std::uint64_t consumed = 0;
         BranchPredictor bpred;
-        std::array<std::uint64_t, kTotalArchRegs> last_writer{};
 
         ThreadState(WorkloadPtr w, const CoreConfig &cfg)
             : stream(std::move(w)), bpred(cfg.bpTableBits, cfg.btbEntries)

@@ -57,14 +57,7 @@ Metrics
 Sampler::runSample(int i, WarmPoint &point,
                    const std::function<void(const char *)> &phase)
 {
-    // Trace-window bound, exactly as the full Simulator computes it.
-    std::size_t max_window = 0;
-    if (!isInfinite(cfg_.core.robSize) &&
-        !isInfinite(cfg_.core.fetchQueueCap)) {
-        max_window = std::size_t(cfg_.core.robSize) +
-                     std::size_t(cfg_.core.fetchQueueCap) +
-                     std::size_t(cfg_.core.fetchWidth);
-    }
+    std::size_t max_window = traceWindowBound(cfg_.core);
     int n = cfg_.core.numThreads;
     std::vector<std::unique_ptr<TraceWindow>> windows;
     std::vector<InstSource *> sources;

@@ -6,9 +6,12 @@
  * A chain is one FastForward engine over its own MemSystem.  It
  * retires every op of the streams functionally and, at each sample
  * start S_i (sample_plan.hh), settles and captures a *point*: a copy
- * of the hierarchy, the per-thread predictor and last-writer images
- * (checkpoint.hh), and a clone of each thread's generator.  Nothing
- * detailed ever writes back, so a chain is a pure function of its key:
+ * of the hierarchy, the per-thread predictor images (checkpoint.hh),
+ * and a clone of each thread's generator.  The chain warms through the
+ * one functional warm, MemSystem::warmAccess, so point i's hierarchy
+ * is the one a full run with a functional warm of S_i ops would start
+ * its pipeline warm from.  Nothing detailed ever writes back, so a
+ * chain is a pure function of its key:
  *
  *   workloadIdentity of each member, seed, plan, memConfigJson(mem),
  *   bpTableBits/btbEntries, and the CRC of a `--from` checkpoint.
@@ -72,7 +75,7 @@ using PhaseFn = std::function<void(const std::string &)>;
 struct WarmPoint
 {
     MemSystem mem;                    ///< settled hierarchy at S_i
-    std::vector<ThreadImage> threads; ///< positions, predictors, writers
+    std::vector<ThreadImage> threads; ///< positions and predictors
     std::vector<WorkloadPtr> streams; ///< per-thread generators at S_i
 };
 

@@ -45,7 +45,7 @@ inline constexpr int kCellKeyVersion = 2;
  * not produce.  test_golden pins a digest of the golden snapshots per
  * model version: re-baselining the goldens without a bump fails it.
  */
-inline constexpr int kModelVersion = 3;
+inline constexpr int kModelVersion = 4;
 
 /** Stable identity of one (config, workload, staging, seed) cell. */
 struct CellKey

@@ -97,6 +97,15 @@ resolveWorkloadMembers(SimConfig &cfg, const std::string &kernel)
     return members;
 }
 
+std::size_t
+traceWindowBound(const CoreConfig &core)
+{
+    if (isInfinite(core.robSize) || isInfinite(core.fetchQueueCap))
+        return 0;
+    return std::size_t(core.robSize) + std::size_t(core.fetchQueueCap) +
+           std::size_t(core.fetchWidth);
+}
+
 Simulator::Simulator(const SimConfig &cfg, const std::string &kernel,
                      const RunLengths &lengths)
     : cfg_(cfg), lengths_(lengths)
@@ -131,7 +140,10 @@ Simulator::Simulator(const SimConfig &cfg, const std::string &kernel,
 
     // Phase 1: functional cache warm (Section 4.1's 250M equivalent),
     // round-robin interleaved across contexts so the shared hierarchy
-    // warms under the same multiprogrammed mix it will serve.
+    // warms under the same multiprogrammed mix it will serve.  The
+    // hierarchy ends exactly as a sampling chain's FastForward leaves
+    // it at the same position; the loop stays here because FastForward
+    // also trains branch predictors, which a full run starts cold.
     for (auto &w : workloads_)
         w->reset(cfg_.seed);
     for (std::uint64_t i = 0; i < lengths_.funcWarm; ++i) {
@@ -146,15 +158,7 @@ Simulator::Simulator(const SimConfig &cfg, const std::string &kernel,
 
     // The trace windows continue from the warm position: core seq 0 is
     // trace position funcWarm (the oracles are offset to match).
-    // Window bound: ROB residency + fetch queue backlog + one fetch
-    // group of intra-cycle fetch-ahead (uncapped for infinite ROBs).
-    std::size_t max_window = 0;
-    if (!isInfinite(cfg_.core.robSize) &&
-        !isInfinite(cfg_.core.fetchQueueCap)) {
-        max_window = std::size_t(cfg_.core.robSize) +
-                     std::size_t(cfg_.core.fetchQueueCap) +
-                     std::size_t(cfg_.core.fetchWidth);
-    }
+    std::size_t max_window = traceWindowBound(cfg_.core);
     std::vector<InstSource *> sources;
     std::vector<const OracleClassification *> oracle_ptrs;
     for (std::size_t tid = 0; tid < workloads_.size(); ++tid) {

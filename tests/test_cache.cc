@@ -124,22 +124,22 @@ TEST(CellKeyTest, KeysArePinned)
     // kCellKeyVersion (or kModelVersion) bump.
     RunLengths l = tiny();
     EXPECT_EQ(cellKeyFor(SimConfig::baseline(), "paper_loop", l).hex,
-              "02a8ec6f0d76006f8fa5f684dcaebcf2"
-              "e69241519ba979ebb6ea92b6e824bcd7");
+              "0e3b4edca9a0bf7a4222f81eb3e2eafe"
+              "3217a546f1db608dd84ea08f28a1d809");
     EXPECT_EQ(cellKeyFor(SimConfig::ltpProposal(LtpMode::NU), "paper_loop",
                          l)
                   .hex,
-              "4aa361d692abf01371d877aa262b7e78"
-              "bdc2a40ffebbcfcdccc73ed9eed5d550");
+              "610b1b32993d3f30555ba6baeff076f7"
+              "871ba758b9bef753bf2c3a347f6acb80");
     // Infinite sizes key as the string "inf".
     EXPECT_EQ(cellKeyFor(SimConfig::limitStudy(LtpMode::NRNU), "paper_loop",
                          l)
                   .hex,
-              "ca4bb6015a37932f1f42db5a8ea48d0f"
-              "582ca13ec7d7a5d75ba0ffbd96b91025");
+              "c9265789aacf5be725598fd36adc9a76"
+              "9f390f6c740413941b61fe75f732bec5");
     EXPECT_EQ(cellKeyFor(escapedConfig(), "paper_loop", l).hex,
-              "4b1463c137ac8643d3235c47bc78fcd3"
-              "f0ea5f2305a39c86ceb7549103edcee9");
+              "2ffe768ab1b6a5c3b281b37b143485df"
+              "78f352ca018f6f616e6d43baa53a4b2e");
 }
 
 TEST(CellKeyTest, ConfigTreeIsTheCanonicalConfigText)

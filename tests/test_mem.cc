@@ -14,6 +14,9 @@
 #include "mem/mem_system.hh"
 #include "mem/mshr.hh"
 #include "mem/prefetcher.hh"
+#include "sample/fast_forward.hh"
+#include "sim/simulator.hh"
+#include "trace/suite.hh"
 
 namespace ltp {
 namespace {
@@ -385,10 +388,10 @@ tagImage(MemSystem &mem)
 TEST_F(MemSystemTest, AsTimedWarmLeavesTheTimedTagArrays)
 {
     // Streaming loads (prefetched), streaming stores larger than L3
-    // (dirty victims at every level) and random misses: the as-timed
-    // functional path must leave exactly the tag arrays — dirty bits
-    // and prefetched L3 lines included — that timed accesses leave.
-    MemSystem timed(cfg_), as_timed(cfg_), tags_only(cfg_);
+    // (dirty victims at every level) and random misses: the functional
+    // path must leave exactly the tag arrays — dirty bits and
+    // prefetched L3 lines included — that timed accesses leave.
+    MemSystem timed(cfg_), warmed(cfg_);
     Rng rng(7);
     Cycle now = 0;
     for (std::uint64_t i = 0; i < 60000; ++i) {
@@ -402,12 +405,32 @@ TEST_F(MemSystemTest, AsTimedWarmLeavesTheTimedTagArrays)
         auto r = timed.access(pc, addr, store, now);
         ASSERT_TRUE(r.has_value());
         now = std::max(now + 1, r->dataReady);
-        as_timed.warmAccess(pc, addr, store, 0, /*as_timed=*/true);
-        tags_only.warmAccess(pc, addr, store, 0);
+        warmed.warmAccess(pc, addr, store, 0);
     }
     EXPECT_GT(timed.l3().dirtyEvictions.value(), 0u);
-    EXPECT_EQ(tagImage(as_timed), tagImage(timed));
-    EXPECT_NE(tagImage(tags_only), tagImage(timed));
+    EXPECT_EQ(tagImage(warmed), tagImage(timed));
+}
+
+TEST(OneWarmForm, FullRunWarmEqualsTheFastForwardWarm)
+{
+    // A full run's functional warm and a sampling chain's fast-forward
+    // are one warm: at the same stream position they leave the same
+    // hierarchy, for every suite kernel and for a shared SMT mix.
+    RunLengths lengths = RunLengths::quick();
+    std::vector<std::string> workloads;
+    for (const SuiteEntry &e : kernelSuite())
+        workloads.push_back(e.name);
+    workloads.push_back("smt:graph_walk+dense_compute");
+    for (const std::string &workload : workloads) {
+        SimConfig cfg = SimConfig::baseline();
+        Simulator sim(cfg, workload, lengths);
+        std::vector<std::string> members =
+            resolveWorkloadMembers(cfg, workload);
+        MemSystem mem(cfg.mem);
+        FastForward ff(cfg, members, mem);
+        ff.advanceTo(lengths.funcWarm);
+        EXPECT_EQ(tagImage(sim.mem()), tagImage(mem)) << workload;
+    }
 }
 
 TEST_F(MemSystemTest, FetchPathHitsAfterWarm)

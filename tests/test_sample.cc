@@ -137,16 +137,14 @@ TEST(FastForwardTest, AdvancesToTargetAndCountsRetirement)
 TEST(FastForwardTest, DeterministicAcrossRuns)
 {
     SimConfig cfg = SimConfig::baseline();
-    auto lastWriterSum = [&cfg]() {
+    auto checkpointBytes = [&cfg]() {
         MemSystem mem(cfg.mem);
         FastForward ff(cfg, {"graph_walk"}, mem);
         ff.advanceTo(8000);
-        std::uint64_t sum = 0;
-        for (std::uint64_t w : ff.lastWriters(0))
-            sum += w;
-        return sum;
+        return checkpointToBytes(
+            captureCheckpoint(ff, mem, "graph_walk", cfg.seed));
     };
-    EXPECT_EQ(lastWriterSum(), lastWriterSum());
+    EXPECT_EQ(checkpointBytes(), checkpointBytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -719,11 +717,15 @@ TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
         std::vector<std::string>(std::size_t(plan.samples)),
         std::vector<std::string>(std::size_t(plan.samples))};
     WarmChain::Participant pa, pb;
-    auto record = [seed = base.seed](std::vector<std::string> *out) {
-        return [out, seed](int i, WarmPoint &point,
-                           const std::function<void(const char *)> &) {
-            (*out)[std::size_t(i)] = checkpointToBytes(captureCheckpoint(
-                point.threads, point.mem, "graph_walk", seed));
+    auto record = [&base](std::vector<std::string> *out) {
+        return [out, &base](int i, WarmPoint &point,
+                            const std::function<void(const char *)> &) {
+            // Capture through an engine placed at the point's state.
+            FastForward at(base, {"graph_walk"}, point.mem);
+            at.skip(0, point.threads[0].position);
+            at.branchPred(0).restore(point.threads[0].bpred);
+            (*out)[std::size_t(i)] = checkpointToBytes(
+                captureCheckpoint(at, point.mem, "graph_walk", base.seed));
             return Metrics{};
         };
     };

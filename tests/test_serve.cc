@@ -277,8 +277,8 @@ TEST(ServeWireTest, RunFrameBytesArePinned)
         R"("l3":{"assoc":16,"hitLatency":36,"sizeKB":1024},)"
         R"("llThreshold":40,"prefetchDegree":4,"prefetchEnabled":true},)"
         R"("name":"odd \"quoted\" back\\slash","seed":42},"id":1,)"
-        R"("key":"4b1463c137ac8643d3235c47bc78fcd3)"
-        R"(f0ea5f2305a39c86ceb7549103edcee9",)"
+        R"("key":"2ffe768ab1b6a5c3b281b37b143485df)"
+        R"(78f352ca018f6f616e6d43baa53a4b2e",)"
         R"("lengths":{"detail":1000,"funcWarm":2000,"pipeWarm":400},)"
         R"("type":"run","workload":"paper_loop"})");
 }

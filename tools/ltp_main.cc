@@ -84,7 +84,7 @@ usage(int status)
         "                 compare --full=a.json --sampled=b.json` gates\n"
         "                 a sampled report against a full-detail one\n"
         "  checkpoint <create|ls|verify>   architectural .ltcp\n"
-        "                 checkpoints (fast-forwarded register/predictor/\n"
+        "                 checkpoints (fast-forwarded predictor and\n"
         "                 cache state) for `ltp sample --from=<file>`\n"
         "  list-kernels   print the registered kernel suite\n"
         "  classify       Section 4.1 MLP-sensitivity classification\n"
@@ -121,11 +121,7 @@ applySets(SimConfig &cfg, const Cli &cli)
         if (eq == std::string::npos)
             fatal("--set needs <dotted.path>=<value>, got '%s'",
                   kv.c_str());
-        try {
-            applyOverride(cfg, kv.substr(0, eq), kv.substr(eq + 1));
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        applyOverride(cfg, kv.substr(0, eq), kv.substr(eq + 1));
     }
 }
 
@@ -135,13 +131,8 @@ presetConfig(const std::string &preset, const Cli &cli)
 {
     bool has_mode = cli.has("mode");
     LtpMode mode = LtpMode::NU;
-    if (has_mode) {
-        try {
-            mode = parseLtpMode(cli.str("mode", ""), "--mode");
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
-    }
+    if (has_mode)
+        mode = parseLtpMode(cli.str("mode", ""), "--mode");
     if (preset == "baseline")
         return SimConfig::baseline();
     if (preset == "ltpProposal")
@@ -171,28 +162,20 @@ makeBackend(const Cli &cli)
     if (kind == "serve") {
         std::string host = "127.0.0.1";
         int port = kDefaultServePort;
-        try {
-            parseHostPort(cli.str("server", ""), &host, &port);
-            ServeClientOptions topts;
-            topts.replyTimeoutMs = int(cli.integer(
-                "server-timeout", topts.replyTimeoutMs));
-            return std::make_shared<ServeBackend>(host, port, topts);
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
-        }
+        parseHostPort(cli.str("server", ""), &host, &port);
+        ServeClientOptions topts;
+        topts.replyTimeoutMs =
+            int(cli.integer("server-timeout", topts.replyTimeoutMs));
+        return std::make_shared<ServeBackend>(host, port, topts);
     }
     if (kind != "local")
         fatal("unknown --backend '%s' (expected local|serve)",
               kind.c_str());
     if (cli.flag("no-cache"))
         return nullptr;
-    try {
-        return std::make_shared<CachedBackend>(
-            LocalBackend::instance(),
-            std::make_shared<ResultCache>(cli.str("cache-dir", "")));
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    return std::make_shared<CachedBackend>(
+        LocalBackend::instance(),
+        std::make_shared<ResultCache>(cli.str("cache-dir", "")));
 }
 
 /** One stderr line of cache effectiveness for non-local backends. */
@@ -373,45 +356,41 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
 
     std::string host = "127.0.0.1";
     int port = kDefaultServePort;
-    try {
-        parseHostPort(cli.str("server", ""), &host, &port);
-        ServeClientOptions topts;
-        topts.replyTimeoutMs =
-            int(cli.integer("server-timeout", topts.replyTimeoutMs));
-        ServeBackend client(host, port, topts);
-        if (cli.flag("progress")) {
-            // The daemon streams progress during the run; render it as
-            // the same heartbeat a local --progress sweep prints.
-            auto start = std::chrono::steady_clock::now();
-            client.setProgressHandler(
-                [start](std::uint64_t done, std::uint64_t total,
-                        std::uint64_t hits) {
-                    double secs =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                    std::fprintf(
-                        stderr,
-                        "\r%llu/%llu cells, %llu hits, %.1fs elapsed   ",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(total),
-                        static_cast<unsigned long long>(hits), secs);
-                    std::fflush(stderr);
-                });
-        }
-        SweepResult result = client.submitScenario(root);
-        if (cli.flag("progress"))
-            std::fprintf(stderr, "\n");
-        std::printf("scenario %s: ran on %s:%d (%zu simulations, %d "
-                    "daemon threads)\n",
-                    result.name.c_str(), host.c_str(), port,
-                    result.simulations, result.threads);
-        std::fputs(renderViews(result, views).c_str(), stdout);
-        printBackendSummary(result);
-        maybeArchive(cli, result);
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
+    parseHostPort(cli.str("server", ""), &host, &port);
+    ServeClientOptions topts;
+    topts.replyTimeoutMs =
+        int(cli.integer("server-timeout", topts.replyTimeoutMs));
+    ServeBackend client(host, port, topts);
+    if (cli.flag("progress")) {
+        // The daemon streams progress during the run; render it as
+        // the same heartbeat a local --progress sweep prints.
+        auto start = std::chrono::steady_clock::now();
+        client.setProgressHandler(
+            [start](std::uint64_t done, std::uint64_t total,
+                    std::uint64_t hits) {
+                double secs =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+                std::fprintf(
+                    stderr,
+                    "\r%llu/%llu cells, %llu hits, %.1fs elapsed   ",
+                    static_cast<unsigned long long>(done),
+                    static_cast<unsigned long long>(total),
+                    static_cast<unsigned long long>(hits), secs);
+                std::fflush(stderr);
+            });
     }
+    SweepResult result = client.submitScenario(root);
+    if (cli.flag("progress"))
+        std::fprintf(stderr, "\n");
+    std::printf("scenario %s: ran on %s:%d (%zu simulations, %d "
+                "daemon threads)\n",
+                result.name.c_str(), host.c_str(), port,
+                result.simulations, result.threads);
+    std::fputs(renderViews(result, views).c_str(), stdout);
+    printBackendSummary(result);
+    maybeArchive(cli, result);
     return 0;
 }
 
@@ -421,12 +400,7 @@ cmdSweep(const std::string &path, const Cli &cli)
     if (cli.flag("submit"))
         return cmdSubmitSweep(path, cli);
 
-    Scenario scenario;
-    try {
-        scenario = loadScenarioFile(path);
-    } catch (const std::runtime_error &e) {
-        fatal("%s", e.what());
-    }
+    Scenario scenario = loadScenarioFile(path);
     scenario.lengths = stagingLengths(cli, scenario.lengths);
     // Overrides the file's seed before compile, so it also reseeds the
     // panel classification (unlike --set seed=N, which applies after).
@@ -437,15 +411,10 @@ cmdSweep(const std::string &path, const Cli &cli)
 
     int threads = int(cli.integer("threads", 0));
     ExecBackendPtr backend = makeBackend(cli);
-    SweepSpec spec;
-    try {
-        // The backend also serves the classification matrix a panels
-        // scenario runs at compile time, so a warm cache answers the
-        // whole invocation without simulating.
-        spec = scenario.compile(threads, backend);
-    } catch (const std::runtime_error &e) {
-        fatal("%s", e.what());
-    }
+    // The backend also serves the classification matrix a panels
+    // scenario runs at compile time, so a warm cache answers the
+    // whole invocation without simulating.
+    SweepSpec spec = scenario.compile(threads, backend);
 
     // --set overrides apply to every job of the compiled spec; the
     // --samples/--sample-* flags override the scenario's sampling plan.
@@ -511,14 +480,9 @@ cmdBench(const Cli &cli)
     }
 
     std::string baseline = cli.str("baseline", "");
-    SimSpeedReport report;
-    try {
-        report = runSimSpeedBench(opts);
-        if (!baseline.empty())
-            report.referenceKips = loadReferenceKips(baseline);
-    } catch (const std::runtime_error &e) {
-        fatal("%s", e.what());
-    }
+    SimSpeedReport report = runSimSpeedBench(opts);
+    if (!baseline.empty())
+        report.referenceKips = loadReferenceKips(baseline);
 
     Table t({"cell", "config", "sims", "insts", "wall ms", "kIPS"});
     auto addRows = [&](const std::vector<SimSpeedCell> &cells) {
@@ -597,12 +561,8 @@ cmdBench(const Cli &cli)
     if (cli.flag("check")) {
         if (baseline.empty())
             fatal("bench --check needs --baseline=<file>");
-        try {
-            if (!checkSimSpeedBaseline(report, baseline))
-                return 1;
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        if (!checkSimSpeedBaseline(report, baseline))
+            return 1;
     }
     return 0;
 }
@@ -634,20 +594,15 @@ recordTargets(const std::string &what, const Cli &cli,
                       "source kernels directly: ltp record "
                       "<kernel,...> --out=<dir>)",
                       e.what());
-            fatal("%s", e.what());
+            throw;
         }
         // The scenario's own staging/seed become the recording defaults
         // (still overridable by the standard flags).
         lengths = stagingLengths(cli, scenario.lengths);
         if (!cli.has("seed"))
             seed = scenario.seed;
-        SweepSpec spec;
-        try {
-            spec = scenario.compile(int(cli.integer("threads", 0)),
-                                    makeBackend(cli));
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        SweepSpec spec = scenario.compile(int(cli.integer("threads", 0)),
+                                          makeBackend(cli));
         std::set<std::string> uniq;
         for (const SweepJob &job : spec.jobs)
             for (const std::string &k : job.kernels) {
@@ -699,14 +654,10 @@ cmdRecord(const std::string &what, const Cli &cli)
         info.pipeWarm = lengths.pipeWarm;
         info.detail = lengths.detail;
         std::string path = out_dir + "/" + kernel + ".lttr";
-        try {
-            std::string bytes = recordTrace(info);
-            writeTraceFile(path, bytes);
-            t.addRow({kernel, path, std::to_string(info.recordLength()),
-                      std::to_string(bytes.size())});
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        std::string bytes = recordTrace(info);
+        writeTraceFile(path, bytes);
+        t.addRow({kernel, path, std::to_string(info.recordLength()),
+                  std::to_string(bytes.size())});
     }
     t.print(strprintf("recorded %zu trace(s), seed %llu, staging "
                       "%llu/%llu/%llu (+%llu slack)",
@@ -757,12 +708,7 @@ cmdReplay(const std::string &what, const Cli &cli)
 
     int failures = 0;
     for (const std::string &path : paths) {
-        std::shared_ptr<const TraceReader> trace;
-        try {
-            trace = loadTraceCached(path);
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        std::shared_ptr<const TraceReader> trace = loadTraceCached(path);
         const TraceInfo &info = trace->info();
 
         // Defaults reproduce the recording run exactly: the recorded
@@ -1075,24 +1021,19 @@ cmdSample(const std::string &positional, const Cli &cli)
             fatal("sample --from restores one workload, got %zu",
                   kernels.size());
         auto start = std::chrono::steady_clock::now();
-        Checkpoint ckpt;
-        try {
-            ckpt = loadCheckpointFile(from);
-            Sampler sampler(cfg, kernels[0], plan);
-            sampler.restoreFrom(ckpt);
-            PhaseFn phase;
-            if (cli.flag("progress"))
-                phase = [](const std::string &p) {
-                    std::fprintf(stderr, "\r[%s]        ", p.c_str());
-                    std::fflush(stderr);
-                };
-            Metrics m = sampler.run(phase);
-            if (phase)
-                std::fprintf(stderr, "\n");
-            result.grid.put(kernels[0], cfg.name, m);
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        Checkpoint ckpt = loadCheckpointFile(from);
+        Sampler sampler(cfg, kernels[0], plan);
+        sampler.restoreFrom(ckpt);
+        PhaseFn phase;
+        if (cli.flag("progress"))
+            phase = [](const std::string &p) {
+                std::fprintf(stderr, "\r[%s]        ", p.c_str());
+                std::fflush(stderr);
+            };
+        Metrics m = sampler.run(phase);
+        if (phase)
+            std::fprintf(stderr, "\n");
+        result.grid.put(kernels[0], cfg.name, m);
         result.name = "sample:" + cfg.name;
         result.threads = 1;
         result.backend = "local";
@@ -1151,25 +1092,20 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
         SimConfig cfg = presetConfig(cli.str("preset", "baseline"), cli);
         cfg.seed = cli.integer("seed", 1);
         applySets(cfg, cli);
-        try {
-            std::vector<std::string> members =
-                resolveWorkloadMembers(cfg, kernel);
-            MemSystem mem(cfg.mem);
-            FastForward ff(cfg, members, mem);
-            ff.advanceTo(at);
-            std::string name = ff.stream(0).name();
-            for (int tid = 1; tid < ff.numThreads(); ++tid)
-                name += "+" + ff.stream(tid).name();
-            Checkpoint ckpt =
-                captureCheckpoint(ff, mem, name, cfg.seed);
-            std::string bytes = checkpointToBytes(ckpt);
-            writeCheckpointFile(out, bytes);
-            std::printf("%s: %s (%zu bytes, fast-forward %.0f kIPS)\n",
-                        out.c_str(), checkpointSummary(ckpt).c_str(),
-                        bytes.size(), ff.kips());
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        std::vector<std::string> members =
+            resolveWorkloadMembers(cfg, kernel);
+        MemSystem mem(cfg.mem);
+        FastForward ff(cfg, members, mem);
+        ff.advanceTo(at);
+        std::string name = ff.stream(0).name();
+        for (int tid = 1; tid < ff.numThreads(); ++tid)
+            name += "+" + ff.stream(tid).name();
+        Checkpoint ckpt = captureCheckpoint(ff, mem, name, cfg.seed);
+        std::string bytes = checkpointToBytes(ckpt);
+        writeCheckpointFile(out, bytes);
+        std::printf("%s: %s (%zu bytes, fast-forward %.0f kIPS)\n",
+                    out.c_str(), checkpointSummary(ckpt).c_str(),
+                    bytes.size(), ff.kips());
         return 0;
     }
     if (action == "ls" || action == "verify") {
@@ -1177,29 +1113,25 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
         if (file.empty())
             fatal("checkpoint %s needs --file=<file.ltcp>",
                   action.c_str());
-        try {
-            std::string bytes = readFileText(file);
-            Checkpoint ckpt = checkpointFromBytes(bytes);
-            if (action == "ls") {
-                std::printf("%s: %s\n", file.c_str(),
-                            checkpointSummary(ckpt).c_str());
-                return 0;
-            }
-            // verify: the decode above already validated magic,
-            // version, CRC, and semantics; a byte-exact re-encode
-            // proves the file is canonical (no mutation survives).
-            if (checkpointToBytes(ckpt) != bytes) {
-                std::fprintf(stderr,
-                             "%s: decodes but re-encodes differently "
-                             "(non-canonical)\n",
-                             file.c_str());
-                return 1;
-            }
-            std::printf("%s: OK (%zu bytes, CRC + round-trip verified)\n",
-                        file.c_str(), bytes.size());
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
+        std::string bytes = readFileText(file);
+        Checkpoint ckpt = checkpointFromBytes(bytes);
+        if (action == "ls") {
+            std::printf("%s: %s\n", file.c_str(),
+                        checkpointSummary(ckpt).c_str());
+            return 0;
         }
+        // verify: the decode above already validated magic,
+        // version, CRC, and semantics; a byte-exact re-encode
+        // proves the file is canonical (no mutation survives).
+        if (checkpointToBytes(ckpt) != bytes) {
+            std::fprintf(stderr,
+                         "%s: decodes but re-encodes differently "
+                         "(non-canonical)\n",
+                         file.c_str());
+            return 1;
+        }
+        std::printf("%s: OK (%zu bytes, CRC + round-trip verified)\n",
+                    file.c_str(), bytes.size());
         return 0;
     }
     fatal("unknown checkpoint action '%s' (expected create|ls|verify)",
@@ -1276,54 +1208,50 @@ cmdServe(const std::string &action, const Cli &cli)
                   action.c_str());
         std::string host = "127.0.0.1";
         int port = int(cli.integer("port", kDefaultServePort));
-        try {
-            parseHostPort(cli.str("server", ""), &host, &port);
-            ServeClientOptions topts;
-            topts.replyTimeoutMs = int(cli.integer(
-                "server-timeout", topts.replyTimeoutMs));
-            ServeBackend client(host, port, topts);
-            JsonValue reply =
-                client.rpc(action == "stop" ? "shutdown" : action);
-            reply.object.erase("id");
-            // The per-worker counters read better as a table; keep the
-            // machine-readable JSON to the scalar fields.
-            JsonValue workers;
-            auto wIt = reply.object.find("workers");
-            if (wIt != reply.object.end() && wIt->second.isArray()) {
-                workers = std::move(wIt->second);
-                reply.object.erase("workers");
+        parseHostPort(cli.str("server", ""), &host, &port);
+        ServeClientOptions topts;
+        topts.replyTimeoutMs =
+            int(cli.integer("server-timeout", topts.replyTimeoutMs));
+        ServeBackend client(host, port, topts);
+        JsonValue reply =
+            client.rpc(action == "stop" ? "shutdown" : action);
+        reply.object.erase("id");
+        // The per-worker counters read better as a table; keep the
+        // machine-readable JSON to the scalar fields.
+        JsonValue workers;
+        auto wIt = reply.object.find("workers");
+        if (wIt != reply.object.end() && wIt->second.isArray()) {
+            workers = std::move(wIt->second);
+            reply.object.erase("workers");
+        }
+        std::printf("%s\n", writeJson(reply).c_str());
+        if (workers.isArray()) {
+            Table t({"worker", "capacity", "up", "dispatched",
+                     "completed", "retried", "failed",
+                     "peer hits"});
+            for (const JsonValue &w : workers.array) {
+                auto f = [&w](const char *key) -> std::string {
+                    auto it = w.object.find(key);
+                    if (it == w.object.end())
+                        return "-";
+                    if (it->second.isBool())
+                        return it->second.boolean ? "yes" : "NO";
+                    return it->second.str;
+                };
+                t.addRow({f("worker"), f("capacity"), f("up"),
+                          f("dispatched"), f("completed"),
+                          f("retried"), f("failed"),
+                          f("peerHits")});
             }
-            std::printf("%s\n", writeJson(reply).c_str());
-            if (workers.isArray()) {
-                Table t({"worker", "capacity", "up", "dispatched",
-                         "completed", "retried", "failed",
-                         "peer hits"});
-                for (const JsonValue &w : workers.array) {
-                    auto f = [&w](const char *key) -> std::string {
-                        auto it = w.object.find(key);
-                        if (it == w.object.end())
-                            return "-";
-                        if (it->second.isBool())
-                            return it->second.boolean ? "yes" : "NO";
-                        return it->second.str;
-                    };
-                    t.addRow({f("worker"), f("capacity"), f("up"),
-                              f("dispatched"), f("completed"),
-                              f("retried"), f("failed"),
-                              f("peerHits")});
-                }
-                t.print("remote workers");
-            }
-            if (action == "stop") {
-                auto dIt = reply.object.find("drained");
-                if (dIt != reply.object.end() &&
-                    dIt->second.isNumber() && dIt->second.num > 0)
-                    std::printf("drained %s in-flight cell(s) before "
-                                "shutdown\n",
-                                dIt->second.str.c_str());
-            }
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
+            t.print("remote workers");
+        }
+        if (action == "stop") {
+            auto dIt = reply.object.find("drained");
+            if (dIt != reply.object.end() &&
+                dIt->second.isNumber() && dIt->second.num > 0)
+                std::printf("drained %s in-flight cell(s) before "
+                            "shutdown\n",
+                            dIt->second.str.c_str());
         }
         return 0;
     }
@@ -1336,25 +1264,16 @@ cmdServe(const std::string &action, const Cli &cli)
     opts.quiet = cli.flag("quiet");
     opts.workers = cli.list("worker");
     std::string workers_file = cli.str("workers", "");
-    if (!workers_file.empty()) {
-        try {
-            for (const std::string &w : loadWorkerSpecs(workers_file))
-                opts.workers.push_back(w);
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
-        }
-    }
+    if (!workers_file.empty())
+        for (const std::string &w : loadWorkerSpecs(workers_file))
+            opts.workers.push_back(w);
     opts.traceDir = cli.str("trace-dir", "");
     opts.drainTimeoutMs =
         int(cli.integer("drain-timeout", opts.drainTimeoutMs));
-    try {
-        Server server(opts);
-        server.start();
-        server.waitForShutdown();
-        server.stop();
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    Server server(opts);
+    server.start();
+    server.waitForShutdown();
+    server.stop();
     return 0;
 }
 
@@ -1375,10 +1294,8 @@ cmdPrintConfig(const std::string &preset, const Cli &cli)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runCommand(int argc, char **argv)
 {
     if (argc < 2)
         return usage(1);
@@ -1554,4 +1471,19 @@ main(int argc, char **argv)
 
     std::fprintf(stderr, "ltp: unknown command '%s'\n\n", cmd.c_str());
     return usage(1);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Library errors arrive as exceptions, from this thread or from a
+    // Runner worker's future; every command reports them alike, as one
+    // fatal line and exit status 1.
+    try {
+        return runCommand(argc, argv);
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
 }

@@ -183,7 +183,6 @@ class Histogram
     }
 
     std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::size_t numBuckets() const { return counts_.size(); }
     std::uint64_t total() const { return total_; }
     double mean() const { return total_ ? double(sum_) / total_ : 0.0; }
 

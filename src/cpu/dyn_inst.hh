@@ -47,7 +47,6 @@ struct SrcRef
     std::int32_t phys = -1;
     std::int32_t ltpId = -1;
 
-    bool isNone() const { return phys < 0 && ltpId < 0; }
     bool isPhys() const { return phys >= 0; }
     bool isLtp() const { return ltpId >= 0; }
 };

@@ -6,19 +6,6 @@
 
 namespace ltp {
 
-const char *
-hitLevelName(HitLevel level)
-{
-    switch (level) {
-      case HitLevel::L1: return "L1";
-      case HitLevel::L2: return "L2";
-      case HitLevel::L3: return "L3";
-      case HitLevel::Dram: return "DRAM";
-      case HitLevel::Inflight: return "inflight";
-    }
-    return "?";
-}
-
 MemSystem::MemSystem(const MemConfig &cfg)
     : cfg_(cfg),
       l1i_("l1i", cfg.l1i),
@@ -259,7 +246,6 @@ MemSystem::resetStats(Cycle now)
     l2_.resetStats();
     l3_.resetStats();
     dram_.resetStats(now);
-    l1d_mshrs_.resetStats(now);
     l1d_mshrs_.allocations.reset();
     l1d_mshrs_.fullStalls.reset();
     prefetcher_.issued.reset();

@@ -33,8 +33,6 @@ namespace ltp {
 /** Where in the hierarchy an access was satisfied. */
 enum class HitLevel { L1, L2, L3, Dram, Inflight };
 
-const char *hitLevelName(HitLevel level);
-
 /** Timing outcome of one memory access. */
 struct MemAccessResult
 {
@@ -101,7 +99,6 @@ class MemSystem
     /** Mean demand-load latency (Section 4.1 sensitivity criterion). */
     double avgLoadLatency() const { return load_lat_.mean(); }
 
-    Cycle l2HitLatency() const { return cfg_.l2.hitLatency; }
     Cycle dramLatency() const { return dram_.typicalLatency(); }
 
     void resetStats(Cycle now);

@@ -1,12 +1,11 @@
 /**
  * @file
  * Miss Status Holding Register file: bounds the number of outstanding
- * misses a cache level may have in flight and tracks their occupancy.
+ * misses a cache level may have in flight.
  *
  * Merge detection itself lives in the cache (in-flight lines carry their
- * fill time); the MSHR file adds the *capacity* constraint and the
- * occupancy statistic.  Entries self-free when their fill completes
- * (lazily, on the next operation).
+ * fill time); the MSHR file adds the *capacity* constraint.  Entries
+ * self-free when their fill completes (lazily, on the next operation).
  */
 
 #ifndef LTP_MEM_MSHR_HH
@@ -35,19 +34,9 @@ class MshrFile
     /** Number of live entries at cycle @p now. */
     int occupancy(Cycle now);
 
-    /** Average occupancy per cycle since the last stats reset. */
-    double meanOccupancy(Cycle now) { return occ_.mean(now); }
-
-    void resetStats(Cycle now) { occ_.reset(now); }
-
     /** Drop all in-flight entries (inter-sample settling; the fills
      *  they tracked are settled to "resident" in the caches). */
-    void
-    settle()
-    {
-        live_.clear();
-        occ_ = OccupancyStat{};
-    }
+    void settle() { live_.clear(); }
 
     Counter allocations;
     Counter fullStalls; ///< times available() returned false
@@ -63,7 +52,6 @@ class MshrFile
 
     int capacity_;
     std::vector<Entry> live_;
-    OccupancyStat occ_;
 };
 
 } // namespace ltp

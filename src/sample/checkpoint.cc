@@ -49,6 +49,10 @@ decodeCache(ByteReader &in, const char *which)
                       "associativity " + std::to_string(img.assoc));
     std::uint64_t count =
         std::uint64_t(img.numSets) * std::uint64_t(img.assoc);
+    // 17 bytes a line: never reserve more lines than the file holds.
+    if (count > in.remaining() / 17)
+        badCheckpoint(std::string(which) + " image runs past the end of "
+                      "the file");
     img.lines.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint8_t flags = in.u8();
@@ -157,7 +161,8 @@ checkpointFromBytes(const std::string &bytes)
         badCheckpoint("unsupported version " + std::to_string(version) +
                       " (this build reads version " +
                       std::to_string(kCheckpointVersion) + ")");
-    in.u32(); // reserved
+    if (in.u32() != 0)
+        badCheckpoint("reserved header field is not 0");
 
     std::uint32_t stored = ByteReader(bytes, bytes.size() - 4).u32();
     Crc32 crc;

@@ -79,9 +79,6 @@ class Sampler
                            const SamplePlan &plan,
                            const PhaseFn &phase = {});
 
-    /** The workload name the run reports (members joined under SMT). */
-    const std::string &workloadName() const { return workload_name_; }
-
     /** The warming chain this run joins (its key and positions). */
     ChainSpec chainSpec() const;
 

@@ -200,8 +200,10 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
     JsonValue frame;
     frame.kind = JsonValue::Kind::Object;
     frame.object["type"] = jsonStr("run");
-    if (!key.empty())
+    if (!key.empty()) {
         frame.object["key"] = jsonStr(key.hex);
+        frame.object["model"] = jsonStr(modelFingerprint());
+    }
     frame.object["workload"] = jsonStr(workload);
     frame.object["config"] = configTree(cfg);
     JsonValue len;

@@ -403,11 +403,13 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
             JsonValue reply = objectFrame(id, "pong");
             reply.object["version"] =
                 jsonU64(std::uint64_t(kServeProtocolVersion));
+            reply.object["model"] = jsonStr(modelFingerprint());
             conn->pipe.writeFrame(reply);
             return;
         }
         if (type == "stats") {
             JsonValue reply = objectFrame(id, "stats");
+            reply.object["model"] = jsonStr(modelFingerprint());
             reply.object["requests"] = jsonU64(requests.load());
             reply.object["computed"] = jsonU64(cells->computed.load());
             reply.object["cacheHits"] = jsonU64(cells->cacheHits.load());
@@ -503,17 +505,24 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
         sampling.samples = int(frameU64(spIt->second, "samples"));
     }
 
-    // Clients normally send the key they derived; a raw client may
-    // omit it, in which case the server derives the identical one.
-    // Either way the key carries the workload's content identity, the
-    // same one a local CachedBackend records in its entries.
+    // Clients normally send the key they derived and the model that
+    // derived it; another build's key is refused, never answered or
+    // stored under.  A raw client may omit the key: the server derives
+    // it, content identity included, as a local CachedBackend does.
     CellKey key;
     auto keyIt = frame.object.find("key");
-    if (keyIt != frame.object.end() && keyIt->second.isString() &&
-        !keyIt->second.str.empty())
-        key = CellKey{keyIt->second.str, workloadIdentity(workload)};
-    else
+    auto modelIt = frame.object.find("model");
+    std::string model =
+        modelIt == frame.object.end() ? "(none)" : modelIt->second.str;
+    if (keyIt == frame.object.end() || !keyIt->second.isString() ||
+        keyIt->second.str.empty())
         key = cellKeyFor(cfg, workload, lengths, &sampling);
+    else if (model != modelFingerprint())
+        throw std::runtime_error(
+            "model mismatch: the client's key is for model " + model +
+            ", this daemon runs model " + modelFingerprint());
+    else
+        key = CellKey{keyIt->second.str, workloadIdentity(workload)};
 
     conn->total.fetch_add(1, std::memory_order_relaxed);
 

@@ -6,10 +6,13 @@
  *
  * Protocol (one compact-JSON frame per line, see serve/wire.hh):
  *
- *   → {"id":N,"type":"run","key":"<64-hex>","workload":"<name>",
- *      "config":{...},"lengths":{"funcWarm":F,"pipeWarm":P,"detail":D},
+ *   → {"id":N,"type":"run","key":"<64-hex>","model":"<64-hex>",
+ *      "workload":"<name>","config":{...},
+ *      "lengths":{"funcWarm":F,"pipeWarm":P,"detail":D},
  *      "sampling":{"fastForward":F,"warmup":W,"detail":D,"samples":N}}
- *      (the optional "sampling" object selects interval sampling)
+ *      (the optional "sampling" object selects interval sampling; a
+ *      "key" needs the "model" fingerprint that derived it, else the
+ *      reply is an error naming both; without one the daemon keys)
  *   ← {"id":N,"type":"result","hit":B,"deduped":B,"metrics":{...}}
  *   ← {"type":"progress","done":D,"total":T,"hits":H}   (per connection)
  *   → {"id":N,"type":"scenario","scenario":{...}}       (whole scenario)
@@ -18,8 +21,9 @@
  *      "metrics":{...}},...]}
  *   → {"id":N,"type":"lookup","key":"<64-hex>"}         (cache probe)
  *   ← {"id":N,"type":"lookup","found":B,"metrics":{...}} (if found)
- *   → {"id":N,"type":"ping"}       ← {"id":N,"type":"pong","version":V}
- *   → {"id":N,"type":"stats"}      ← {"id":N,"type":"stats",...}
+ *   → {"id":N,"type":"ping"}
+ *   ← {"id":N,"type":"pong","version":V,"model":"<64-hex>"}
+ *   → {"id":N,"type":"stats"}      ← {"id":N,"type":"stats","model":...}
  *   → {"id":N,"type":"shutdown"}   ← {"id":N,"type":"ok","drained":D}
  *                                     (after draining, then exits)
  *   ← {"id":N,"type":"error","message":"..."}            (any failure)
@@ -28,7 +32,8 @@
  * daemon becomes a frontend that schedules cells onto remote worker
  * daemons through a WorkerPool (serve/worker_pool.hh) — LPT dispatch,
  * re-dispatch on worker failure, cache peer lookup via the `lookup`
- * frame, and in-process fallback when every worker is down.  The
+ * frame, and in-process fallback when every worker is down.  A worker
+ * of another build refuses every cell, which fails the sweep.  The
  * `scenario` frame compiles and runs a whole scenario server-side
  * (trace paths resolved against --trace-dir), so a client sends one
  * frame per study instead of one per cell.
@@ -74,11 +79,10 @@ struct ServerImpl;
 
 /** Bump when the frame schema changes incompatibly.  v2 added the
  *  optional `sampling` object to `run` frames (interval sampling).
- *  v3 added `scenario` (whole-scenario submission) and `lookup`
- *  (cache peer probe) requests, the `drained` field on the shutdown
- *  reply, and the `workers` array in stats; v1/v2 clients are
- *  unaffected — every v2 frame behaves exactly as before. */
-inline constexpr int kServeProtocolVersion = 3;
+ *  v3 added `scenario` and `lookup` requests, the shutdown reply's
+ *  `drained` and the stats' `workers`.  v4: a keyed `run` frame
+ *  carries `model`, and `pong` and `stats` report it. */
+inline constexpr int kServeProtocolVersion = 4;
 
 /** `ltp serve` configuration. */
 struct ServeOptions

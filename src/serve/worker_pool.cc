@@ -62,13 +62,6 @@ WorkerPool::upCountLocked() const
     return n;
 }
 
-std::size_t
-WorkerPool::upCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return upCountLocked();
-}
-
 void
 WorkerPool::tryAdmitLocked()
 {

@@ -85,9 +85,6 @@ class WorkerPool : public ExecBackend
     /** Sum of worker capacities (fixed after construction). */
     int totalCapacity() const { return totalCapacity_; }
 
-    /** Workers not yet marked down. */
-    std::size_t upCount() const;
-
     std::string name() const override { return "workers"; }
 
     bool wantsKey() const override { return true; }

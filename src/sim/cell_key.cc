@@ -4,10 +4,17 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sha256.hh"
-#include "sim/metrics.hh"
+#include "model_fingerprint.hh"
 #include "trace/trace_workload.hh"
 
 namespace ltp {
+
+const std::string &
+modelFingerprint()
+{
+    static const std::string fingerprint = LTP_MODEL_FINGERPRINT;
+    return fingerprint;
+}
 
 std::string
 workloadIdentity(const std::string &name)
@@ -45,28 +52,30 @@ workloadIdentity(const std::string &name)
     return "kernel/" + name;
 }
 
+std::string
+cellKeyPreimage(const SimConfig &cfg, const std::string &identity,
+                const RunLengths &lengths, const SamplePlan *sampling)
+{
+    std::string out = "model: " + modelFingerprint() + "\n";
+    out += "config: " + writeJsonCompact(configTree(cfg)) + "\n";
+    out += "workload: " + identity + "\n";
+    out += strprintf("staging: %llu/%llu/%llu\n",
+                     static_cast<unsigned long long>(lengths.funcWarm),
+                     static_cast<unsigned long long>(lengths.pipeWarm),
+                     static_cast<unsigned long long>(lengths.detail));
+    if (sampling && sampling->enabled())
+        out += "sampling: " + sampling->toString() + "\n";
+    return out;
+}
+
 CellKey
 cellKeyFor(const SimConfig &cfg, const std::string &workload,
            const RunLengths &lengths, const SamplePlan *sampling)
 {
     CellKey key;
     key.workload = workloadIdentity(workload);
-
-    Sha256 h;
-    h.update(strprintf("ltp-cell-v%d\n", kCellKeyVersion));
-    h.update(strprintf("model: %d\n", kModelVersion));
-    h.update("config: " + writeJsonCompact(configTree(cfg)) + "\n");
-    h.update("workload: " + key.workload + "\n");
-    h.update(strprintf("staging: %llu/%llu/%llu\n",
-                       static_cast<unsigned long long>(lengths.funcWarm),
-                       static_cast<unsigned long long>(lengths.pipeWarm),
-                       static_cast<unsigned long long>(lengths.detail)));
-    h.update(strprintf("metricsSchema: %d\n", kMetricsSchemaVersion));
-    // Appended only when enabled: full-detail keys are byte-identical
-    // to the pre-sampling derivation, so existing caches stay valid.
-    if (sampling && sampling->enabled())
-        h.update("sampling: " + sampling->toString() + "\n");
-    key.hex = h.hex();
+    key.hex =
+        sha256Hex(cellKeyPreimage(cfg, key.workload, lengths, sampling));
     return key;
 }
 

@@ -2,25 +2,26 @@
  * @file
  * Content-addressed identity of one sweep cell.
  *
- * A cell's Metrics are a pure function of (config, workload, staging,
- * seed) — PR 2's exact SimConfig JSON round-trip and PR 3's
- * golden/replay harness prove it bit for bit.  This module turns that
- * purity into a stable SHA-256 key:
+ * A cell's Metrics are a pure function of the model and of (config,
+ * workload, staging, seed): the exact SimConfig JSON round trip and
+ * the golden/replay harness prove it bit for bit.  This module turns
+ * that purity into a SHA-256 key over a text preimage of these lines:
  *
- *  - the config (seed included) is rendered in canonical form
- *    (configTree: sorted keys, compact), so the key is independent of
- *    field order and formatting;
- *  - the workload contributes a content identity, not a spelling:
- *    kernels by name, `trace:<path>` members by the kernel name and
- *    CRC-32 stored in the `.lttr` file (so a renamed or copied trace
- *    file keys identically, and a re-recorded one does not), `smt:`
- *    tuples decomposed per member;
- *  - the staging plan, the Metrics schema version and the model
- *    version round out the preimage, so staging changes, format bumps
- *    and behaviour changes never alias.
+ *  - `model:` the build's model fingerprint, derived by the build from
+ *    every file under src/ (cmake/model_fingerprint.cmake), so any
+ *    library edit, comments included, moves every key;
+ *  - `config:` the config (seed included) in canonical form
+ *    (configTree: sorted keys, compact);
+ *  - `workload:` a content identity, not a spelling: kernels as
+ *    `kernel/<name>` (their generators are model sources), `trace:`
+ *    members by the kernel name and CRC-32 stored in the `.lttr` file
+ *    (a renamed or copied trace keys identically, a re-recorded one
+ *    does not), `smt:` tuples decomposed per member;
+ *  - `staging:` the run lengths, and `sampling:` the plan when one is
+ *    enabled, so a sampled run never aliases the full-detail one.
  *
- * The preimage is kept alongside the hex digest for observability
- * (`ltp cache ls`, wire-protocol debugging).
+ * cellKeyPreimage() returns that text (for debugging and tests);
+ * cellKeyFor() hashes it.
  */
 
 #ifndef LTP_SIM_CELL_KEY_HH
@@ -34,18 +35,9 @@
 
 namespace ltp {
 
-/** Version salt of the key derivation itself: bump on any change to
- *  the preimage layout so old cache entries can never alias. */
-inline constexpr int kCellKeyVersion = 2;
-
-/**
- * Version of the simulated behaviour, part of every cell key.  Bump it
- * with any change that moves a simulated result, so no cache (local,
- * served or distributed) can return a number the current model would
- * not produce.  test_golden pins a digest of the golden snapshots per
- * model version: re-baselining the goldens without a bump fails it.
- */
-inline constexpr int kModelVersion = 4;
+/** The build's model fingerprint: 64 hex chars of SHA-256 over every
+ *  file under src/, path and content. */
+const std::string &modelFingerprint();
 
 /** Stable identity of one (config, workload, staging, seed) cell. */
 struct CellKey
@@ -66,14 +58,16 @@ struct CellKey
 std::string workloadIdentity(const std::string &name);
 
 /**
- * Derive the cell key.  @p cfg.seed rides in the config JSON.
- *
- * @p sampling, when non-null and enabled, contributes a `sampling:`
- * line to the preimage so a sampled run's (approximate) Metrics can
- * never alias the full-detail run of the same cell; a null or
- * disabled plan contributes nothing, keeping every pre-sampling key
- * (and cache entry) byte-identical.
+ * The key preimage of a cell whose workload has content identity
+ * @p identity (workloadIdentity()).  @p cfg.seed rides in the config
+ * line; @p sampling adds a `sampling:` line only when non-null and
+ * enabled.
  */
+std::string cellKeyPreimage(const SimConfig &cfg, const std::string &identity,
+                            const RunLengths &lengths,
+                            const SamplePlan *sampling = nullptr);
+
+/** Derive the cell key: the SHA-256 of cellKeyPreimage(). */
 CellKey cellKeyFor(const SimConfig &cfg, const std::string &workload,
                    const RunLengths &lengths,
                    const SamplePlan *sampling = nullptr);

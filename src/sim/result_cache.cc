@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/binio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
@@ -58,11 +59,21 @@ forEachEntry(const std::string &dir, Fn fn)
     }
 }
 
-/** Parse one entry file; throws on any structural or version defect. */
+/** Every entry opens with these bytes, then 8 hex digits: the CRC-32
+ *  of every byte after them. */
+const std::string kSealLead = "{\n  \"crc32\": \"";
+
+/** Parse one entry file; throws on a checksum, structural or version
+ *  defect. */
 CacheEntryInfo
 parseEntry(const std::string &key, const std::string &text,
            Metrics *metrics_out)
 {
+    const std::size_t at = kSealLead.size();
+    if (text.size() < at + 8 || text.compare(0, at, kSealLead) != 0 ||
+        text.compare(at, 8, strprintf("%08x", crc32(text.substr(at + 8)))))
+        throw std::runtime_error("entry checksum mismatch");
+
     JsonValue root = parseJson(text);
     if (!root.isObject())
         throw std::runtime_error("entry is not a JSON object");
@@ -73,13 +84,12 @@ parseEntry(const std::string &key, const std::string &text,
                                      name + "'");
         return it->second;
     };
-    if (jsonToU64(field("cacheSchema")) != std::uint64_t(kCacheSchemaVersion))
-        throw std::runtime_error("cacheSchema version mismatch");
     if (field("key").str != key)
         throw std::runtime_error("stored key disagrees with file name");
 
     CacheEntryInfo info;
     info.key = key;
+    info.model = field("model").str;
     info.config = field("config").str;
     info.workload = field("workload").str;
     const JsonValue &lengths = field("lengths");
@@ -95,7 +105,7 @@ parseEntry(const std::string &key, const std::string &text,
     // on anything newer than this reader.
     Metrics m = metricsFromJson(field("metrics"));
     if (metrics_out)
-        *metrics_out = m;
+        *metrics_out = std::move(m);
     info.valid = true;
     return info;
 }
@@ -134,12 +144,17 @@ ResultCache::lookup(const CellKey &key, Metrics *out) const
         return false;
     std::ostringstream text;
     text << in.rdbuf();
+    Metrics m;
     try {
-        parseEntry(key.hex, text.str(), out);
-        return true;
+        // Another build's number is a miss, whatever key it sits at.
+        if (parseEntry(key.hex, text.str(), &m).model != modelFingerprint())
+            return false;
     } catch (const std::runtime_error &) {
-        return false; // corrupt or future-versioned: a miss, not data
+        return false; // damaged or future-versioned: a miss, not data
     }
+    if (out)
+        *out = std::move(m);
+    return true;
 }
 
 void
@@ -159,7 +174,7 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
     }
 
     JsonObjectBuilder o;
-    o.u64("cacheSchema", kCacheSchemaVersion);
+    o.str("model", modelFingerprint());
     o.str("key", key.hex);
     o.str("config", cfg.name);
     o.str("workload", key.workload);
@@ -180,7 +195,8 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
             warn("result cache: cannot write %s", tmp.c_str());
             return;
         }
-        outf << o.render(0) << "\n";
+        std::string rest = "\",\n" + o.render(0).substr(2) + "\n";
+        outf << kSealLead << strprintf("%08x", crc32(rest)) << rest;
     }
     fs::rename(tmp, path, ec);
     if (ec) {

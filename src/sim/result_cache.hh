@@ -12,10 +12,12 @@
  * rename winning, which is harmless because entries are value-equal by
  * construction.
  *
- * Every entry is double schema-versioned: the envelope carries
- * kCacheSchemaVersion, the embedded Metrics its own schemaVersion.
- * Any mismatch, parse error, or key disagreement reads as a miss (and
- * is reclaimed by `ltp cache gc`), never as wrong data.
+ * An entry is a JSON object whose first member, `crc32`, is the CRC-32
+ * of every byte after its 8 hex digits, and whose `model` is the model
+ * fingerprint of the build that stored it (cell_key.hh).  A damaged or
+ * unparsable entry, or another build's, reads as a miss, never as
+ * other Metrics than the stored ones; `ltp cache gc` reclaims the
+ * damaged and unparsable ones.
  */
 
 #ifndef LTP_SIM_RESULT_CACHE_HH
@@ -31,27 +33,25 @@
 
 namespace ltp {
 
-/** Envelope format version; bump on any layout change. */
-inline constexpr int kCacheSchemaVersion = 1;
-
 /** One on-disk entry, as listed by `ltp cache ls`. */
 struct CacheEntryInfo
 {
     std::string key;      ///< 64-hex cell key (file stem)
     std::string config;   ///< SimConfig::name at store time
     std::string workload; ///< content identity (cell_key.hh)
+    std::string model;    ///< fingerprint of the build that stored it
     std::uint64_t funcWarm = 0;
     std::uint64_t pipeWarm = 0;
     std::uint64_t detail = 0;
     std::uint64_t bytes = 0;
-    bool valid = false;   ///< parses + schema versions accepted
+    bool valid = false;   ///< checksum holds and the entry parses
 };
 
 /** Aggregate numbers for `ltp cache stat`. */
 struct CacheStats
 {
     std::uint64_t entries = 0;
-    std::uint64_t invalid = 0; ///< unreadable or schema-mismatched
+    std::uint64_t invalid = 0; ///< damaged or unreadable
     std::uint64_t bytes = 0;
 };
 
@@ -68,7 +68,8 @@ class ResultCache
 
     const std::string &dir() const { return dir_; }
 
-    /** @return true and fill @p out on a valid entry for @p key. */
+    /** @return true and fill @p out on a valid entry for @p key that
+     *  this build's model stored. */
     bool lookup(const CellKey &key, Metrics *out) const;
 
     /** Persist @p m under @p key (atomic rename; last writer wins). */

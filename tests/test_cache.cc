@@ -3,12 +3,14 @@
  * The content-addressed result cache, end to end: canonical-JSON key
  * stability, workload content identity (kernels, traces by CRC, smt
  * tuples), round-trip bit-identity against fresh simulation for every
- * suite kernel, schema-version gating, and the CachedBackend + Runner
- * warm-sweep behaviour the CLI relies on.
+ * suite kernel, the model fingerprint, checksum and schema-version
+ * gating, and the CachedBackend + Runner warm-sweep behaviour the CLI
+ * relies on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,7 +19,10 @@
 
 #include <unistd.h>
 
+#include "common/binio.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
+#include "common/sha256.hh"
 #include "sim/cell_key.hh"
 #include "sim/exec_backend.hh"
 #include "sim/report.hh"
@@ -118,28 +123,82 @@ escapedConfig()
     return c;
 }
 
+/** @p preimage with the build's fingerprint replaced by a fixed token:
+ *  what a pin may depend on (the layout and the config text), not the
+ *  build. */
+std::string
+unbuilt(std::string preimage)
+{
+    const std::string &fp = modelFingerprint();
+    auto at = preimage.find(fp);
+    EXPECT_EQ(at, std::string("model: ").size());
+    return at == std::string::npos
+               ? preimage
+               : preimage.replace(at, fp.size(), "<fingerprint>");
+}
+
 TEST(CellKeyTest, KeysArePinned)
 {
-    // Existing caches must keep their keys: a change here needs a
-    // kCellKeyVersion (or kModelVersion) bump.
+    // The preimage, line by line; the key is its SHA-256.
     RunLengths l = tiny();
-    EXPECT_EQ(cellKeyFor(SimConfig::baseline(), "paper_loop", l).hex,
-              "0e3b4edca9a0bf7a4222f81eb3e2eafe"
-              "3217a546f1db608dd84ea08f28a1d809");
-    EXPECT_EQ(cellKeyFor(SimConfig::ltpProposal(LtpMode::NU), "paper_loop",
-                         l)
-                  .hex,
-              "610b1b32993d3f30555ba6baeff076f7"
-              "871ba758b9bef753bf2c3a347f6acb80");
+    SamplePlan plan = SamplePlan::defaults();
+    SimConfig cfg = escapedConfig();
+    std::string preimage =
+        cellKeyPreimage(cfg, "kernel/paper_loop", l, &plan);
+    EXPECT_EQ(unbuilt(preimage),
+              "model: <fingerprint>\n"
+              "config: " + writeJsonCompact(configTree(cfg)) + "\n"
+              "workload: kernel/paper_loop\n"
+              "staging: 2000/400/1000\n"
+              "sampling: 40000/2000/10000 x8\n");
+    EXPECT_EQ(cellKeyFor(cfg, "paper_loop", l, &plan).hex,
+              sha256Hex(preimage));
+    EXPECT_EQ(cellKeyFor(cfg, "paper_loop", l).hex,
+              sha256Hex(cellKeyPreimage(cfg, "kernel/paper_loop", l)));
+
+    // The canonical config texts, pinned by digest: a change here
+    // re-keys every cached cell of that config.
+    auto pin = [&](const SimConfig &c) {
+        return sha256Hex(
+            unbuilt(cellKeyPreimage(c, "kernel/paper_loop", l)));
+    };
+    EXPECT_EQ(pin(SimConfig::baseline()),
+              "10ad69a3af7f257cabdc95bc8a9e676a"
+              "cfdb0abde85d854f60b7db4061f0adea");
+    EXPECT_EQ(pin(SimConfig::ltpProposal(LtpMode::NU)),
+              "2650730e53c346826dbd598c1d70d426"
+              "f8fecb7824dd7ab6c4131712b286773f");
     // Infinite sizes key as the string "inf".
-    EXPECT_EQ(cellKeyFor(SimConfig::limitStudy(LtpMode::NRNU), "paper_loop",
-                         l)
-                  .hex,
-              "c9265789aacf5be725598fd36adc9a76"
-              "9f390f6c740413941b61fe75f732bec5");
-    EXPECT_EQ(cellKeyFor(escapedConfig(), "paper_loop", l).hex,
-              "2ffe768ab1b6a5c3b281b37b143485df"
-              "78f352ca018f6f616e6d43baa53a4b2e");
+    EXPECT_EQ(pin(SimConfig::limitStudy(LtpMode::NRNU)),
+              "cfbbaaf1faa8087837c5e88e4150177f"
+              "634e89fe98d81d37a271e1ec4331e9de");
+    EXPECT_EQ(pin(escapedConfig()),
+              "7fef4a742fef91b00e8b9b1ef0df5790"
+              "9f766ce96390344f47342c50f47a0635");
+}
+
+TEST(CellKeyTest, FingerprintMatchesTheSources)
+{
+    // The build step (cmake/model_fingerprint.cmake), recomputed over
+    // the source tree: a stale generated header would key results by
+    // a model the library no longer is.
+    namespace fs = std::filesystem;
+    const fs::path root = LTP_SOURCE_DIR;
+    std::vector<std::string> files;
+    for (const auto &e : fs::recursive_directory_iterator(root / "src"))
+        if (e.is_regular_file())
+            files.push_back(fs::relative(e.path(), root).generic_string());
+    std::sort(files.begin(), files.end());
+    std::string manifest;
+    for (const std::string &f : files) {
+        std::ifstream in(root / f, std::ios::binary);
+        manifest += f + " " +
+                    sha256Hex(std::string(
+                        std::istreambuf_iterator<char>(in), {})) +
+                    "\n";
+    }
+    EXPECT_GT(files.size(), 100u);
+    EXPECT_EQ(modelFingerprint(), sha256Hex(manifest));
 }
 
 TEST(CellKeyTest, ConfigTreeIsTheCanonicalConfigText)
@@ -220,6 +279,36 @@ TEST_F(CacheTest, TraceIdentityIsContentAddressed)
 // Store / lookup round-trip
 // ---------------------------------------------------------------------------
 
+/** The file of @p key's entry under @p dir. */
+std::string
+entryPath(const std::string &dir, const CellKey &key)
+{
+    return dir + "/" + key.hex.substr(0, 2) + "/" + key.hex.substr(2, 2) +
+           "/" + key.hex + ".json";
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** @p text (an entry) with the @p needle replaced by @p with and the
+ *  checksum recomputed, so the edit reaches the checks behind it. */
+std::string
+editedAndResealed(std::string text, const std::string &needle,
+                  const std::string &with)
+{
+    auto at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    if (at != std::string::npos)
+        text.replace(at, needle.size(), with);
+    const std::size_t digits = std::string("{\n  \"crc32\": \"").size();
+    return text.replace(digits, 8,
+                        strprintf("%08x", crc32(text.substr(digits + 8))));
+}
+
 TEST_F(CacheTest, RoundTripIsBitIdenticalForEverySuiteKernel)
 {
     ResultCache cache(dir_);
@@ -247,25 +336,15 @@ TEST_F(CacheTest, FutureSchemaVersionsReadAsMisses)
     ASSERT_TRUE(cache.lookup(key, nullptr));
 
     // Bump the embedded Metrics schemaVersion past what this reader
-    // supports: the entry must degrade to a miss, not a crash, and gc
-    // must collect it.
+    // supports, under a valid checksum: the entry must degrade to a
+    // miss, not a crash, and gc must collect it.
     std::vector<CacheEntryInfo> entries = cache.list();
     ASSERT_EQ(entries.size(), 1u);
-    std::string path = dir_ + "/" + key.hex.substr(0, 2) + "/" +
-                       key.hex.substr(2, 2) + "/" + key.hex + ".json";
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    std::string needle =
-        "\"schemaVersion\": " + std::to_string(kMetricsSchemaVersion);
-    auto at = text.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, needle.size(),
-                 "\"schemaVersion\": " +
-                     std::to_string(kMetricsSchemaVersion + 1));
-    std::ofstream(path, std::ios::trunc) << text;
+    std::string path = entryPath(dir_, key);
+    std::string text = readFile(path);
+    std::ofstream(path, std::ios::trunc) << editedAndResealed(
+        text, "\"schemaVersion\": " + std::to_string(kMetricsSchemaVersion),
+        "\"schemaVersion\": " + std::to_string(kMetricsSchemaVersion + 1));
 
     EXPECT_FALSE(cache.lookup(key, nullptr));
     EXPECT_EQ(cache.stats().invalid, 1u);
@@ -276,6 +355,30 @@ TEST_F(CacheTest, FutureSchemaVersionsReadAsMisses)
     EXPECT_EQ(usage.invalid, 0u);
     EXPECT_EQ(cache.gc(), 1u);
     EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST_F(CacheTest, AnotherModelsEntryMissesButIsKept)
+{
+    // An entry stored by another build, at this build's key and under
+    // a valid checksum: never this build's number, but still a whole
+    // entry that gc leaves to the build that can read it.
+    ResultCache cache(dir_);
+    SimConfig cfg = SimConfig::baseline();
+    Metrics m = Simulator::runOnce(cfg, "paper_loop", tiny());
+    CellKey key = cellKeyFor(cfg, "paper_loop", tiny());
+    cache.store(key, cfg, tiny(), m);
+    ASSERT_TRUE(cache.lookup(key, nullptr));
+
+    std::string path = entryPath(dir_, key);
+    std::string text = readFile(path);
+    std::ofstream(path, std::ios::trunc) << editedAndResealed(
+        text, modelFingerprint(), std::string(64, 'f'));
+
+    EXPECT_FALSE(cache.lookup(key, nullptr));
+    ASSERT_EQ(cache.list().size(), 1u);
+    EXPECT_TRUE(cache.list()[0].valid);
+    EXPECT_EQ(cache.list()[0].model, std::string(64, 'f'));
+    EXPECT_EQ(cache.gc(), 0u);
 }
 
 TEST(MetricsSchema, ReaderRejectsNewerVersions)

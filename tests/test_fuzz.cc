@@ -1,9 +1,10 @@
 /**
  * @file
- * Seeded mutation fuzzing of the readers that take untrusted bytes on
- * the serve hit path: a `run` frame, a `result` frame and a result-cache
- * entry.  Each seed input is mutated by byte flips, truncation,
- * insertion and duplicated object keys, under a fixed seed and a fixed
+ * Seeded mutation fuzzing of the readers that take untrusted bytes: on
+ * the serve hit path a `run` frame, a `result` frame and a result-cache
+ * entry, and the `.ltcp` checkpoint reader.  Each seed input is mutated
+ * by byte flips, truncation, insertion and duplicated object keys (or
+ * u32 fields set to decoder bounds), under a fixed seed and a fixed
  * mutation count (well under 2 s, also under ASan/UBSan).
  *
  * The invariant is reject-cleanly-or-round-trip:
@@ -13,25 +14,30 @@
  *    throw std::runtime_error or yield a value that round-trips
  *    exactly through its tree;
  *  - ResultCache::lookup on a mutated entry misses, or returns exactly
- *    the Metrics those bytes encode (read independently, through the
- *    text); an entry whose metrics bytes are untouched returns exactly
- *    the stored Metrics.  (Entries carry no checksum: a mutation inside
- *    the metrics bytes that still parses reads as a different value.)
+ *    the stored Metrics (the entry's checksum covers its bytes);
+ *  - a `.ltcp` checkpoint, mutated and then re-sealed with a valid CRC
+ *    so the mutation reaches the decoder, is rejected with
+ *    std::runtime_error or re-encodes to exactly its bytes.  The seed
+ *    corpus is the corruption matrix of CheckpointTest.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/binio.hh"
 #include "common/json.hh"
 #include "common/random.hh"
+#include "sample/checkpoint.hh"
 #include "sim/cell_key.hh"
 #include "sim/config.hh"
 #include "sim/report.hh"
@@ -334,11 +340,9 @@ TEST(MutationFuzz, CacheEntriesMissOrReadExactly)
     ASSERT_FALSE(seed.empty());
     JsonValue tree = parseJson(seed);
     std::string want = metricsToJson(stored);
-    // The bytes of the stored "metrics" value: a mutation outside them
-    // must read back as exactly the stored Metrics, or miss.
-    std::size_t metrics_lo = seed.find("\"metrics\"");
-    std::size_t metrics_hi = seed.rfind('}', seed.rfind('}') - 1) + 1;
-    ASSERT_NE(metrics_lo, std::string::npos);
+    Metrics got;
+    ASSERT_TRUE(cache.lookup(key, &got));
+    ASSERT_EQ(metricsToJson(got), want);
 
     Rng rng(kSeed + 2);
     int hits = 0;
@@ -349,27 +353,111 @@ TEST(MutationFuzz, CacheEntriesMissOrReadExactly)
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
             out << text;
         }
-        Metrics got;
         if (!cache.lookup(key, &got))
             continue;
         hits += 1;
-        // Read the same bytes independently, through the text.
-        JsonValue root = parseJson(text);
-        Metrics oracle = metricsFromJson(
-            parseJson(writeJson(root.object.at("metrics"))));
-        EXPECT_EQ(metricsToJson(got), metricsToJson(oracle)) << text;
-        bool metrics_untouched =
-            kind == Mutation::Truncate ||
-            (kind != Mutation::Duplicate &&
-             text.compare(metrics_lo, metrics_hi - metrics_lo, seed,
-                          metrics_lo, metrics_hi - metrics_lo) == 0 &&
-             text.size() == seed.size());
-        if (metrics_untouched) {
-            EXPECT_EQ(metricsToJson(got), want) << text;
+        EXPECT_EQ(metricsToJson(got), want) << text;
+    }
+    // Only a mutation that leaves the bytes as they were can hit.
+    EXPECT_LT(hits, kMutationsPerCorpus / 50);
+    std::filesystem::remove_all(dir);
+}
+
+/** A real checkpoint of a small machine, about 1.5 KB, so that most
+ *  mutations land in a header, count or geometry field. */
+std::string
+smallCheckpoint()
+{
+    SimConfig cfg = SimConfig::baseline();
+    cfg.core.bpTableBits = 4;
+    cfg.core.btbEntries = 4;
+    for (CacheConfig *c :
+         {&cfg.mem.l1i, &cfg.mem.l1d, &cfg.mem.l2, &cfg.mem.l3}) {
+        c->sizeKB = 1;
+        c->assoc = 4;
+    }
+    MemSystem mem(cfg.mem);
+    FastForward ff(cfg, {"graph_walk"}, mem);
+    ff.advanceTo(4000);
+    Checkpoint ckpt = captureCheckpoint(ff, mem, "graph_walk", cfg.seed);
+    ckpt.prefetcher.resize(4);
+    return checkpointToBytes(ckpt);
+}
+
+/** One binary mutant of @p seed: a bit flip, a random byte, a
+ *  truncation, an inserted byte, or a little-endian u32 overwritten
+ *  with a value at a decoder bound. */
+std::string
+mutateBytes(const std::string &seed, Rng &rng)
+{
+    static const std::uint32_t kEdges[] = {
+        0, 1, 3, 4, 7, 8, 28, 29, 64, 65, 256, 257, 0xffff,
+        1u << 20, (1u << 20) + 1, 1u << 22, (1u << 22) + 1, 1u << 24,
+        0x7fffffff, 0xffffffff};
+    std::string s = seed;
+    std::size_t at = rng.below(s.size());
+    switch (rng.below(5)) {
+      case 0:
+        s[at] = char(s[at] ^ char(1u << rng.below(8)));
+        break;
+      case 1:
+        s[at] = char(rng.below(256));
+        break;
+      case 2:
+        s.resize(at);
+        break;
+      case 3:
+        s.insert(at, 1, char(rng.below(256)));
+        break;
+      default: {
+        std::uint32_t v = kEdges[rng.below(std::size(kEdges))];
+        for (std::size_t b = 0; b < 4 && at + b < s.size(); ++b)
+            s[at + b] = char(v >> (8 * b));
+      }
+    }
+    return s;
+}
+
+TEST(MutationFuzz, CheckpointsRejectCleanlyOrRoundTrip)
+{
+    // CheckpointTest.CorruptionIsRejected's matrix, on a small image.
+    std::string good = smallCheckpoint();
+    ASSERT_NO_THROW((void)checkpointFromBytes(good));
+    std::vector<std::string> corpus = {good, good, good, good + "x"};
+    corpus[1][0] ^= 0x5a; // bad magic
+    corpus[2][8] = 99;    // unsupported version
+    corpus[3][good.size() / 2] ^= 0x01; // flipped payload byte
+    for (std::size_t keep : {std::size_t(10), good.size() / 2,
+                             good.size() - 1})
+        corpus.push_back(good.substr(0, keep));
+
+    Rng rng(kSeed + 3);
+    int accepted = 0;
+    for (const std::string &seed : corpus) {
+        for (int i = 0; i < kMutationsPerCorpus; ++i) {
+            std::string text = mutateBytes(seed, rng);
+            if (text.size() >= 4) {
+                // Re-seal, so that the mutation reaches the decoder.
+                text.resize(text.size() - 4);
+                putU32le(text, crc32(text));
+            }
+            Checkpoint ckpt;
+            try {
+                ckpt = checkpointFromBytes(text);
+            } catch (const std::runtime_error &) {
+                continue;
+            }
+            accepted += 1;
+            std::string again = checkpointToBytes(ckpt);
+            EXPECT_TRUE(again == text)
+                << "an accepted mutant re-encodes differently from byte "
+                << std::mismatch(again.begin(), again.end(), text.begin(),
+                                 text.end())
+                           .first -
+                       again.begin();
         }
     }
-    EXPECT_GT(hits, 0);
-    std::filesystem::remove_all(dir);
+    EXPECT_GT(accepted, 0);
 }
 
 } // namespace

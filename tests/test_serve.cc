@@ -99,6 +99,7 @@ TEST_F(ServeTest, PingReportsProtocolVersion)
     EXPECT_EQ(reply.object.at("type").str, "pong");
     EXPECT_EQ(std::uint64_t(reply.object.at("version").num),
               std::uint64_t(kServeProtocolVersion));
+    EXPECT_EQ(reply.object.at("model").str, modelFingerprint());
 }
 
 TEST_F(ServeTest, ServedMetricsMatchLocalExecution)
@@ -225,7 +226,8 @@ TEST_F(ServeTest, UnknownWorkloadComesBackAsError)
 
 // ---------------------------------------------------------------------------
 // Wire bytes, pinned: a change here is a protocol change, and needs a
-// kServeProtocolVersion bump.
+// kServeProtocolVersion bump.  The key and the model fingerprint are
+// the build's own, substituted.
 // ---------------------------------------------------------------------------
 
 TEST(ServeWireTest, RunFrameBytesArePinned)
@@ -243,14 +245,14 @@ TEST(ServeWireTest, RunFrameBytesArePinned)
         while (conn.readLine(rest)) {
         }
     });
+    SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
+    cfg.name = "odd \"quoted\" back\\slash";
+    cfg.mem.dram.cpuCyclesPerDramCycle = 3.7;
+    cfg.seed = 42;
+    CellKey key = cellKeyFor(cfg, "paper_loop", tiny());
     {
-        SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
-        cfg.name = "odd \"quoted\" back\\slash";
-        cfg.mem.dram.cpuCyclesPerDramCycle = 3.7;
-        cfg.seed = 42;
         ServeBackend client("127.0.0.1", listener.port());
-        EXPECT_THROW(client.runCell(cellKeyFor(cfg, "paper_loop", tiny()),
-                                    cfg, "paper_loop", tiny(),
+        EXPECT_THROW(client.runCell(key, cfg, "paper_loop", tiny(),
                                     SamplePlan{}),
                      std::runtime_error);
     }
@@ -277,9 +279,9 @@ TEST(ServeWireTest, RunFrameBytesArePinned)
         R"("l3":{"assoc":16,"hitLatency":36,"sizeKB":1024},)"
         R"("llThreshold":40,"prefetchDegree":4,"prefetchEnabled":true},)"
         R"("name":"odd \"quoted\" back\\slash","seed":42},"id":1,)"
-        R"("key":"2ffe768ab1b6a5c3b281b37b143485df)"
-        R"(78f352ca018f6f616e6d43baa53a4b2e",)"
+        R"("key":")" + key.hex + R"(",)"
         R"("lengths":{"detail":1000,"funcWarm":2000,"pipeWarm":400},)"
+        R"("model":")" + modelFingerprint() + R"(",)"
         R"("type":"run","workload":"paper_loop"})");
 }
 
@@ -311,6 +313,7 @@ TEST_F(ServeTest, HitReplyBytesArePinned)
         R"("funcWarm":2000,"pipeWarm":400},"type":"run",)"
         R"("workload":"paper_loop"})");
     run.object["key"] = jsonStr(key.hex);
+    run.object["model"] = jsonStr(modelFingerprint());
     ASSERT_TRUE(conn.writeFrame(run));
     // The progress push, then the result, in one write.
     std::string progress, result;
@@ -332,6 +335,38 @@ TEST_F(ServeTest, HitReplyBytesArePinned)
         R"("pressureUnparks":0,"rfOcc":0,"robOcc":0,"schemaVersion":2,)"
         R"("sqOcc":0,"unparked":0,"workload":"paper_loop"},)"
         R"("type":"result"})");
+}
+
+TEST_F(ServeTest, AnotherModelsKeyGetsAnErrorAndStoresNothing)
+{
+    // A client of another build sends its key: the daemon's model
+    // would store its number under that build's key.  It must refuse,
+    // naming both fingerprints, and compute and store nothing.
+    SimConfig cfg = SimConfig::baseline();
+    LineConn conn(connectTcp("127.0.0.1", server_->port()));
+    for (const char *model : {"bogus", ""}) {
+        JsonValue run = parseJson(
+            R"({"config":{"name":"base-iq64-rf128"},"id":3,)"
+            R"("lengths":{"detail":1000,"funcWarm":2000,"pipeWarm":400},)"
+            R"("type":"run","workload":"paper_loop"})");
+        run.object["key"] =
+            jsonStr(cellKeyFor(cfg, "paper_loop", tiny()).hex);
+        if (*model)
+            run.object["model"] = jsonStr(model);
+        ASSERT_TRUE(conn.writeFrame(run));
+        std::string reply;
+        ASSERT_TRUE(conn.readLine(reply));
+        JsonValue frame = parseJson(reply);
+        EXPECT_EQ(frame.object.at("type").str, "error") << reply;
+        const std::string &msg = frame.object.at("message").str;
+        EXPECT_NE(msg.find(*model ? model : "(none)"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(modelFingerprint()), std::string::npos) << msg;
+    }
+    JsonValue stats = connect()->rpc("stats");
+    EXPECT_EQ(std::uint64_t(stats.object.at("computed").num), 0u);
+    EXPECT_EQ(stats.object.at("model").str, modelFingerprint());
+    EXPECT_EQ(ResultCache(cacheDir_).usage().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------

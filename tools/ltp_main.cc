@@ -342,9 +342,8 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
         root.object["lengths"] = std::move(l);
     }
 
-    if (cli.has("samples") || cli.has("sample-ff") ||
-        cli.has("sample-warmup") || cli.has("sample-detail")) {
-        sampling = samplePlanFromCli(cli, sampling);
+    sampling = samplePlanFromCli(cli, sampling);
+    if (sampling.enabled()) {
         JsonValue sp;
         sp.kind = JsonValue::Kind::Object;
         sp.object["fastForward"] = jsonU64(sampling.fastForward);
@@ -834,10 +833,16 @@ cmdClassify(const Cli &cli)
 }
 
 /** The sampling plan the shared --samples/--sample-* flags select,
- *  layered over @p base (a scenario's plan or the defaults). */
+ *  layered over @p base, or over the defaults if @p base is disabled
+ *  (as `ltp sample` reads them); no such flag returns @p base. */
 SamplePlan
 samplePlanFromCli(const Cli &cli, SamplePlan base)
 {
+    if (!cli.has("samples") && !cli.has("sample-ff") &&
+        !cli.has("sample-warmup") && !cli.has("sample-detail"))
+        return base;
+    if (!base.enabled())
+        base = SamplePlan::defaults();
     if (cli.has("samples"))
         base.samples = int(cli.integer("samples", base.samples));
     if (cli.has("sample-ff"))
@@ -1166,7 +1171,9 @@ cmdCache(const std::string &action, const Cli &cli)
                                 static_cast<unsigned long long>(
                                     e.detail)),
                       std::to_string(e.bytes),
-                      e.valid ? "ok" : "INVALID"});
+                      !e.valid                          ? "INVALID"
+                      : e.model == modelFingerprint() ? "ok"
+                                                        : "other model"});
         t.print(strprintf("result cache at %s", cache.dir().c_str()));
         return 0;
     }

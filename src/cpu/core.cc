@@ -9,12 +9,6 @@ namespace ltp {
 
 namespace {
 
-/** In-flight instruction pool size, per thread: must exceed ROB +
- *  front end + SQ drain backlog by a wide margin so slots are never
- *  live on reuse.  Shared with the IQ's (tid, seq)-indexed ready
- *  bitmask (kInstWindow). */
-constexpr std::size_t kPoolSize = kInstWindow;
-
 /** Is @p inst, parked in @p ltp, its oldest parked load (or store)? */
 bool
 oldestParkedOfKind(const LtpQueue &ltp, const DynInst *inst)
@@ -27,6 +21,27 @@ oldestParkedOfKind(const LtpQueue &ltp, const DynInst *inst)
 }
 
 } // namespace
+
+std::size_t
+traceWindowBound(const CoreConfig &core)
+{
+    if (isInfinite(core.robSize) || isInfinite(core.fetchQueueCap))
+        return 0;
+    return std::size_t(core.robSize) + std::size_t(core.fetchQueueCap) +
+           std::size_t(core.fetchWidth);
+}
+
+std::size_t
+instPoolSize(const CoreConfig &core)
+{
+    std::size_t bound = traceWindowBound(core);
+    if (bound == 0 || 2 * bound >= kInstWindow)
+        return kInstWindow;
+    std::size_t size = 1;
+    while (size < 2 * bound)
+        size <<= 1;
+    return size;
+}
 
 const char *
 ltpModeName(LtpMode mode)
@@ -77,11 +92,12 @@ Core::ThreadContext::ThreadContext(int tid_, const CoreConfig &cfg,
       llpred(),
       tickets(cfg.ltp.numTickets),
       monitor(cfg.ltp.useMonitor, dram_latency),
-      pool_gen(kPoolSize, 0),
+      pool_gen(instPoolSize(cfg), 0),
+      pool_mask(instPoolSize(cfg) - 1),
       mem_base(threadAddrBase(tid_))
 {
     ticket_epoch.assign(tickets.capacity(), 0);
-    pool.reserve(kPoolSize);
+    pool.reserve(pool_gen.size());
 }
 
 Core::Core(const CoreConfig &cfg, MemSystem &mem, InstSource &source,
@@ -160,8 +176,8 @@ Core::ltpOn(const ThreadContext &t) const
 DynInst *
 Core::slotFor(ThreadContext &t, SeqNum seq)
 {
-    sim_assert(seq % kPoolSize < t.pool.size());
-    return &t.pool[seq % kPoolSize];
+    sim_assert((seq & t.pool_mask) < t.pool.size());
+    return &t.pool[seq & t.pool_mask];
 }
 
 DynInst *
@@ -170,13 +186,13 @@ Core::allocInst(ThreadContext &t, const MicroOp &op, SeqNum seq)
     // Slots are built on first use.  Fetch hands out sequence numbers
     // in order from 0, so the pool grows one slot at a time until it
     // wraps; the up-front reserve keeps every slot pointer stable.
-    while (t.pool.size() <= seq % kPoolSize)
+    while (t.pool.size() <= (seq & t.pool_mask))
         t.pool.emplace_back();
     DynInst *inst = slotFor(t, seq);
     sim_assert(inst->seq == kSeqNone || inst->committed ||
                inst->squashed);
     sim_assert(!inst->inIq && !inst->inLtp && !inst->inLq && !inst->inSq);
-    t.pool_gen[seq % kPoolSize] += 1;
+    t.pool_gen[seq & t.pool_mask] += 1;
     inst->init(op, seq, now_, t.tid);
     return inst;
 }
@@ -185,16 +201,17 @@ bool
 Core::eventInstValid(const ThreadContext &t, SeqNum seq,
                      std::uint64_t gen) const
 {
-    sim_assert(seq % kPoolSize < t.pool.size());
-    const DynInst &inst = t.pool[seq % kPoolSize];
-    return inst.seq == seq && t.pool_gen[seq % kPoolSize] == gen &&
+    sim_assert((seq & t.pool_mask) < t.pool.size());
+    const DynInst &inst = t.pool[seq & t.pool_mask];
+    return inst.seq == seq && t.pool_gen[seq & t.pool_mask] == gen &&
            !inst.squashed;
 }
 
 std::uint64_t
 Core::poolGen(const DynInst *inst) const
 {
-    return thread(inst->tid).pool_gen[inst->seq % kPoolSize];
+    const ThreadContext &t = thread(inst->tid);
+    return t.pool_gen[inst->seq & t.pool_mask];
 }
 
 // ---------------------------------------------------------------------

@@ -145,6 +145,23 @@ struct CoreConfig
     LtpConfig ltp;
 };
 
+/**
+ * The trace window capacity for @p core: ROB residency + fetch queue
+ * backlog + one fetch group of intra-cycle fetch-ahead, or 0
+ * (uncapped) for an infinite ROB or fetch queue.  Full runs and
+ * sampled windows bound their trace windows alike.
+ */
+std::size_t traceWindowBound(const CoreConfig &core);
+
+/**
+ * Slots in each thread's instruction pool: the next power of two of
+ * twice traceWindowBound(), so committed stores still draining from
+ * the SQ and squashed slots have room before their slot comes round
+ * again (1024 for every preset), and kInstWindow, never more, for an
+ * infinite window.  A slot that is still live on reuse panics.
+ */
+std::size_t instPoolSize(const CoreConfig &core);
+
 /** Random-access trace source (supports squash rewind by seq). */
 class InstSource
 {
@@ -494,11 +511,13 @@ class Core
         std::vector<std::uint64_t> ticket_epoch; ///< stale-event guard
 
         // ---- instruction pool ----
-        /** Reserved at full size up front (slot pointers stay stable)
-         *  and grown on first use: a short run never builds, or
-         *  touches, the slots it does not reach. */
+        /** instPoolSize() slots, indexed by seq & pool_mask; reserved
+         *  at full size up front (slot pointers stay stable) and grown
+         *  on first use: a short run never builds, or touches, the
+         *  slots it does not reach. */
         std::vector<DynInst> pool;
         std::vector<std::uint64_t> pool_gen;
+        SeqNum pool_mask;
 
         /**
          * Per-thread simulated address-space base: multiprogrammed

@@ -27,9 +27,12 @@ namespace ltp {
 
 /**
  * In-flight sequence-number window: live instructions always span less
- * than this many sequence numbers (the core's instruction pool is this
- * size and asserts slots are dead on reuse), so seq % kInstWindow is a
- * collision-free index for per-inflight-instruction bitmasks.
+ * than this many sequence numbers, so seq % kInstWindow is a
+ * collision-free index for per-inflight-instruction bitmasks (the IQ's
+ * ready mask).  Each thread's instruction pool is sized to its core's
+ * live window (instPoolSize(), 1024 slots for every preset) and is
+ * never larger than this; it asserts slots are dead on reuse, which
+ * also keeps the live span inside this window.
  */
 inline constexpr std::size_t kInstWindow = 8192;
 

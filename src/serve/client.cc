@@ -298,6 +298,7 @@ ServeBackend::submitScenario(const JsonValue &scenario)
     out.backend = "serve";
     out.threads = int(u64("threads"));
     out.simulations = std::size_t(u64("simulations"));
+    out.computed = std::size_t(u64("computed"));
     out.cacheHits = std::size_t(u64("cacheHits"));
     const JsonValue &wall = field("wall_ms");
     if (wall.isNumber())

@@ -606,6 +606,7 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     reply.object["name"] = jsonStr(res.name);
     reply.object["threads"] = jsonU64(std::uint64_t(res.threads));
     reply.object["simulations"] = jsonU64(res.simulations);
+    reply.object["computed"] = jsonU64(res.computed);
     reply.object["cacheHits"] = jsonU64(res.cacheHits);
     reply.object["wall_ms"] = jsonDouble(res.wallMs);
     JsonValue results;

@@ -17,7 +17,7 @@
  *   ← {"type":"progress","done":D,"total":T,"hits":H}   (per connection)
  *   → {"id":N,"type":"scenario","scenario":{...}}       (whole scenario)
  *   ← {"id":N,"type":"sweep","name":S,"threads":T,"simulations":N,
- *      "cacheHits":H,"wall_ms":W,"results":[{"row":R,"series":S,
+ *      "computed":C,"cacheHits":H,"wall_ms":W,"results":[{"row":R,"series":S,
  *      "metrics":{...}},...]}
  *   → {"id":N,"type":"lookup","key":"<64-hex>"}         (cache probe)
  *   ← {"id":N,"type":"lookup","found":B,"metrics":{...}} (if found)
@@ -33,7 +33,8 @@
  * daemons through a WorkerPool (serve/worker_pool.hh) — LPT dispatch,
  * re-dispatch on worker failure, cache peer lookup via the `lookup`
  * frame, and in-process fallback when every worker is down.  A worker
- * of another build refuses every cell, which fails the sweep.  The
+ * of another build is refused when the frontend connects to it (the
+ * error names both model fingerprints).  The
  * `scenario` frame compiles and runs a whole scenario server-side
  * (trace paths resolved against --trace-dir), so a client sends one
  * frame per study instead of one per cell.

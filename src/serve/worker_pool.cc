@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "sim/cell_key.hh"
+
 namespace ltp {
 
 double
@@ -42,6 +44,18 @@ WorkerPool::WorkerPool(const std::vector<std::string> &specs,
             auto it = st.object.find("threads");
             if (it != st.object.end() && it->second.isNumber())
                 w->capacity = std::max(1, int(it->second.num));
+            // A worker of another build would refuse every cell; say
+            // so now, not at the first cell's error.
+            auto model = st.object.find("model");
+            std::string theirs =
+                model != st.object.end() && model->second.isString()
+                    ? model->second.str
+                    : "<none>";
+            if (theirs != modelFingerprint())
+                throw std::runtime_error(
+                    "runs model " + theirs + ", not this frontend's " +
+                    modelFingerprint() +
+                    " (build both from the same sources)");
         } catch (const std::exception &e) {
             throw std::runtime_error("worker " +
                                      (w->address.empty() ? spec

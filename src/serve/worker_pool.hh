@@ -73,8 +73,10 @@ class WorkerPool : public ExecBackend
   public:
     /**
      * Connect to every worker (bounded attempts each) and read its
-     * capacity from a stats RPC.  @throws std::runtime_error naming
-     * the first unreachable worker.
+     * capacity and model fingerprint from a stats RPC.
+     * @throws std::runtime_error naming the first unreachable worker,
+     *         or the first whose model is not this build's (both
+     *         fingerprints named).
      */
     explicit WorkerPool(const std::vector<std::string> &specs,
                         const ServeClientOptions &opts = {},

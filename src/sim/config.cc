@@ -667,6 +667,39 @@ configToJson(const SimConfig &cfg, int indent)
 }
 
 std::string
+configIdentity(const SimConfig &cfg)
+{
+    // The registry needs mutable pointers; nothing here writes.
+    SimConfig &c = const_cast<SimConfig &>(cfg);
+    std::string out;
+    auto raw = [&out](const void *p, std::size_t n) {
+        out.append(static_cast<const char *>(p), n);
+    };
+    for (const Field &f : fieldsOf(c)) {
+        switch (f.kind) {
+          case FieldKind::Int: raw(f.p, sizeof(int)); break;
+          case FieldKind::U64: raw(f.p, sizeof(std::uint64_t)); break;
+          case FieldKind::Double: raw(f.p, sizeof(double)); break;
+          case FieldKind::Bool: raw(f.p, sizeof(bool)); break;
+          case FieldKind::Mode: raw(f.p, sizeof(LtpMode)); break;
+          case FieldKind::Classifier:
+            raw(f.p, sizeof(ClassifierKind));
+            break;
+          case FieldKind::Wakeup: raw(f.p, sizeof(WakeupPolicy)); break;
+          case FieldKind::Fetch: raw(f.p, sizeof(FetchPolicy)); break;
+          case FieldKind::String: {
+            const std::string &str = *static_cast<std::string *>(f.p);
+            std::uint64_t n = str.size();
+            raw(&n, sizeof n);
+            out += str;
+            break;
+          }
+        }
+    }
+    return out;
+}
+
+std::string
 memConfigJson(const MemConfig &mem)
 {
     SimConfig c;

@@ -82,6 +82,14 @@ std::string configToJson(const SimConfig &cfg, int indent = 0);
 JsonValue configTree(const SimConfig &cfg);
 
 /**
+ * Every registered field's raw bytes (strings length-prefixed), in
+ * registry order: two configs have equal identities exactly when every
+ * field is equal.  An in-process equality key, cheaper than rendering
+ * JSON; not stable across builds, so never hash it into a cell key.
+ */
+std::string configIdentity(const SimConfig &cfg);
+
+/**
  * Serialize just the `mem` section (compact, registry order): the
  * identity of a memory hierarchy, covering every registered field.
  */

@@ -258,7 +258,8 @@ ResultCache::usage() const
 }
 
 std::size_t
-ResultCache::gc(double maxAgeDays, std::uint64_t maxBytes) const
+ResultCache::gc(double maxAgeDays, std::uint64_t maxBytes,
+                bool otherModels) const
 {
     std::size_t removed = 0;
     std::error_code ec;
@@ -277,7 +278,8 @@ ResultCache::gc(double maxAgeDays, std::uint64_t maxBytes) const
 
     for (const CacheEntryInfo &e : list()) {
         fs::path p(entryPath(e.key));
-        bool drop = !e.valid;
+        bool drop = !e.valid ||
+                    (otherModels && e.model != modelFingerprint());
         auto mtime = fs::last_write_time(p, ec);
         if (ec)
             mtime = now; // unstattable: treat as fresh, not evictable

@@ -88,12 +88,14 @@ class ResultCache
 
     /**
      * Remove invalid entries, plus valid ones older than @p maxAgeDays
-     * (0 = no age limit), then — if @p maxBytes is nonzero and the
-     * surviving entries still exceed it — evict oldest-mtime-first
-     * until the total fits.  @return entries removed.
+     * (0 = no age limit), plus — with @p otherModels — valid ones
+     * another build stored (its model fingerprint is not this one's),
+     * then — if @p maxBytes is nonzero and the surviving entries still
+     * exceed it — evict oldest-mtime-first until the total fits.
+     * @return entries removed.
      */
-    std::size_t gc(double maxAgeDays = 0.0,
-                   std::uint64_t maxBytes = 0) const;
+    std::size_t gc(double maxAgeDays = 0.0, std::uint64_t maxBytes = 0,
+                   bool otherModels = false) const;
 
     /** Remove every entry.  @return entries removed. */
     std::size_t clear() const;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.hh"
@@ -179,6 +180,31 @@ runShard(ExecBackend &backend, const SweepSpec &spec, const Shard &shard)
                            spec.sampling);
 }
 
+/**
+ * For each shard, the index of the first shard with the same config
+ * (every registered field, name and seed included) and workload;
+ * lengths and sampling are spec-wide.  A shard that maps to itself is
+ * computed, the others copy it.
+ */
+std::vector<std::size_t>
+firstOccurrences(const SweepSpec &spec, const std::vector<Shard> &shards)
+{
+    std::vector<std::size_t> first(shards.size());
+    std::unordered_map<std::string, std::size_t> seen;
+    seen.reserve(shards.size());
+    std::string config_id;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        const SweepJob &job = spec.jobs[shards[i].job];
+        if (i == 0 || shards[i].job != shards[i - 1].job)
+            config_id = configIdentity(job.cfg);
+        // The identity is fixed-layout, so the name needs no separator.
+        first[i] = seen.emplace(config_id + job.kernels[shards[i].kernel],
+                                i)
+                       .first->second;
+    }
+    return first;
+}
+
 } // namespace
 
 SweepResult
@@ -192,6 +218,14 @@ Runner::run(const SweepSpec &spec, const ProgressFn &progress) const
         for (std::size_t k = 0; k < spec.jobs[j].kernels.size(); ++k)
             shards.push_back(Shard{j, k});
 
+    std::vector<std::size_t> first = firstOccurrences(spec, shards);
+    std::vector<std::size_t> copies(shards.size(), 0);
+    std::size_t computed = 0;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        copies[first[i]] += 1;
+        computed += first[i] == i ? 1 : 0;
+    }
+
     // Per-shard Metrics, indexed like `shards` so reduction order is
     // independent of completion order.
     std::vector<Metrics> results(shards.size());
@@ -199,36 +233,43 @@ Runner::run(const SweepSpec &spec, const ProgressFn &progress) const
 
     if (threads_ == 1) {
         // The serial path reports through the same ProgressFn as the
-        // sharded one: once per completed cell, hits included.
+        // sharded one: once per cell, hits and repeats included.
+        std::vector<char> hit(shards.size(), 0);
         for (std::size_t i = 0; i < shards.size(); ++i) {
-            CellResult r = runShard(*backend_, spec, shards[i]);
-            results[i] = std::move(r.metrics);
-            cache_hits += r.cacheHit ? 1 : 0;
+            if (first[i] == i) {
+                CellResult r = runShard(*backend_, spec, shards[i]);
+                results[i] = std::move(r.metrics);
+                hit[i] = r.cacheHit;
+            }
+            cache_hits += hit[first[i]] ? 1 : 0;
             if (progress)
                 progress(Progress{i + 1, shards.size(), cache_hits,
                                   backend_->currentPhase()});
         }
     } else {
-        // Workers bump `done`/`hits` as shards finish; the
-        // coordinating thread polls them while waiting so the
-        // heartbeat reflects out-of-order completions, not just the
-        // next future in line.
+        // Workers bump `done`/`hits` as cells finish, once for every
+        // shard a cell answers; the coordinating thread polls them
+        // while waiting so the heartbeat reflects out-of-order
+        // completions, not just the next future in line.
         std::atomic<std::size_t> done{0};
         std::atomic<std::size_t> hits{0};
         ThreadPool pool(threads_);
-        std::vector<std::future<Metrics>> futures;
-        futures.reserve(shards.size());
+        std::vector<std::future<CellResult>> futures(shards.size());
         ExecBackend &backend = *backend_;
-        for (const Shard &shard : shards)
-            futures.push_back(
-                pool.submit([&backend, &spec, shard, &done, &hits]() {
+        for (std::size_t i = 0; i < shards.size(); ++i)
+            if (first[i] == i)
+                futures[i] = pool.submit([&backend, &spec, &done, &hits,
+                                          shard = shards[i],
+                                          n = copies[i]]() {
                     CellResult r = runShard(backend, spec, shard);
                     if (r.cacheHit)
-                        hits.fetch_add(1, std::memory_order_relaxed);
-                    done.fetch_add(1, std::memory_order_relaxed);
-                    return std::move(r.metrics);
-                }));
+                        hits.fetch_add(n, std::memory_order_relaxed);
+                    done.fetch_add(n, std::memory_order_relaxed);
+                    return r;
+                });
         for (std::size_t i = 0; i < futures.size(); ++i) {
+            if (!futures[i].valid())
+                continue;
             if (progress) {
                 while (futures[i].wait_for(
                            std::chrono::milliseconds(250)) !=
@@ -239,19 +280,23 @@ Runner::run(const SweepSpec &spec, const ProgressFn &progress) const
                         hits.load(std::memory_order_relaxed),
                         backend.currentPhase()});
             }
-            results[i] = futures[i].get();
+            results[i] = futures[i].get().metrics;
         }
         cache_hits = hits.load(std::memory_order_relaxed);
         if (progress)
             progress(Progress{shards.size(), shards.size(),
                               cache_hits, std::string()});
     }
+    for (std::size_t i = 0; i < shards.size(); ++i)
+        if (first[i] != i)
+            results[i] = results[first[i]];
 
     SweepResult out;
     out.name = spec.name;
     out.threads = threads_;
     out.backend = backend_->name();
     out.simulations = shards.size();
+    out.computed = computed;
     out.cacheHits = cache_hits;
 
     std::size_t next = 0;

@@ -12,7 +12,10 @@
  * (config, kernel, lengths, seed).  Every Simulator owns its Rng,
  * seeded deterministically per job (see SweepSpec::add), so a parallel
  * run is bit-identical to a serial run of the same spec — asserted by
- * tests/test_runner.cc.
+ * tests/test_runner.cc.  The same purity lets a sweep compute each
+ * distinct (config, workload) cell once: a cell that recurs (a
+ * baseline row that repeats a swept column, a kernel in two panels)
+ * takes a copy of the first one's Metrics.
  */
 
 #ifndef LTP_SIM_RUNNER_HH
@@ -126,6 +129,9 @@ struct SweepResult
     int threads = 1;
     std::string backend = "local";
     std::size_t simulations = 0;
+    /** Distinct (config, workload) cells handed to the backend; the
+     *  other simulations repeat one of them and copy its Metrics. */
+    std::size_t computed = 0;
     std::size_t cacheHits = 0; ///< cells answered by a cache layer
     double wallMs = 0.0;
     ResultGrid grid;
@@ -170,7 +176,12 @@ class Runner
     int threads() const { return threads_; }
     ExecBackend &backend() const { return *backend_; }
 
-    /** Run every job; blocks until the grid is complete. */
+    /**
+     * Run every job; blocks until the grid is complete.  Each distinct
+     * (config, workload) shard runs once; a repeat takes its first
+     * occurrence's Metrics and cache-hit flag, and still counts in
+     * the progress and the hit totals.
+     */
     SweepResult run(const SweepSpec &spec,
                     const ProgressFn &progress = {}) const;
 

@@ -170,10 +170,14 @@ checkTraceFile(const std::string &path, const std::string &where)
     }
 }
 
+void checkSmtMembers(std::vector<std::string> &members,
+                     const std::string &at, const std::string &baseDir);
+
 /**
- * Validate a workload-name list: registered kernels, or `trace:<path>`
+ * Validate a workload-name list: registered kernels, `trace:<path>`
  * replays, whose relative paths are resolved in place against
- * @p baseDir and whose files must load.
+ * @p baseDir and whose files must load, or `smt:<a>+<b>` tuples of
+ * those (what an exported multiprogrammed job names).
  */
 void
 checkKernels(std::vector<std::string> &names, const std::string &where,
@@ -185,10 +189,35 @@ checkKernels(std::vector<std::string> &names, const std::string &where,
             names[i] =
                 traceName(resolvePath(baseDir, tracePath(names[i])));
             checkTraceFile(tracePath(names[i]), at);
+        } else if (isSmtName(names[i])) {
+            std::vector<std::string> members = smtMembers(names[i]);
+            checkSmtMembers(members, at, baseDir);
+            names[i] = smtName(members);
         } else if (!knownKernel(names[i])) {
             bad("unknown kernel '" + names[i] + "' at " + at);
         }
     }
+}
+
+/** Validate the co-running members of one SMT tuple at @p at. */
+void
+checkSmtMembers(std::vector<std::string> &members, const std::string &at,
+                const std::string &baseDir)
+{
+    if (members.size() < 2)
+        bad(at + " needs at least two co-running workloads");
+    for (const std::string &member : members)
+        if (isSmtName(member))
+            bad(at + " member '" + member + "' is itself a tuple");
+    checkKernels(members, at, baseDir);
+    // '+' is the smt:<a>+<b> separator; a resolved member containing
+    // one (a trace under a '+'-named directory) could not be re-parsed
+    // from the tuple name.
+    for (const std::string &member : members)
+        if (member.find('+') != std::string::npos)
+            bad(at + " member '" + member +
+                "' contains '+', which the smt: tuple syntax reserves "
+                "as its separator (rename the path)");
 }
 
 } // namespace
@@ -310,17 +339,7 @@ parseWorkloads(Scenario &sc, const JsonValue &v,
                              "]";
             std::vector<std::string> members = stringList(p->array[i],
                                                           at);
-            if (members.size() < 2)
-                bad(at + " needs at least two co-running workloads");
-            checkKernels(members, at, baseDir);
-            // '+' is the smt:<a>+<b> separator; a resolved member
-            // containing one (a trace under a '+'-named directory)
-            // could not be re-parsed from the tuple name.
-            for (const std::string &member : members)
-                if (member.find('+') != std::string::npos)
-                    bad(at + " member '" + member +
-                        "' contains '+', which the smt: tuple syntax "
-                        "reserves as its separator (rename the path)");
+            checkSmtMembers(members, at, baseDir);
             sc.pairs.push_back(std::move(members));
         }
     } else if (const JsonValue *g = find(v, "groups")) {

@@ -68,7 +68,8 @@ struct SimSpeedCell
 {
     std::string label;  ///< kernel name or scenario name
     std::string config; ///< config name, or "scenario"
-    std::size_t simulations = 1;
+    std::size_t simulations = 1; ///< cells simulated (a scenario's
+                                 ///< computed cells, not its repeats)
     std::uint64_t detailedInsts = 0; ///< pipeWarm + detail, summed
     double wallMs = 0.0;
     double kips = 0.0; ///< detailedInsts / wall seconds / 1000

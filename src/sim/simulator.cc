@@ -97,15 +97,6 @@ resolveWorkloadMembers(SimConfig &cfg, const std::string &kernel)
     return members;
 }
 
-std::size_t
-traceWindowBound(const CoreConfig &core)
-{
-    if (isInfinite(core.robSize) || isInfinite(core.fetchQueueCap))
-        return 0;
-    return std::size_t(core.robSize) + std::size_t(core.fetchQueueCap) +
-           std::size_t(core.fetchWidth);
-}
-
 Simulator::Simulator(const SimConfig &cfg, const std::string &kernel,
                      const RunLengths &lengths)
     : cfg_(cfg), lengths_(lengths)

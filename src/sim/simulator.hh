@@ -130,14 +130,6 @@ class TraceWindow : public InstSource
 };
 
 /**
- * The TraceWindow capacity for @p core: ROB residency + fetch queue
- * backlog + one fetch group of intra-cycle fetch-ahead, or 0
- * (uncapped) for an infinite ROB or fetch queue.  Full runs and
- * sampled windows bound their trace windows alike.
- */
-std::size_t traceWindowBound(const CoreConfig &core);
-
-/**
  * Resolve a workload name into one member per hardware thread,
  * reconciling the tuple size with @p cfg.core.numThreads (which is
  * updated in place): an `smt:<a>+<b>` name carries one member per

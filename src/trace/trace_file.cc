@@ -61,10 +61,7 @@ encodeHeader(const TraceInfo &info, std::uint64_t count)
 // TraceWriter
 // ---------------------------------------------------------------------------
 
-TraceWriter::TraceWriter(const TraceInfo &info) : info_(info)
-{
-    records_.reserve(info.recordLength() * kTraceRecordBytes);
-}
+TraceWriter::TraceWriter(const TraceInfo &info) : info_(info) {}
 
 void
 TraceWriter::append(const MicroOp &op)
@@ -112,7 +109,8 @@ TraceReader::TraceReader(std::string bytes) : bytes_(std::move(bytes))
         badTrace("unsupported version " + std::to_string(info_.version) +
                  " (this build reads version " +
                  std::to_string(kTraceVersion) + ")");
-    in.u32(); // reserved
+    if (in.u32() != 0)
+        badTrace("nonzero reserved header field");
     info_.seed = in.u64();
     info_.funcWarm = in.u64();
     info_.pipeWarm = in.u64();
@@ -147,7 +145,8 @@ TraceReader::TraceReader(std::string bytes) : bytes_(std::move(bytes))
     // Validate every record's enum-like fields up front: a CRC-valid
     // but crafted file must be rejected here, not fed to the pipeline
     // (an out-of-range register would index the rename table out of
-    // bounds; an out-of-range op class would index the property table).
+    // bounds; an out-of-range op class would index the property table),
+    // and a flag must have the one spelling the writer gives it.
     for (std::uint64_t i = 0; i < info_.count; ++i) {
         ByteReader rec(bytes_, recordsOff_ + i * kTraceRecordBytes);
         rec.skip(24); // pc, effAddr, target
@@ -155,7 +154,10 @@ TraceReader::TraceReader(std::string bytes) : bytes_(std::move(bytes))
         if (opc >= kNumOpClasses)
             badTrace("record " + std::to_string(i) +
                      " has invalid op class " + std::to_string(opc));
-        rec.skip(2); // memSize, taken
+        rec.skip(1); // memSize
+        if (rec.u8() > 1)
+            badTrace("record " + std::to_string(i) +
+                     " has a taken flag other than 0 or 1");
         for (int r = 0; r < 1 + kMaxSrcs; ++r) {
             RegId reg = unpackReg(rec.u16());
             if (reg.valid() && (reg.cls >= kNumRegClasses ||

@@ -94,9 +94,10 @@ class TraceWriter
 
 /**
  * Validated `.lttr` view over an in-memory file image.  Construction
- * checks magic, version, structural sizes, the CRC footer, and every
- * record's enum-like fields (op class, register class/index), so a
- * reader that constructs can be replayed without further checking.
+ * checks magic, version, the reserved field, structural sizes, the CRC
+ * footer, and every record's enum-like fields (op class, taken flag,
+ * register class/index), so a reader that constructs can be replayed
+ * without further checking, and re-encodes to exactly its bytes.
  *
  * @throws std::runtime_error naming the defect on malformed input.
  */

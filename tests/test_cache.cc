@@ -381,6 +381,29 @@ TEST_F(CacheTest, AnotherModelsEntryMissesButIsKept)
     EXPECT_EQ(cache.gc(), 0u);
 }
 
+TEST_F(CacheTest, GcOtherModelsRemovesAnotherModelsEntry)
+{
+    // `ltp cache gc --other-models`: entries another build stored go,
+    // this build's stay.
+    ResultCache cache(dir_);
+    SimConfig cfg = SimConfig::baseline();
+    Metrics m = Simulator::runOnce(cfg, "paper_loop", tiny());
+    CellKey mine = cellKeyFor(cfg, "paper_loop", tiny());
+    CellKey theirs = cellKeyFor(cfg, "graph_walk", tiny());
+    cache.store(mine, cfg, tiny(), m);
+    cache.store(theirs, cfg, tiny(), m);
+    std::string path = entryPath(dir_, theirs);
+    std::string text = readFile(path);
+    std::ofstream(path, std::ios::trunc) << editedAndResealed(
+        text, modelFingerprint(), std::string(64, 'f'));
+
+    EXPECT_EQ(cache.gc(), 0u);
+    EXPECT_EQ(cache.gc(0.0, 0, /*otherModels=*/true), 1u);
+    ASSERT_EQ(cache.list().size(), 1u);
+    EXPECT_EQ(cache.list()[0].key, mine.hex);
+    EXPECT_TRUE(cache.lookup(mine, nullptr));
+}
+
 TEST(MetricsSchema, ReaderRejectsNewerVersions)
 {
     Metrics m = Simulator::runOnce(SimConfig::baseline(), "paper_loop",

@@ -843,5 +843,79 @@ TEST(TickProfile, SampledProfileLeavesTheRunBitIdentical)
     }
 }
 
+// ---------------------------------------------------------------------------
+// Instruction pool sized to the live window
+// ---------------------------------------------------------------------------
+
+TEST(InstPool, SizedToTwiceTheLiveWindowAndCapped)
+{
+    // ROB 256 + fetch queue 64 + fetch width 8 = 328 live at most, so
+    // every preset gets 1024 slots.
+    for (LtpMode mode : {LtpMode::Off, LtpMode::NU, LtpMode::NR,
+                         LtpMode::NRNU}) {
+        EXPECT_EQ(instPoolSize(SimConfig::limitStudy(mode).core), 1024u);
+        EXPECT_EQ(instPoolSize(SimConfig::ltpProposal(mode).core), 1024u);
+    }
+    EXPECT_EQ(instPoolSize(SimConfig::baseline().core), 1024u);
+    EXPECT_EQ(traceWindowBound(SimConfig::baseline().core), 328u);
+
+    CoreConfig small;
+    small.robSize = 32;
+    small.fetchQueueCap = 16;
+    EXPECT_EQ(instPoolSize(small), 128u); // 2 x 56 -> 128
+
+    CoreConfig inf_rob;
+    inf_rob.robSize = kInfiniteSize;
+    EXPECT_EQ(traceWindowBound(inf_rob), 0u);
+    EXPECT_EQ(instPoolSize(inf_rob), kInstWindow);
+    CoreConfig inf_fq;
+    inf_fq.fetchQueueCap = kInfiniteSize;
+    EXPECT_EQ(instPoolSize(inf_fq), kInstWindow);
+
+    CoreConfig big;
+    big.robSize = 4096; // 2 x 4168 would round to 16384
+    EXPECT_EQ(instPoolSize(big), kInstWindow);
+}
+
+TEST(InstPool, RobOf4096RunsAtTheCappedPool)
+{
+    // A limit-study cell with a window near the cap: the pool's
+    // slot-reuse asserts stay quiet.
+    SimConfig cfg = SimConfig::limitStudy(LtpMode::NRNU).withRob(4096);
+    Metrics m = Simulator::runOnce(cfg, "graph_walk",
+                                   RunLengths{4000, 1000, 20000});
+    EXPECT_GE(m.insts, 20000u);
+    EXPECT_GT(m.robOcc, 256.0); // the window really grew past Table 1
+}
+
+TEST(InstPool, StoreHeaviestKernelRunsLongUnderAnInfiniteSq)
+{
+    // Committed stores stay in the pool until the SQ drains them, so
+    // an infinite SQ is where the live window can outgrow ROB + front
+    // end.  Run the suite's most store-heavy kernel long in detail.
+    std::string heaviest;
+    std::size_t most = 0;
+    for (const std::string &name : allKernelNames()) {
+        WorkloadPtr w = makeKernel(name);
+        w->reset(1);
+        std::size_t stores = 0;
+        for (int i = 0; i < 20000; ++i)
+            stores += w->next().isStore() ? 1 : 0;
+        if (stores > most) {
+            most = stores;
+            heaviest = name;
+        }
+    }
+    ASSERT_FALSE(heaviest.empty());
+    SCOPED_TRACE(heaviest);
+    for (LtpMode mode : {LtpMode::Off, LtpMode::NRNU}) {
+        SimConfig cfg = SimConfig::limitStudy(mode);
+        ASSERT_TRUE(isInfinite(cfg.core.sqSize));
+        Metrics m = Simulator::runOnce(cfg, heaviest,
+                                       RunLengths{5000, 1000, 60000});
+        EXPECT_GE(m.insts, 60000u);
+    }
+}
+
 } // namespace
 } // namespace ltp

@@ -21,6 +21,7 @@
 
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "serve/wire.hh"
 #include "sim/cell_key.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -354,12 +355,54 @@ TEST_F(DistributedTest, ScenarioSubmissionIsOneRequestFrame)
 
     EXPECT_EQ(res.backend, "serve");
     EXPECT_EQ(res.simulations, 2u);
+    EXPECT_EQ(res.computed, 2u);
     SweepResult local = Runner(1).run(spec);
     for (const std::string &row : local.grid.rows())
         for (const std::string &series : local.grid.series(row))
             EXPECT_EQ(metricsToJson(res.grid.at(row, series)),
                       metricsToJson(local.grid.at(row, series)))
                 << row << "/" << series;
+}
+
+TEST(DistributedConnectTest, WorkerOfAnotherModelIsRefusedAtConnect)
+{
+    // A stand-in worker that answers `stats` as another build would.
+    Listener listener(0);
+    std::thread worker([&listener]() {
+        int fd = listener.accept();
+        if (fd < 0)
+            return;
+        LineConn conn(fd);
+        std::string line;
+        while (conn.readLine(line)) {
+            JsonValue req = parseJson(line);
+            JsonValue reply = parseJson(
+                R"({"type":"stats","model":"bogus","threads":2})");
+            reply.object["id"] = req.object.at("id");
+            conn.writeFrame(reply);
+        }
+    });
+
+    ServeOptions fo;
+    fo.port = 0;
+    fo.threads = 1;
+    fo.useCache = false;
+    fo.quiet = true;
+    fo.workers = {"127.0.0.1:" + std::to_string(listener.port())};
+    try {
+        Server frontend(fo);
+        ADD_FAILURE() << "a frontend accepted a worker of another model";
+    } catch (const std::runtime_error &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(modelFingerprint()), std::string::npos) << msg;
+        EXPECT_NE(msg.find("127.0.0.1:" + std::to_string(listener.port())),
+                  std::string::npos)
+            << msg;
+    }
+    // The refused pool closed its connection, which ends the worker.
+    worker.join();
+    listener.close();
 }
 
 TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)

@@ -2,10 +2,11 @@
  * @file
  * Seeded mutation fuzzing of the readers that take untrusted bytes: on
  * the serve hit path a `run` frame, a `result` frame and a result-cache
- * entry, and the `.ltcp` checkpoint reader.  Each seed input is mutated
- * by byte flips, truncation, insertion and duplicated object keys (or
- * u32 fields set to decoder bounds), under a fixed seed and a fixed
- * mutation count (well under 2 s, also under ASan/UBSan).
+ * entry, the `.ltcp` checkpoint and `.lttr` trace readers, and scenario
+ * JSON.  Each seed input is mutated by byte flips, truncation,
+ * insertion and duplicated object keys (or u32 fields set to decoder
+ * bounds), under a fixed seed and a fixed mutation count (well under
+ * 2 s, also under ASan/UBSan).
  *
  * The invariant is reject-cleanly-or-round-trip:
  *  - parseJson either throws std::runtime_error or yields a tree whose
@@ -18,7 +19,12 @@
  *  - a `.ltcp` checkpoint, mutated and then re-sealed with a valid CRC
  *    so the mutation reaches the decoder, is rejected with
  *    std::runtime_error or re-encodes to exactly its bytes.  The seed
- *    corpus is the corruption matrix of CheckpointTest.
+ *    corpus is the corruption matrix of CheckpointTest;
+ *  - a `.lttr` trace, mutated and re-sealed alike, is rejected or
+ *    re-encodes (header and every record) to exactly its bytes;
+ *  - scenario JSON is rejected with std::runtime_error (at parse or at
+ *    compile), or compiles to a spec whose exported explicit-jobs file
+ *    compiles back to the same file.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,6 +49,9 @@
 #include "sim/config.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
+#include "sim/scenario.hh"
+#include "trace/suite.hh"
+#include "trace/trace_file.hh"
 
 namespace ltp {
 namespace {
@@ -455,6 +465,163 @@ TEST(MutationFuzz, CheckpointsRejectCleanlyOrRoundTrip)
                                  text.end())
                            .first -
                        again.begin();
+        }
+    }
+    EXPECT_GT(accepted, 0);
+}
+
+/** A small recorded trace: 48 graph_walk records, so that most
+ *  mutations land in the header or in a record's fields. */
+std::string
+smallTrace()
+{
+    TraceInfo info;
+    info.kernel = "graph_walk";
+    info.funcWarm = 100;
+    info.pipeWarm = 10;
+    info.detail = 20;
+    WorkloadPtr w = makeKernel(info.kernel);
+    w->reset(info.seed);
+    TraceWriter writer(info);
+    for (int i = 0; i < 48; ++i)
+        writer.append(w->next());
+    return writer.finish();
+}
+
+TEST(MutationFuzz, TracesRejectCleanlyOrRoundTrip)
+{
+    // TraceRoundTripProp.CorruptionIsRejected's matrix, re-sealed so
+    // that the mutation reaches the record checks.
+    std::string good = smallTrace();
+    ASSERT_NO_THROW((void)TraceReader(good));
+    std::vector<std::string> corpus = {good, good, good, good + "x"};
+    corpus[1][0] ^= 0x5a; // bad magic
+    corpus[2][8] = 99;    // unsupported version
+    corpus[3][good.size() / 2] ^= 0x01; // flipped payload byte
+    for (std::size_t keep : {std::size_t(10), good.size() / 2,
+                             good.size() - 1})
+        corpus.push_back(good.substr(0, keep));
+
+    Rng rng(kSeed + 4);
+    int accepted = 0;
+    for (const std::string &seed : corpus) {
+        for (int i = 0; i < kMutationsPerCorpus; ++i) {
+            std::string text = mutateBytes(seed, rng);
+            if (text.size() >= 4) {
+                text.resize(text.size() - 4);
+                putU32le(text, crc32(text));
+            }
+            std::unique_ptr<TraceReader> reader;
+            try {
+                reader = std::make_unique<TraceReader>(text);
+            } catch (const std::runtime_error &) {
+                continue;
+            }
+            accepted += 1;
+            TraceWriter again(reader->info());
+            for (std::uint64_t r = 0; r < reader->info().count; ++r)
+                again.append(reader->record(r));
+            std::string bytes = again.finish();
+            EXPECT_TRUE(bytes == text)
+                << "an accepted mutant re-encodes differently from byte "
+                << std::mismatch(bytes.begin(), bytes.end(), text.begin(),
+                                 text.end())
+                           .first -
+                       bytes.begin();
+        }
+    }
+    EXPECT_GT(accepted, 0);
+}
+
+/** Answers every cell at once with a Metrics made from its names, so a
+ *  panels scenario classifies without simulating: kernels with an even
+ *  name length read as MLP-sensitive. */
+class StubBackend : public ExecBackend
+{
+  public:
+    std::string name() const override { return "stub"; }
+
+    CellResult
+    runCell(const CellKey &, const SimConfig &cfg,
+            const std::string &workload, const RunLengths &,
+            const SamplePlan &) override
+    {
+        bool gain = workload.size() % 2 == 0 && cfg.core.iqSize >= 256;
+        CellResult r;
+        r.metrics.config = cfg.name;
+        r.metrics.workload = workload;
+        r.metrics.ipc = gain ? 2.0 : 1.0;
+        r.metrics.avgOutstanding = gain ? 4.0 : 1.0;
+        r.metrics.avgLoadLatency = 100.0;
+        return r;
+    }
+};
+
+/** The exported form of an accepted scenario: its compiled spec as an
+ *  explicit-jobs file. */
+std::string
+compiledText(const Scenario &sc, const ExecBackendPtr &stub)
+{
+    return sweepSpecToJson(sc.compile(1, stub));
+}
+
+TEST(MutationFuzz, ScenariosRejectCleanlyOrRoundTrip)
+{
+    // A parsed scenario either throws std::runtime_error (at parse or
+    // at compile) or compiles to a spec whose exported explicit-jobs
+    // file parses and compiles back to the same file.
+    // The corpus: three scenario files (panels, SMT pairs, set/name
+    // overrides) and one small file with every other block: sampling,
+    // groups, a nested set and a sweep with a baseline.
+    std::vector<std::string> corpus = {
+        R"({"name":"fuzz","seed":3,)"
+        R"("lengths":{"funcWarm":2000,"pipeWarm":400,"detail":1000},)"
+        R"("sampling":{"fastForward":5000,"warmup":200,"detail":500,)"
+        R"("samples":2},"workloads":{"groups":{"mix":["graph_walk",)"
+        R"("paper_loop"],"one":["dense_compute"]}},"configs":[)"
+        R"({"series":"No LTP","preset":"limitStudy","mode":"off"},)"
+        R"({"series":"NU","preset":"ltpProposal","mode":"NU","name":"nu",)"
+        R"("set":{"core.rob":128,"mem":{"l2":{"sizeKB":512}}}}],)"
+        R"("sweep":{"path":"core.iq","values":["inf",32],)"
+        R"("baseline":{"series":"No LTP","value":32}},)"
+        R"("views":["perf","ipc"]})"};
+    for (const char *file :
+         {"table1_compare", "smt_pairs", "fig23_example"}) {
+        std::ifstream in(std::string(LTP_SCENARIO_DIR) + "/" + file +
+                         ".json");
+        corpus.emplace_back(std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>());
+    }
+
+    // An accepted mutant compiles twice, so each seed gets a quarter of
+    // the usual mutations (about 1.5 s under ASan/UBSan).
+    auto stub = std::make_shared<StubBackend>();
+    Rng rng(kSeed + 5);
+    int accepted = 0;
+    for (const std::string &seed : corpus) {
+        JsonValue tree = parseJson(seed);
+        ASSERT_NO_THROW((void)compiledText(scenarioFromJson(seed), stub));
+        for (int i = 0; i < kMutationsPerCorpus / 4; ++i) {
+            Mutation kind;
+            std::string text = mutate(seed, tree, rng, &kind);
+            std::string exported;
+            try {
+                exported = compiledText(scenarioFromJson(text), stub);
+            } catch (const std::runtime_error &) {
+                continue;
+            }
+            accepted += 1;
+            std::string again;
+            try {
+                again = compiledText(scenarioFromJson(exported), stub);
+            } catch (const std::runtime_error &e) {
+                ADD_FAILURE() << "the export of an accepted mutant is "
+                                 "rejected: "
+                              << e.what() << "\n"
+                              << text;
+                continue;
+            }
+            EXPECT_EQ(again, exported) << text;
         }
     }
     EXPECT_GT(accepted, 0);

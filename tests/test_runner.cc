@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "sim/config.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
+#include "sim/scenario.hh"
 
 namespace ltp {
 namespace {
@@ -205,6 +207,147 @@ TEST(Runner, ShardedCellsMatchDirectSimulation)
     for (const char *k : {"paper_loop", "hash_probe"})
         expectIdentical(res.grid.at(k, "base"),
                         Simulator::runOnce(cfg, k, RunLengths::quick()));
+}
+
+// ---------------------------------------------------------------------------
+// Per-sweep dedupe: each distinct (config, workload) cell runs once
+// ---------------------------------------------------------------------------
+
+/** Counts runCell calls; computes in-process, or (when @p fake) returns
+ *  a Metrics made of the cell's identity that reads as a cache hit for
+ *  workload "hit". */
+class CountingBackend : public ExecBackend
+{
+  public:
+    explicit CountingBackend(bool fake = false) : fake_(fake) {}
+
+    std::string name() const override { return "counting"; }
+
+    CellResult
+    runCell(const CellKey &key, const SimConfig &cfg,
+            const std::string &workload, const RunLengths &lengths,
+            const SamplePlan &sampling) override
+    {
+        calls.fetch_add(1);
+        if (!fake_)
+            return local_.runCell(key, cfg, workload, lengths, sampling);
+        CellResult r;
+        r.metrics.config = cfg.name;
+        r.metrics.workload = workload;
+        r.metrics.insts = cfg.seed;
+        r.cacheHit = workload == "hit";
+        return r;
+    }
+
+    std::atomic<std::size_t> calls{0};
+
+  private:
+    bool fake_;
+    LocalBackend local_;
+};
+
+TEST(RunnerDedupe, Fig6QuickComputesEachDistinctCellOnce)
+{
+    // The base row (No LTP @ IQ 64) repeats the IQ 64 column, and two
+    // kernels sit in two panels each: 336 shards, 280 computations.
+    // The dedupe works on the compiled spec, so shorter cells keep it.
+    Scenario sc = loadScenarioFile(std::string(LTP_SCENARIO_DIR) +
+                                   "/fig6_iq_quick.json");
+    SweepSpec spec = sc.compile(2);
+    spec.lengths = RunLengths{1500, 300, 600};
+    ASSERT_EQ(spec.simulationCount(), 336u);
+
+    auto counting = std::make_shared<CountingBackend>();
+    std::vector<Progress> seen;
+    SweepResult res = Runner(4, counting).run(
+        spec, [&seen](const Progress &p) { seen.push_back(p); });
+    EXPECT_EQ(counting->calls.load(), 280u);
+    EXPECT_EQ(res.simulations, 336u);
+    EXPECT_EQ(res.computed, 280u);
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(seen.back().done, 336u);
+    EXPECT_EQ(seen.back().total, 336u);
+
+    // Every cell equals its own shards simulated one by one.
+    for (const SweepJob &job : spec.jobs) {
+        SCOPED_TRACE(job.row + " / " + job.series);
+        std::vector<Metrics> direct;
+        for (const std::string &k : job.kernels)
+            direct.push_back(Simulator::runOnce(job.cfg, k, spec.lengths));
+        expectIdentical(res.grid.at(job.row, job.series),
+                        direct.size() == 1
+                            ? direct[0]
+                            : averageMetrics(direct, job.label));
+    }
+}
+
+TEST(RunnerDedupe, RepeatsInheritTheHitFlagAndCountInProgress)
+{
+    SimConfig cfg = SimConfig::baseline().withName("c");
+    SweepSpec spec;
+    spec.name = "repeats";
+    spec.add("r1", "s", cfg, "hit");
+    spec.add("r2", "s", cfg, "miss");
+    spec.add("r3", "s", cfg, "hit");                          // repeat
+    spec.addGroup("r4", "s", cfg, {"miss", "hit"}, "grp");    // 2 repeats
+    spec.add("r5", "s", SimConfig(cfg).withSeed(2), "hit");   // seed
+    spec.add("r6", "s", SimConfig(cfg).withName("d"), "hit"); // name
+    spec.add("r7", "s", SimConfig(cfg).withIq(63), "hit");    // a field
+
+    for (int threads : {1, 3}) {
+        SCOPED_TRACE(threads);
+        auto counting = std::make_shared<CountingBackend>(true);
+        std::vector<Progress> seen;
+        SweepResult res = Runner(threads, counting).run(
+            spec, [&seen](const Progress &p) { seen.push_back(p); });
+        EXPECT_EQ(counting->calls.load(), 5u);
+        EXPECT_EQ(res.simulations, 8u);
+        EXPECT_EQ(res.computed, 5u);
+        EXPECT_EQ(res.cacheHits, 6u); // every "hit" shard, repeats too
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().done, 8u);
+        EXPECT_EQ(seen.back().total, 8u);
+        EXPECT_EQ(seen.back().hits, 6u);
+        if (threads == 1) {
+            ASSERT_EQ(seen.size(), 8u); // once per shard, repeats too
+            for (std::size_t i = 0; i < seen.size(); ++i)
+                EXPECT_EQ(seen[i].done, i + 1);
+        }
+        EXPECT_EQ(res.grid.at("r3", "s").workload, "hit");
+        EXPECT_EQ(res.grid.at("r5", "s").insts, 2u);
+        EXPECT_EQ(res.grid.at("r6", "s").config, "d");
+        EXPECT_EQ(res.grid.at("r4", "s").workload, "grp");
+    }
+}
+
+TEST(RunnerDedupe, ConfigIdentityCoversEveryRegisteredField)
+{
+    // Any one field set to another value gives another identity.
+    SimConfig base = SimConfig::limitStudy(LtpMode::NRNU);
+    std::string id = configIdentity(base);
+    EXPECT_EQ(configIdentity(SimConfig(base)), id);
+    JsonValue tree = configTree(base);
+    for (const std::string &path : configPaths()) {
+        SCOPED_TRACE(path);
+        const JsonValue *v = &tree;
+        for (std::size_t at = 0, dot; at <= path.size(); at = dot + 1) {
+            dot = path.find('.', at);
+            if (dot == std::string::npos)
+                dot = path.size();
+            v = &v->object.at(path.substr(at, dot - at));
+        }
+        std::string value = v->isBool() ? (v->boolean ? "false" : "true")
+                            : path == "name"                ? "other"
+                            : path == "core.ltp.mode"       ? "off"
+                            : path == "core.ltp.classifier" ? "learned"
+                            : path == "core.ltp.wakeup"     ? "eager"
+                            : path == "core.fetchPolicy"    ? "icount"
+                            : v->str == "3"                 ? "7"
+                                                            : "3";
+        SimConfig other = base;
+        applyOverride(other, path, value);
+        EXPECT_NE(configIdentity(other), id);
+    }
 }
 
 // ---------------------------------------------------------------------------

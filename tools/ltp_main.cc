@@ -189,6 +189,16 @@ printBackendSummary(const SweepResult &result)
                      result.simulations);
 }
 
+/** A scenario's cell count and how many it computed: a cell that
+ *  recurs in the grid is computed once. */
+void
+printSweepSummary(const SweepResult &result)
+{
+    std::printf("scenario %s: %zu cells, %zu computed, %.0f ms\n",
+                result.name.c_str(), result.simulations, result.computed,
+                result.wallMs);
+}
+
 void
 maybeArchive(const Cli &cli, const SweepResult &result)
 {
@@ -388,6 +398,7 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
                 result.name.c_str(), host.c_str(), port,
                 result.simulations, result.threads);
     std::fputs(renderViews(result, views).c_str(), stdout);
+    printSweepSummary(result);
     printBackendSummary(result);
     maybeArchive(cli, result);
     return 0;
@@ -434,6 +445,7 @@ cmdSweep(const std::string &path, const Cli &cli)
         cli, spec.name, backend && backend->wantsKey());
     SweepResult result = Runner(threads, backend).run(spec, progress);
     std::fputs(renderViews(result, scenario.views).c_str(), stdout);
+    printSweepSummary(result);
     printBackendSummary(result);
     maybeArchive(cli, result);
     return 0;
@@ -1181,8 +1193,11 @@ cmdCache(const std::string &action, const Cli &cli)
         double days = cli.real("max-age-days", 0.0);
         std::uint64_t max_bytes =
             std::uint64_t(cli.integer("max-bytes", 0));
-        std::size_t removed = cache.gc(days, max_bytes);
+        bool other_models = cli.flag("other-models");
+        std::size_t removed = cache.gc(days, max_bytes, other_models);
         std::string why = " (invalid";
+        if (other_models)
+            why += ", other models";
         if (days > 0.0)
             why += strprintf(", older than %g days", days);
         if (max_bytes > 0)
@@ -1317,7 +1332,7 @@ runCommand(int argc, char **argv)
     // (e.g. `ltp replay --verify traces/`) stays the positional.
     const std::set<std::string> boolean_flags = {
         "--verify", "--paths", "--progress", "--quick", "--check",
-        "--no-cache", "--quiet", "--submit"};
+        "--no-cache", "--quiet", "--submit", "--other-models"};
     std::string positional;
     std::vector<char *> args;
     std::string prog = std::string(argv[0]) + " " + cmd;
@@ -1453,11 +1468,13 @@ runCommand(int argc, char **argv)
     }
     if (cmd == "cache") {
         Cli cli(nargs, args.data(),
-                flags({"max-age-days", "max-bytes"}),
+                flags({"max-age-days", "max-bytes", "other-models"}),
                 "ltp cache <ls|stat|gc|clear> — inspect or prune the "
                 "content-addressed result cache; --cache-dir selects "
-                "the root, gc takes --max-age-days=N and "
-                "--max-bytes=N (oldest-first size eviction)");
+                "the root, gc takes --max-age-days=N, "
+                "--max-bytes=N (oldest-first size eviction) and "
+                "--other-models (also drop entries another build "
+                "stored)");
         return cmdCache(positional, cli);
     }
     if (cmd == "serve") {

@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -85,14 +86,30 @@ std::int64_t
 Cli::integer(const std::string &key, std::int64_t dflt) const
 {
     const std::string *v = last(key);
-    return v ? std::strtoll(v->c_str(), nullptr, 0) : dflt;
+    if (!v)
+        return dflt;
+    // The whole value, in base 10: a prefix parse would read "1e4" as
+    // 1 and "10k" as 10, and "-5" would wrap once cast to a length.
+    std::int64_t n = 0;
+    const char *end = v->data() + v->size();
+    auto [stop, ec] = std::from_chars(v->data(), end, n);
+    if (ec != std::errc() || stop != end || n < 0)
+        fatal("--%s needs a non-negative integer, got '%s'", key.c_str(),
+              v->c_str());
+    return n;
 }
 
 double
 Cli::real(const std::string &key, double dflt) const
 {
     const std::string *v = last(key);
-    return v ? std::strtod(v->c_str(), nullptr) : dflt;
+    if (!v)
+        return dflt;
+    char *end = nullptr;
+    double d = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0')
+        fatal("--%s needs a number, got '%s'", key.c_str(), v->c_str());
+    return d;
 }
 
 bool

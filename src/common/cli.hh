@@ -6,7 +6,9 @@
  * Supports `--key=value` and `--key value` forms plus boolean switches
  * (`--fast`).  `--help` (or `-h`) prints the known-flag set and exits
  * with status 0; any other unknown flag is fatal so typos in experiment
- * scripts cannot silently fall back to defaults.
+ * scripts cannot silently fall back to defaults.  For the same reason
+ * a numeric value must parse whole: integer() takes a non-negative
+ * base-10 integer, real() a number, and anything else is fatal.
  */
 
 #ifndef LTP_COMMON_CLI_HH

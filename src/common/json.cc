@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace ltp {
 
@@ -21,6 +22,9 @@ JsonValue::kindName(Kind kind)
     return "?";
 }
 
+namespace {
+
+/** Shortest representation that parses back to the identical double. */
 std::string
 jsonNum(double v)
 {
@@ -31,6 +35,8 @@ jsonNum(double v)
                              std::chars_format::general, 17);
     return std::string(buf, res.ptr);
 }
+
+} // namespace
 
 JsonValue
 jsonStr(const std::string &s)
@@ -70,6 +76,24 @@ jsonBool(bool b)
     return v;
 }
 
+JsonValue
+jsonObject(std::map<std::string, JsonValue> fields)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Object;
+    v.object = std::move(fields);
+    return v;
+}
+
+JsonValue
+jsonArray(std::vector<JsonValue> items)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Array;
+    v.array = std::move(items);
+    return v;
+}
+
 bool
 u64FromLexeme(const std::string &s, std::uint64_t *out)
 {
@@ -99,8 +123,7 @@ jsonToU64(const JsonValue &v)
 
 namespace {
 
-/** Append @p s to @p out as a JSON string literal (jsonQuote without
- *  the temporary). */
+/** Append @p s to @p out as a JSON string literal. */
 void
 appendJsonQuoted(std::string &out, const std::string &s)
 {
@@ -126,33 +149,6 @@ appendJsonQuoted(std::string &out, const std::string &s)
 }
 
 } // namespace
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    appendJsonQuoted(out, s);
-    return out;
-}
-
-std::string
-JsonObjectBuilder::render(int indent) const
-{
-    std::string pad(static_cast<std::size_t>(indent), ' ');
-    std::string inner(static_cast<std::size_t>(indent) + 2, ' ');
-    std::string out = "{\n";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-        out += inner;
-        appendJsonQuoted(out, fields_[i].first);
-        out += ": ";
-        out += fields_[i].second;
-        if (i + 1 < fields_.size())
-            out += ",";
-        out += "\n";
-    }
-    out += pad + "}";
-    return out;
-}
 
 // ---------------------------------------------------------------------------
 // Parsing: recursive descent

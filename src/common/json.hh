@@ -1,8 +1,11 @@
 /**
  * @file
  * Self-contained JSON reader/writer shared by result archiving
- * (sim/report), config serialization (sim/config), and scenario files
- * (sim/scenario).  No third-party dependency.
+ * (sim/report), config serialization (sim/config), scenario files
+ * (sim/scenario), the result cache and the serve wire.  No
+ * third-party dependency.  There is one writer: callers build a
+ * JsonValue tree and render it, so every object prints its keys in
+ * sorted (map) order.
  *
  * The dialect is full JSON minus unicode escapes: objects, arrays,
  * strings, numbers (including the nan/inf spellings %.17g can emit),
@@ -16,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ltp {
@@ -65,9 +67,6 @@ std::string writeJson(const JsonValue &v, int indent = 0);
  */
 std::string writeJsonCompact(const JsonValue &v);
 
-/** Shortest representation that parses back to the identical double. */
-std::string jsonNum(double v);
-
 /**
  * Exact unsigned 64-bit value from a number lexeme.  @return false on
  * signs, fractions, exponents, or out-of-range values (callers decide
@@ -83,56 +82,20 @@ bool u64FromLexeme(const std::string &s, std::uint64_t *out);
  */
 std::uint64_t jsonToU64(const JsonValue &v);
 
-/** Quote and escape @p s as a JSON string literal. */
-std::string jsonQuote(const std::string &s);
-
-/// @name Value-tree leaves, for writers that build a JsonValue (wire
-/// frames, configs, Metrics).  A number keeps the lexeme the text
-/// writers would print (exact for a u64, jsonNum for a double), so a
-/// built tree renders to the same bytes as one parsed from that text.
+/// @name Value-tree builders: every document the program writes
+/// (reports, configs, Metrics, cache entries, wire frames) is one of
+/// these trees rendered by writeJson or writeJsonCompact.  A number
+/// keeps its lexeme (exact for a u64, what printf("%.17g") prints for
+/// a double, which parses back to the identical value), so a built
+/// tree renders to the same bytes as one parsed from its text.
 /// @{
 JsonValue jsonStr(const std::string &s);
 JsonValue jsonU64(std::uint64_t n);
 JsonValue jsonDouble(double d);
 JsonValue jsonBool(bool b);
+JsonValue jsonObject(std::map<std::string, JsonValue> fields = {});
+JsonValue jsonArray(std::vector<JsonValue> items = {});
 /// @}
-
-/**
- * Flat key → JSON-fragment builder keeping insertion order, for
- * writers that want stable, hand-ordered output (reports, configs).
- */
-class JsonObjectBuilder
-{
-  public:
-    void
-    field(const std::string &key, const std::string &fragment)
-    {
-        fields_.emplace_back(key, fragment);
-    }
-
-    void str(const std::string &k, const std::string &v)
-    {
-        field(k, jsonQuote(v));
-    }
-    void num(const std::string &k, double v) { field(k, jsonNum(v)); }
-    void
-    u64(const std::string &k, std::uint64_t v)
-    {
-        field(k, std::to_string(v));
-    }
-    void
-    boolean(const std::string &k, bool v)
-    {
-        field(k, v ? "true" : "false");
-    }
-
-    bool empty() const { return fields_.empty(); }
-
-    std::string render(int indent) const;
-
-  private:
-    std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 } // namespace ltp
 

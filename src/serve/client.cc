@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "sim/report.hh"
+#include "sim/scenario.hh"
 
 namespace ltp {
 
@@ -197,8 +198,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
                       const RunLengths &lengths,
                       const SamplePlan &sampling)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
+    JsonValue frame = jsonObject();
     frame.object["type"] = jsonStr("run");
     if (!key.empty()) {
         frame.object["key"] = jsonStr(key.hex);
@@ -206,23 +206,11 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
     }
     frame.object["workload"] = jsonStr(workload);
     frame.object["config"] = configTree(cfg);
-    JsonValue len;
-    len.kind = JsonValue::Kind::Object;
-    len.object["funcWarm"] = jsonU64(lengths.funcWarm);
-    len.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
-    len.object["detail"] = jsonU64(lengths.detail);
-    frame.object["lengths"] = len;
+    frame.object["lengths"] = lengthsTree(lengths);
     // Omitted when disabled: non-sampled clients stay wire-compatible
     // with protocol-v1 daemons.
-    if (sampling.enabled()) {
-        JsonValue sp;
-        sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jsonU64(sampling.fastForward);
-        sp.object["warmup"] = jsonU64(sampling.warmup);
-        sp.object["detail"] = jsonU64(sampling.detail);
-        sp.object["samples"] = jsonU64(std::uint64_t(sampling.samples));
-        frame.object["sampling"] = sp;
-    }
+    if (sampling.enabled())
+        frame.object["sampling"] = samplingTree(sampling);
 
     JsonValue reply = call(std::move(frame));
 
@@ -247,8 +235,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
 bool
 ServeBackend::lookup(const CellKey &key, Metrics *out)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
+    JsonValue frame = jsonObject();
     frame.object["type"] = jsonStr("lookup");
     frame.object["key"] = jsonStr(key.hex);
 
@@ -269,8 +256,7 @@ ServeBackend::lookup(const CellKey &key, Metrics *out)
 SweepResult
 ServeBackend::submitScenario(const JsonValue &scenario)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
+    JsonValue frame = jsonObject();
     frame.object["type"] = jsonStr("scenario");
     frame.object["scenario"] = scenario;
 
@@ -329,8 +315,7 @@ ServeBackend::submitScenario(const JsonValue &scenario)
 JsonValue
 ServeBackend::rpc(const std::string &type)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
+    JsonValue frame = jsonObject();
     frame.object["type"] = jsonStr(type);
     return call(std::move(frame));
 }

@@ -39,8 +39,7 @@ struct Conn
 JsonValue
 objectFrame(std::uint64_t id, const std::string &type)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
+    JsonValue frame = jsonObject();
     frame.object["id"] = jsonU64(id);
     frame.object["type"] = jsonStr(type);
     return frame;
@@ -420,12 +419,10 @@ ServerImpl::handleFrame(const std::shared_ptr<Conn> &conn,
                 jsonU64(std::uint64_t(cells->activeCells()));
             if (workers) {
                 std::uint64_t peerHits = 0;
-                JsonValue arr;
-                arr.kind = JsonValue::Kind::Array;
+                JsonValue arr = jsonArray();
                 for (const WorkerStats &w : workers->stats()) {
                     peerHits += w.peerHits;
-                    JsonValue ws;
-                    ws.kind = JsonValue::Kind::Object;
+                    JsonValue ws = jsonObject();
                     ws.object["worker"] = jsonStr(w.address);
                     ws.object["capacity"] =
                         jsonU64(std::uint64_t(w.capacity));
@@ -554,8 +551,7 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
         // that has observed N results has, by TCP ordering, already
         // received N progress pushes — the count is deterministic, not
         // racy.
-        JsonValue prog;
-        prog.kind = JsonValue::Kind::Object;
+        JsonValue prog = jsonObject();
         prog.object["type"] = jsonStr("progress");
         prog.object["done"] = jsonU64(d);
         prog.object["total"] =
@@ -592,8 +588,7 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     // Streamed progress keeps the client's silence timeout fed during
     // long runs (the Runner throttles to ~4 frames/s).
     ProgressFn progress = [&conn](const Progress &p) {
-        JsonValue prog;
-        prog.kind = JsonValue::Kind::Object;
+        JsonValue prog = jsonObject();
         prog.object["type"] = jsonStr("progress");
         prog.object["done"] = jsonU64(p.done);
         prog.object["total"] = jsonU64(p.total);
@@ -609,12 +604,10 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     reply.object["computed"] = jsonU64(res.computed);
     reply.object["cacheHits"] = jsonU64(res.cacheHits);
     reply.object["wall_ms"] = jsonDouble(res.wallMs);
-    JsonValue results;
-    results.kind = JsonValue::Kind::Array;
+    JsonValue results = jsonArray();
     // Declared order, so the client renders rows as the file lists them.
     for (const auto &[row, series] : res.grid.order()) {
-        JsonValue cell;
-        cell.kind = JsonValue::Kind::Object;
+        JsonValue cell = jsonObject();
         cell.object["row"] = jsonStr(row);
         cell.object["series"] = jsonStr(series);
         cell.object["metrics"] = metricsTree(res.grid.at(row, series));

@@ -407,35 +407,23 @@ fieldValue(const Field &f)
     return JsonValue{};
 }
 
-/** Nest [lo, hi) — all sharing @p prefix_len path prefix — into one
- *  ordered JSON object. */
-JsonObjectBuilder
-buildObject(const std::vector<Field> &fs, std::size_t lo, std::size_t hi,
-            std::size_t prefix_len, int indent)
+/** Fields [@p lo, @p hi) as one value tree, each nested by its path
+ *  with the first @p prefix_len bytes (a shared prefix) dropped. */
+JsonValue
+fieldsTree(const Field *lo, const Field *hi, std::size_t prefix_len)
 {
-    JsonObjectBuilder o;
-    std::size_t i = lo;
-    while (i < hi) {
-        const char *rest = fs[i].path + prefix_len;
-        const char *dot = std::strchr(rest, '.');
-        if (!dot) {
-            o.field(rest, writeJsonCompact(fieldValue(fs[i])));
-            i += 1;
-            continue;
+    JsonValue root = jsonObject();
+    for (const Field *f = lo; f != hi; ++f) {
+        JsonValue *node = &root;
+        std::string_view path = f->path + prefix_len;
+        for (std::size_t dot; (dot = path.find('.')) != path.npos;
+             path.remove_prefix(dot + 1)) {
+            node = &node->object[std::string(path.substr(0, dot))];
+            node->kind = JsonValue::Kind::Object;
         }
-        std::string seg(rest, static_cast<std::size_t>(dot - rest));
-        std::size_t j = i;
-        while (j < hi &&
-               std::strncmp(fs[j].path + prefix_len, seg.c_str(),
-                            seg.size()) == 0 &&
-               fs[j].path[prefix_len + seg.size()] == '.')
-            j += 1;
-        o.field(seg, buildObject(fs, i, j, prefix_len + seg.size() + 1,
-                                 indent + 2)
-                         .render(indent + 2));
-        i = j;
+        node->object.emplace(path, fieldValue(*f));
     }
-    return o;
+    return root;
 }
 
 /** Whole-string signed integer parse; "inf" means kInfiniteSize. */
@@ -660,10 +648,7 @@ applyObject(const std::vector<Field> &fs, const JsonValue &v,
 std::string
 configToJson(const SimConfig &cfg, int indent)
 {
-    // The registry needs mutable pointers; emission never writes.
-    SimConfig &c = const_cast<SimConfig &>(cfg);
-    std::vector<Field> fs = fieldsOf(c);
-    return buildObject(fs, 0, fs.size(), 0, indent).render(indent);
+    return writeJson(configTree(cfg), indent);
 }
 
 std::string
@@ -708,11 +693,10 @@ memConfigJson(const MemConfig &mem)
     auto isMem = [](const Field &f) {
         return std::strncmp(f.path, "mem.", 4) == 0;
     };
-    auto lo = std::find_if(fs.begin(), fs.end(), isMem);
-    auto hi = std::find_if_not(lo, fs.end(), isMem);
-    return buildObject(fs, std::size_t(lo - fs.begin()),
-                       std::size_t(hi - fs.begin()), 4, 0)
-        .render(0);
+    const Field *begin = fs.data(), *end = begin + fs.size();
+    const Field *lo = std::find_if(begin, end, isMem);
+    const Field *hi = std::find_if_not(lo, end, isMem);
+    return writeJsonCompact(fieldsTree(lo, hi, 4));
 }
 
 JsonValue
@@ -720,19 +704,8 @@ configTree(const SimConfig &cfg)
 {
     // The registry needs mutable pointers; emission never writes.
     SimConfig &c = const_cast<SimConfig &>(cfg);
-    JsonValue root;
-    root.kind = JsonValue::Kind::Object;
-    for (const Field &f : fieldsOf(c)) {
-        JsonValue *node = &root;
-        std::string_view path = f.path;
-        for (std::size_t dot; (dot = path.find('.')) != path.npos;
-             path.remove_prefix(dot + 1)) {
-            node = &node->object[std::string(path.substr(0, dot))];
-            node->kind = JsonValue::Kind::Object;
-        }
-        node->object.emplace(path, fieldValue(f));
-    }
-    return root;
+    std::vector<Field> fs = fieldsOf(c);
+    return fieldsTree(fs.data(), fs.data() + fs.size(), 0);
 }
 
 SimConfig

@@ -70,16 +70,16 @@ struct SimConfig
 /// command-line override setter, so the three can never disagree.
 /// @{
 
-/** Serialize @p cfg as a nested JSON object (round-trip exact),
- *  fields in registry order: the human-facing form. */
-std::string configToJson(const SimConfig &cfg, int indent = 0);
-
 /**
  * @p cfg as a value tree, every registered field nested by its path.
  * writeJsonCompact of it is the canonical config text: what the cell
  * key hashes and the `config` object of a serve `run` frame.
  */
 JsonValue configTree(const SimConfig &cfg);
+
+/** writeJson of configTree(@p cfg) (round-trip exact, sorted keys):
+ *  the human-facing form `ltp print-config` prints. */
+std::string configToJson(const SimConfig &cfg, int indent = 0);
 
 /**
  * Every registered field's raw bytes (strings length-prefixed), in
@@ -90,8 +90,10 @@ JsonValue configTree(const SimConfig &cfg);
 std::string configIdentity(const SimConfig &cfg);
 
 /**
- * Serialize just the `mem` section (compact, registry order): the
- * identity of a memory hierarchy, covering every registered field.
+ * Just the `mem` section, compact with sorted keys, built from the
+ * registry's `mem.*` fields alone: the identity of a memory hierarchy
+ * (oracle memo and warming-chain keys), covering every registered
+ * field.
  */
 std::string memConfigJson(const MemConfig &mem);
 

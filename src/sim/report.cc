@@ -38,10 +38,9 @@ real(const char *key, double Metrics::*f)
     return {key, nullptr, f};
 }
 
-/** The report's top-level numbers in report order: those before the
- *  energy block, then those after it.  One list for the text writer,
- *  the tree writer and the reader. */
-constexpr ScalarField kBeforeEnergy[] = {
+/** The report's top-level numbers: one list for the writer, the
+ *  reader and the views. */
+constexpr ScalarField kScalars[] = {
     counter("insts", &Metrics::insts),
     counter("cycles", &Metrics::cycles),
     real("ipc", &Metrics::ipc),
@@ -66,8 +65,6 @@ constexpr ScalarField kBeforeEnergy[] = {
     counter("pressureUnparks", &Metrics::pressureUnparks),
     real("llpredAccuracy", &Metrics::llpredAccuracy),
     real("bpAccuracy", &Metrics::bpAccuracy),
-};
-constexpr ScalarField kAfterEnergy[] = {
     real("ed2p", &Metrics::ed2p),
     real("edp", &Metrics::edp),
 };
@@ -76,95 +73,10 @@ constexpr ScalarField kAfterEnergy[] = {
 const ScalarField *
 scalarField(const std::string &key)
 {
-    for (const ScalarField &f : kBeforeEnergy)
-        if (key == f.key)
-            return &f;
-    for (const ScalarField &f : kAfterEnergy)
+    for (const ScalarField &f : kScalars)
         if (key == f.key)
             return &f;
     return nullptr;
-}
-
-// Writing uses the shared ordered builder (common/json.hh) so field
-// order matches the Metrics declaration rather than map order.
-
-JsonObjectBuilder
-metricsObject(const Metrics &m, int indent)
-{
-    JsonObjectBuilder o;
-    auto scalars = [&](const auto &fields) {
-        for (const ScalarField &f : fields) {
-            if (f.count)
-                o.u64(f.key, m.*f.count);
-            else
-                o.num(f.key, m.*f.real);
-        }
-    };
-    o.u64("schemaVersion", kMetricsSchemaVersion);
-    o.str("config", m.config);
-    o.str("workload", m.workload);
-    scalars(kBeforeEnergy);
-
-    JsonObjectBuilder energy;
-    energy.num("iq", m.energy.iq);
-    energy.num("rf", m.energy.rf);
-    energy.num("ltp", m.energy.ltp);
-    o.field("energy", energy.render(indent + 2));
-    scalars(kAfterEnergy);
-
-    // SMT breakdown: emitted only for genuinely multi-context runs so
-    // single-threaded Metrics JSON (and the committed golden
-    // snapshots) is byte-identical to the pre-SMT format.
-    if (m.threads.size() > 1) {
-        std::string arr = "[\n";
-        for (std::size_t i = 0; i < m.threads.size(); ++i) {
-            const ThreadMetrics &tm = m.threads[i];
-            JsonObjectBuilder to;
-            to.str("workload", tm.workload);
-            to.u64("insts", tm.insts);
-            to.u64("cycles", tm.cycles);
-            to.num("ipc", tm.ipc);
-            arr += std::string(indent + 4, ' ') + to.render(indent + 4);
-            if (i + 1 < m.threads.size())
-                arr += ",";
-            arr += "\n";
-        }
-        arr += std::string(indent + 2, ' ') + "]";
-        JsonObjectBuilder smt;
-        smt.num("weightedSpeedup", m.weightedSpeedup);
-        smt.field("threads", arr);
-        o.field("smt", smt.render(indent + 2));
-    }
-
-    // Sampling summary: emitted only for sampled runs, so full-detail
-    // Metrics JSON (and golden snapshots) is byte-identical to the
-    // pre-sampling format.
-    if (m.sampling.enabled()) {
-        const SamplingStats &s = m.sampling;
-        JsonObjectBuilder so;
-        so.u64("samples", std::uint64_t(s.samples));
-        so.u64("fastForward", s.fastForward);
-        so.u64("warmup", s.warmup);
-        so.u64("detail", s.detail);
-        so.num("meanIpc", s.meanIpc);
-        // A CI-less run (--samples=1) omits the dispersion keys
-        // entirely: "unavailable" must not round-trip as a number.
-        if (s.hasCi()) {
-            so.num("ipcStdDev", s.ipcStdDev);
-            so.num("ci95Half", s.ci95Half);
-        }
-        so.num("ffKips", s.ffKips);
-        std::string ipcs = "[";
-        for (std::size_t i = 0; i < s.sampleIpcs.size(); ++i) {
-            if (i)
-                ipcs += ", ";
-            ipcs += jsonNum(s.sampleIpcs[i]);
-        }
-        ipcs += "]";
-        so.field("sampleIpcs", ipcs);
-        o.field("sampling", so.render(indent + 2));
-    }
-    return o;
 }
 
 // Parsing reads the tree the shared reader (common/json.hh) built;
@@ -193,72 +105,54 @@ strAt(const JsonValue &obj, const std::string &key)
 
 } // namespace
 
-/**
- * metricsObject's report as a value tree.  Kept in step with it by
- * hand; the test suite checks the two agree field for field.
- */
 JsonValue
 metricsTree(const Metrics &m)
 {
-    auto object = []() {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        return v;
-    };
-    JsonValue o = object();
+    JsonValue o = jsonObject();
     auto &f = o.object;
-    auto scalars = [&](const auto &fields) {
-        for (const ScalarField &sf : fields)
-            f[sf.key] = sf.count ? jsonU64(m.*sf.count)
-                                 : jsonDouble(m.*sf.real);
-    };
     f["schemaVersion"] = jsonU64(kMetricsSchemaVersion);
     f["config"] = jsonStr(m.config);
     f["workload"] = jsonStr(m.workload);
-    scalars(kBeforeEnergy);
+    for (const ScalarField &sf : kScalars)
+        f[sf.key] = sf.count ? jsonU64(m.*sf.count) : jsonDouble(m.*sf.real);
+    f["energy"] = jsonObject({{"iq", jsonDouble(m.energy.iq)},
+                              {"rf", jsonDouble(m.energy.rf)},
+                              {"ltp", jsonDouble(m.energy.ltp)}});
 
-    JsonValue energy = object();
-    energy.object["iq"] = jsonDouble(m.energy.iq);
-    energy.object["rf"] = jsonDouble(m.energy.rf);
-    energy.object["ltp"] = jsonDouble(m.energy.ltp);
-    f["energy"] = std::move(energy);
-    scalars(kAfterEnergy);
-
+    // SMT breakdown: only for genuinely multi-context runs, so a
+    // single-threaded report carries no `smt` block.
     if (m.threads.size() > 1) {
-        JsonValue threads;
-        threads.kind = JsonValue::Kind::Array;
-        for (const ThreadMetrics &tm : m.threads) {
-            JsonValue to = object();
-            to.object["workload"] = jsonStr(tm.workload);
-            to.object["insts"] = jsonU64(tm.insts);
-            to.object["cycles"] = jsonU64(tm.cycles);
-            to.object["ipc"] = jsonDouble(tm.ipc);
-            threads.array.push_back(std::move(to));
-        }
-        JsonValue smt = object();
-        smt.object["weightedSpeedup"] = jsonDouble(m.weightedSpeedup);
+        JsonValue threads = jsonArray();
+        for (const ThreadMetrics &tm : m.threads)
+            threads.array.push_back(
+                jsonObject({{"workload", jsonStr(tm.workload)},
+                            {"insts", jsonU64(tm.insts)},
+                            {"cycles", jsonU64(tm.cycles)},
+                            {"ipc", jsonDouble(tm.ipc)}}));
+        JsonValue &smt = f["smt"] = jsonObject(
+            {{"weightedSpeedup", jsonDouble(m.weightedSpeedup)}});
         smt.object["threads"] = std::move(threads);
-        f["smt"] = std::move(smt);
     }
 
+    // Sampling summary: only for sampled runs.
     if (m.sampling.enabled()) {
         const SamplingStats &s = m.sampling;
-        JsonValue so = object();
-        so.object["samples"] = jsonU64(std::uint64_t(s.samples));
-        so.object["fastForward"] = jsonU64(s.fastForward);
-        so.object["warmup"] = jsonU64(s.warmup);
-        so.object["detail"] = jsonU64(s.detail);
-        so.object["meanIpc"] = jsonDouble(s.meanIpc);
+        JsonValue so =
+            jsonObject({{"samples", jsonU64(std::uint64_t(s.samples))},
+                        {"fastForward", jsonU64(s.fastForward)},
+                        {"warmup", jsonU64(s.warmup)},
+                        {"detail", jsonU64(s.detail)},
+                        {"meanIpc", jsonDouble(s.meanIpc)},
+                        {"ffKips", jsonDouble(s.ffKips)}});
+        // A CI-less run (--samples=1) omits the dispersion keys
+        // entirely: "unavailable" must not round-trip as a number.
         if (s.hasCi()) {
             so.object["ipcStdDev"] = jsonDouble(s.ipcStdDev);
             so.object["ci95Half"] = jsonDouble(s.ci95Half);
         }
-        so.object["ffKips"] = jsonDouble(s.ffKips);
-        JsonValue ipcs;
-        ipcs.kind = JsonValue::Kind::Array;
+        JsonValue &ipcs = so.object["sampleIpcs"] = jsonArray();
         for (double ipc : s.sampleIpcs)
             ipcs.array.push_back(jsonDouble(ipc));
-        so.object["sampleIpcs"] = std::move(ipcs);
         f["sampling"] = std::move(so);
     }
     return o;
@@ -267,7 +161,7 @@ metricsTree(const Metrics &m)
 std::string
 metricsToJson(const Metrics &m, int indent)
 {
-    return metricsObject(m, indent).render(indent);
+    return writeJson(metricsTree(m), indent);
 }
 
 Metrics
@@ -292,16 +186,12 @@ metricsFromJson(const JsonValue &root)
     Metrics m;
     m.config = strAt(root, "config");
     m.workload = strAt(root, "workload");
-    auto scalars = [&](const auto &fields) {
-        for (const ScalarField &f : fields) {
-            if (f.count)
-                m.*f.count = u64At(root, f.key);
-            else
-                m.*f.real = numAt(root, f.key);
-        }
-    };
-    scalars(kBeforeEnergy);
-    scalars(kAfterEnergy);
+    for (const ScalarField &f : kScalars) {
+        if (f.count)
+            m.*f.count = u64At(root, f.key);
+        else
+            m.*f.real = numAt(root, f.key);
+    }
 
     auto energy = root.object.find("energy");
     if (energy != root.object.end()) {
@@ -358,31 +248,22 @@ metricsFromJson(const JsonValue &root)
 std::string
 reportToJson(const SweepResult &result)
 {
-    std::string out = "{\n";
-    out += "  \"sweep\": " + jsonQuote(result.name) + ",\n";
-    out += "  \"threads\": " + std::to_string(result.threads) + ",\n";
-    out += "  \"simulations\": " + std::to_string(result.simulations) +
-           ",\n";
-    out += "  \"wall_ms\": " +
-           strprintf("%.3f", result.wallMs) + ",\n";
-    out += "  \"results\": [\n";
-
-    bool first = true;
-    for (const std::string &row : result.grid.rows()) {
+    // Host time to the microsecond: a report field, not a model value.
+    JsonValue wall = jsonDouble(result.wallMs);
+    wall.str = strprintf("%.3f", result.wallMs);
+    JsonValue doc = jsonObject(
+        {{"sweep", jsonStr(result.name)},
+         {"threads", jsonU64(std::uint64_t(result.threads))},
+         {"simulations", jsonU64(result.simulations)},
+         {"wall_ms", wall}});
+    JsonValue &results = doc.object["results"] = jsonArray();
+    for (const std::string &row : result.grid.rows())
         for (const std::string &series : result.grid.series(row)) {
-            if (!first)
-                out += ",\n";
-            first = false;
-            out += "    {\n";
-            out += "      \"row\": " + jsonQuote(row) + ",\n";
-            out += "      \"series\": " + jsonQuote(series) + ",\n";
-            out += "      \"metrics\": " +
-                   metricsToJson(result.grid.at(row, series), 6) + "\n";
-            out += "    }";
+            JsonValue &cell = results.array.emplace_back(jsonObject(
+                {{"row", jsonStr(row)}, {"series", jsonStr(series)}}));
+            cell.object["metrics"] = metricsTree(result.grid.at(row, series));
         }
-    }
-    out += "\n  ]\n}\n";
-    return out;
+    return writeJson(doc) + "\n";
 }
 
 namespace {

@@ -5,9 +5,10 @@
  * BENCH_*.json perf trajectory), plus a Metrics JSON round-trip used
  * when re-reading archived results.
  *
- * The JSON dialect is deliberately small — flat objects of numbers and
- * strings, one nested object for the energy breakdown — parsed by a
- * self-contained reader (no third-party dependency).
+ * Every JSON document here is a value tree rendered by writeJson
+ * (common/json.hh), so objects list their keys in sorted order.  The
+ * Metrics object is small — numbers and strings, plus nested blocks
+ * for energy, SMT threads and sampling.
  */
 
 #ifndef LTP_SIM_REPORT_HH
@@ -22,15 +23,15 @@
 
 namespace ltp {
 
-/** Serialize one Metrics as a JSON object (round-trip exact). */
-std::string metricsToJson(const Metrics &m, int indent = 0);
-
 /**
- * The metricsToJson report as a value tree: numbers keep the lexemes
- * metricsToJson prints, so writeJsonCompact of it equals the compact
- * rendering of the parsed text.  What the serve wire carries.
+ * One Metrics as a value tree (round-trip exact through
+ * metricsFromJson): what metricsToJson renders and the serve wire
+ * carries.
  */
 JsonValue metricsTree(const Metrics &m);
+
+/** writeJson of metricsTree(@p m), nested from column @p indent. */
+std::string metricsToJson(const Metrics &m, int indent = 0);
 
 /**
  * Read a parsed metricsToJson object (text callers parse it first).

@@ -15,6 +15,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
+#include "sim/scenario.hh"
 
 namespace fs = std::filesystem;
 
@@ -173,18 +174,12 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
         return; // caching is an optimization; never fail the run
     }
 
-    JsonObjectBuilder o;
-    o.str("model", modelFingerprint());
-    o.str("key", key.hex);
-    o.str("config", cfg.name);
-    o.str("workload", key.workload);
-    o.field("lengths",
-            strprintf("{\"funcWarm\": %llu, \"pipeWarm\": %llu, "
-                      "\"detail\": %llu}",
-                      static_cast<unsigned long long>(lengths.funcWarm),
-                      static_cast<unsigned long long>(lengths.pipeWarm),
-                      static_cast<unsigned long long>(lengths.detail)));
-    o.field("metrics", metricsToJson(m, 2));
+    JsonValue body = jsonObject({{"model", jsonStr(modelFingerprint())},
+                                 {"key", jsonStr(key.hex)},
+                                 {"config", jsonStr(cfg.name)},
+                                 {"workload", jsonStr(key.workload)},
+                                 {"lengths", lengthsTree(lengths)}});
+    body.object["metrics"] = metricsTree(m);
 
     std::string tmp = path + strprintf(".tmp.%d.%llu", getpid(),
                                        static_cast<unsigned long long>(
@@ -195,7 +190,8 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
             warn("result cache: cannot write %s", tmp.c_str());
             return;
         }
-        std::string rest = "\",\n" + o.render(0).substr(2) + "\n";
+        // The seal leads; the body's own keys follow in sorted order.
+        std::string rest = "\",\n" + writeJson(body).substr(2) + "\n";
         outf << kSealLead << strprintf("%08x", crc32(rest)) << rest;
     }
     fs::rename(tmp, path, ec);

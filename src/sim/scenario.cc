@@ -743,46 +743,43 @@ loadScenarioFile(const std::string &path)
     }
 }
 
+JsonValue
+lengthsTree(const RunLengths &l)
+{
+    return jsonObject({{"funcWarm", jsonU64(l.funcWarm)},
+                       {"pipeWarm", jsonU64(l.pipeWarm)},
+                       {"detail", jsonU64(l.detail)}});
+}
+
+JsonValue
+samplingTree(const SamplePlan &plan)
+{
+    return jsonObject(
+        {{"fastForward", jsonU64(plan.fastForward)},
+         {"warmup", jsonU64(plan.warmup)},
+         {"detail", jsonU64(plan.detail)},
+         {"samples", jsonU64(std::uint64_t(plan.samples))}});
+}
+
 std::string
 sweepSpecToJson(const SweepSpec &spec)
 {
-    std::string out = "{\n";
-    out += "  \"name\": " + jsonQuote(spec.name) + ",\n";
-    out += "  \"lengths\": {\"funcWarm\": " +
-           std::to_string(spec.lengths.funcWarm) +
-           ", \"pipeWarm\": " + std::to_string(spec.lengths.pipeWarm) +
-           ", \"detail\": " + std::to_string(spec.lengths.detail) +
-           "},\n";
-    if (spec.sampling.enabled()) {
-        out += "  \"sampling\": {\"fastForward\": " +
-               std::to_string(spec.sampling.fastForward) +
-               ", \"warmup\": " + std::to_string(spec.sampling.warmup) +
-               ", \"detail\": " + std::to_string(spec.sampling.detail) +
-               ", \"samples\": " + std::to_string(spec.sampling.samples) +
-               "},\n";
+    JsonValue doc = jsonObject({{"name", jsonStr(spec.name)},
+                                {"lengths", lengthsTree(spec.lengths)}});
+    if (spec.sampling.enabled())
+        doc.object["sampling"] = samplingTree(spec.sampling);
+    JsonValue &jobs = doc.object["jobs"] = jsonArray();
+    for (const SweepJob &job : spec.jobs) {
+        JsonValue &o = jobs.array.emplace_back(
+            jsonObject({{"row", jsonStr(job.row)},
+                        {"series", jsonStr(job.series)},
+                        {"label", jsonStr(job.label)},
+                        {"kernels", jsonArray()}}));
+        for (const std::string &k : job.kernels)
+            o.object["kernels"].array.push_back(jsonStr(k));
+        o.object["config"] = configTree(job.cfg);
     }
-    out += "  \"jobs\": [\n";
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-        const SweepJob &job = spec.jobs[i];
-        out += "    {\n";
-        out += "      \"row\": " + jsonQuote(job.row) + ",\n";
-        out += "      \"series\": " + jsonQuote(job.series) + ",\n";
-        out += "      \"label\": " + jsonQuote(job.label) + ",\n";
-        out += "      \"kernels\": [";
-        for (std::size_t k = 0; k < job.kernels.size(); ++k) {
-            if (k)
-                out += ", ";
-            out += jsonQuote(job.kernels[k]);
-        }
-        out += "],\n";
-        out += "      \"config\": " + configToJson(job.cfg, 6) + "\n";
-        out += "    }";
-        if (i + 1 < spec.jobs.size())
-            out += ",";
-        out += "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
+    return writeJson(doc) + "\n";
 }
 
 } // namespace ltp

@@ -176,12 +176,18 @@ Scenario scenarioFromJson(const std::string &text,
  */
 RunLengths parseLengths(const JsonValue &v, const std::string &where);
 
+/** @p l as the object parseLengths reads back (every field). */
+JsonValue lengthsTree(const RunLengths &l);
+
 /**
  * The `sampling` block at @p where: "default" or an object whose absent
  * fields keep SamplePlan::defaults().  Shared with `ltp sweep --submit`.
  * @throws std::runtime_error naming @p where on bad keys or values.
  */
 SamplePlan parseSampling(const JsonValue &v, const std::string &where);
+
+/** @p plan as the object parseSampling reads back (every field). */
+JsonValue samplingTree(const SamplePlan &plan);
 
 /**
  * The `views` list of scenario JSON @p root (default {"ipc"}), checked

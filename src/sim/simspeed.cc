@@ -43,36 +43,37 @@ benchKernels(bool quick)
     return all;
 }
 
-std::string
-cellJson(const SimSpeedCell &c,
+JsonValue
+cellTree(const SimSpeedCell &c,
          const std::map<std::string, double> &refs)
 {
-    JsonObjectBuilder o;
-    o.str("label", c.label);
-    o.str("config", c.config);
-    o.num("simulations", double(c.simulations));
-    o.num("detailed_insts", double(c.detailedInsts));
-    o.num("wall_ms", c.wallMs);
-    o.num("kips", c.kips);
+    JsonValue o = jsonObject(
+        {{"label", jsonStr(c.label)},
+         {"config", jsonStr(c.config)},
+         {"simulations", jsonU64(c.simulations)},
+         {"detailed_insts", jsonU64(c.detailedInsts)},
+         {"wall_ms", jsonDouble(c.wallMs)},
+         {"kips", jsonDouble(c.kips)}});
     auto ref = refs.find(c.label);
     if (ref != refs.end()) {
-        o.num("reference_kips", ref->second);
+        o.object["reference_kips"] = jsonDouble(ref->second);
         if (ref->second > 0.0)
-            o.num("speedup_vs_reference", c.kips / ref->second);
+            o.object["speedup_vs_reference"] =
+                jsonDouble(c.kips / ref->second);
     }
     if (c.profiled()) {
-        JsonObjectBuilder p;
-        p.u64("ticks", c.profile.ticks);
-        p.u64("sampled", c.profile.sampled);
-        p.u64("clock_ns", c.profile.clockNs);
-        p.u64("total_ns", c.profile.totalNs());
-        JsonObjectBuilder stages;
+        JsonValue stages = jsonObject();
         for (int s = 0; s < TickProfile::kNumStages; ++s)
-            stages.u64(TickProfile::stageName(s), c.profile.stageNs(s));
-        p.field("stage_ns", stages.render(8));
-        o.field("profile", p.render(6));
+            stages.object[TickProfile::stageName(s)] =
+                jsonU64(c.profile.stageNs(s));
+        JsonValue &p = o.object["profile"] = jsonObject(
+            {{"ticks", jsonU64(c.profile.ticks)},
+             {"sampled", jsonU64(c.profile.sampled)},
+             {"clock_ns", jsonU64(c.profile.clockNs)},
+             {"total_ns", jsonU64(c.profile.totalNs())}});
+        p.object["stage_ns"] = std::move(stages);
     }
-    return o.render(4);
+    return o;
 }
 
 } // namespace
@@ -80,30 +81,25 @@ cellJson(const SimSpeedCell &c,
 std::string
 SimSpeedReport::toJson() const
 {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"name\": \"simspeed\",\n";
-    out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-    out << "  \"seed\": " << seed << ",\n";
-    out << "  \"reps\": " << reps << ",\n";
-    out << "  \"threads\": 1,\n";
-    auto emitCells = [&](const char *key,
-                         const std::vector<SimSpeedCell> &cells) {
-        out << "  \"" << key << "\": [\n";
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            out << "    " << cellJson(cells[i], referenceKips);
-            out << (i + 1 < cells.size() ? ",\n" : "\n");
-        }
-        out << "  ],\n";
+    JsonValue doc = jsonObject(
+        {{"name", jsonStr("simspeed")},
+         {"quick", jsonBool(quick)},
+         {"seed", jsonU64(seed)},
+         {"reps", jsonU64(std::uint64_t(reps))},
+         {"threads", jsonU64(1)},
+         {"total", jsonObject({{"detailed_insts", jsonU64(totalInsts)},
+                               {"wall_ms", jsonDouble(totalWallMs)},
+                               {"kips", jsonDouble(totalKips)}})}});
+    auto cells = [&](const char *key,
+                     const std::vector<SimSpeedCell> &list) {
+        JsonValue &arr = doc.object[key] = jsonArray();
+        for (const SimSpeedCell &c : list)
+            arr.array.push_back(cellTree(c, referenceKips));
     };
-    emitCells("kernels", kernelCells);
-    emitCells("scenarios", scenarioCells);
-    emitCells("report_only_scenarios", reportOnlyCells);
-    out << "  \"total\": {\"detailed_insts\": " << totalInsts
-        << ", \"wall_ms\": " << jsonNum(totalWallMs)
-        << ", \"kips\": " << jsonNum(totalKips) << "}\n";
-    out << "}\n";
-    return out.str();
+    cells("kernels", kernelCells);
+    cells("scenarios", scenarioCells);
+    cells("report_only_scenarios", reportOnlyCells);
+    return writeJson(doc) + "\n";
 }
 
 SimSpeedReport

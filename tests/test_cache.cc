@@ -201,16 +201,6 @@ TEST(CellKeyTest, FingerprintMatchesTheSources)
     EXPECT_EQ(modelFingerprint(), sha256Hex(manifest));
 }
 
-TEST(CellKeyTest, ConfigTreeIsTheCanonicalConfigText)
-{
-    for (const SimConfig &c :
-         {SimConfig::baseline(), SimConfig::ltpProposal(LtpMode::NU),
-          SimConfig::limitStudy(LtpMode::NRNU), escapedConfig()})
-        EXPECT_EQ(writeJsonCompact(configTree(c)),
-                  canonical(configToJson(c)))
-            << c.name;
-}
-
 TEST(CellKeyTest, DistinctAcrossEveryInput)
 {
     SimConfig base = SimConfig::baseline();
@@ -324,6 +314,50 @@ TEST_F(CacheTest, RoundTripIsBitIdenticalForEverySuiteKernel)
             << "cache round-trip changed bits for " << kernel;
     }
     EXPECT_EQ(cache.stats().entries, allKernelNames().size());
+}
+
+TEST_F(CacheTest, EntryRoundTripsValueByValue)
+{
+    // The entry file, read back value by value: the CRC seal leads,
+    // then the body's keys (sorted), then every Metrics value exactly.
+    ResultCache cache(dir_);
+    SimConfig cfg = escapedConfig();
+    RunLengths lengths = tiny();
+    lengths.funcWarm = (std::uint64_t(1) << 60) + 1; // exact above 2^53
+    Metrics m = Simulator::runOnce(SimConfig::baseline(), "paper_loop",
+                                   tiny());
+    m.config = cfg.name;
+    CellKey key = cellKeyFor(cfg, "paper_loop", lengths);
+    cache.store(key, cfg, lengths, m);
+
+    std::string text = readFile(entryPath(dir_, key));
+    ASSERT_EQ(text.rfind("{\n  \"crc32\": \"", 0), 0u) << text;
+    JsonValue root = parseJson(text);
+    const auto &f = root.object;
+    EXPECT_EQ(f.size(), 7u);
+    EXPECT_EQ(f.at("crc32").str.size(), 8u);
+    EXPECT_EQ(f.at("model").str, modelFingerprint());
+    EXPECT_EQ(f.at("key").str, key.hex);
+    EXPECT_EQ(f.at("config").str, cfg.name);
+    EXPECT_EQ(f.at("workload").str, key.workload);
+    const auto &l = f.at("lengths").object;
+    EXPECT_EQ(l.size(), 3u);
+    EXPECT_EQ(jsonToU64(l.at("funcWarm")), lengths.funcWarm);
+    EXPECT_EQ(jsonToU64(l.at("pipeWarm")), lengths.pipeWarm);
+    EXPECT_EQ(jsonToU64(l.at("detail")), lengths.detail);
+    JsonValue want = metricsTree(m);
+    const auto &got = f.at("metrics").object;
+    EXPECT_EQ(got.size(), want.object.size());
+    for (const auto &[name, value] : want.object) {
+        auto it = got.find(name);
+        ASSERT_NE(it, got.end()) << name;
+        EXPECT_EQ(writeJsonCompact(it->second), writeJsonCompact(value))
+            << name;
+    }
+
+    Metrics back;
+    ASSERT_TRUE(cache.lookup(key, &back));
+    EXPECT_EQ(metricsToJson(back), metricsToJson(m));
 }
 
 TEST_F(CacheTest, FutureSchemaVersionsReadAsMisses)

@@ -267,6 +267,31 @@ TEST(CliDeathTest, UnknownFlagStaysFatal)
         ::testing::ExitedWithCode(1), "unknown flag --alhpa");
 }
 
+TEST(CliDeathTest, NumericValuesMustParseWhole)
+{
+    // A prefix parse would read "1e4" as 1 and "10k" as 10, and "-5"
+    // would wrap once cast to a length.
+    for (const char *bad : {"--n=1e4", "--n=10k", "--n=abc", "--n=-5",
+                            "--n=", "--n=0x10", "--n=99999999999999999999"}) {
+        const char *argv[] = {"prog", bad};
+        Cli cli(2, const_cast<char **>(argv), {"n"});
+        EXPECT_EXIT(cli.integer("n", 0), ::testing::ExitedWithCode(1),
+                    "--n needs a non-negative integer")
+            << bad;
+    }
+    for (const char *bad : {"--x=0.1x", "--x=5%", "--x="}) {
+        const char *argv[] = {"prog", bad};
+        Cli cli(2, const_cast<char **>(argv), {"x"});
+        EXPECT_EXIT(cli.real("x", 0.0), ::testing::ExitedWithCode(1),
+                    "--x needs a number")
+            << bad;
+    }
+    const char *argv[] = {"prog", "--n=010", "--x=-0.5"};
+    Cli cli(3, const_cast<char **>(argv), {"n", "x"});
+    EXPECT_EQ(cli.integer("n", 0), 10); // base 10, not octal
+    EXPECT_EQ(cli.real("x", 0.0), -0.5);
+}
+
 TEST(Logging, Strprintf)
 {
     EXPECT_EQ(strprintf("x=%d y=%s", 5, "z"), "x=5 y=z");

@@ -121,11 +121,11 @@ renderDuplicating(const JsonValue &v, Rng &rng, int target, int &seen,
     for (const auto &[key, value] : v.object) {
         if (i)
             out += ',';
-        out += jsonQuote(key) + ":";
+        out += writeJsonCompact(jsonStr(key)) + ":";
         renderDuplicating(value, rng, target, seen, out);
         if (dup && i == pick) {
             auto other = std::next(v.object.begin(), long(from));
-            out += "," + jsonQuote(key) + ":" +
+            out += "," + writeJsonCompact(jsonStr(key)) + ":" +
                    writeJsonCompact(other->second);
         }
         i += 1;

@@ -61,29 +61,16 @@ std::string
 goldenJson(const std::string &scenario, const RunLengths &lengths,
            const ResultGrid &grid)
 {
-    std::string out = "{\n";
-    out += "  \"scenario\": " + jsonQuote(scenario) + ",\n";
-    out += "  \"lengths\": {\"funcWarm\": " +
-           std::to_string(lengths.funcWarm) +
-           ", \"pipeWarm\": " + std::to_string(lengths.pipeWarm) +
-           ", \"detail\": " + std::to_string(lengths.detail) + "},\n";
-    out += "  \"cells\": [\n";
-    bool first = true;
-    for (const std::string &row : grid.rows()) {
+    JsonValue doc = jsonObject({{"scenario", jsonStr(scenario)},
+                                {"lengths", lengthsTree(lengths)}});
+    JsonValue &cells = doc.object["cells"] = jsonArray();
+    for (const std::string &row : grid.rows())
         for (const std::string &series : grid.series(row)) {
-            if (!first)
-                out += ",\n";
-            first = false;
-            out += "    {\n";
-            out += "      \"row\": " + jsonQuote(row) + ",\n";
-            out += "      \"series\": " + jsonQuote(series) + ",\n";
-            out += "      \"metrics\": " +
-                   metricsToJson(grid.at(row, series), 6) + "\n";
-            out += "    }";
+            JsonValue &cell = cells.array.emplace_back(jsonObject(
+                {{"row", jsonStr(row)}, {"series", jsonStr(series)}}));
+            cell.object["metrics"] = metricsTree(grid.at(row, series));
         }
-    }
-    out += "\n  ]\n}\n";
-    return out;
+    return writeJson(doc) + "\n";
 }
 
 /** Cell-level diff so a regression names the first offending field. */

@@ -171,7 +171,8 @@ TEST(Replay, TracesScenarioCompilesOntoTraceKernels)
         "{\"name\": \"rp\","
         " \"lengths\": {\"funcWarm\": 2000, \"pipeWarm\": 400, "
         "\"detail\": 1000},"
-        " \"workloads\": {\"traces\": [" + jsonQuote(path) + "]},"
+        " \"workloads\": {\"traces\": [" +
+        writeJsonCompact(jsonStr(path)) + "]},"
         " \"configs\": [{\"series\": \"base\", \"preset\": "
         "\"baseline\"}]}");
     ASSERT_EQ(sc.workloadKind, Scenario::WorkloadKind::Traces);
@@ -205,8 +206,8 @@ TEST(Replay, DuplicateTraceRowLabelsAreRejected)
 
     Scenario sc = scenarioFromJson(
         "{\"name\": \"dup\","
-        " \"workloads\": {\"traces\": [" + jsonQuote(a) + ", " +
-        jsonQuote(b) + "]},"
+        " \"workloads\": {\"traces\": " +
+        writeJsonCompact(jsonArray({jsonStr(a), jsonStr(b)})) + "},"
         " \"configs\": [{\"series\": \"base\", \"preset\": "
         "\"baseline\"}]}");
     try {

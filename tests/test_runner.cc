@@ -11,6 +11,7 @@
 #include <cmath>
 #include <future>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -18,6 +19,7 @@
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
+#include "sim/simspeed.hh"
 
 namespace ltp {
 namespace {
@@ -455,11 +457,50 @@ TEST(Report, MetricsJsonRoundTripIsExact)
     EXPECT_EQ(back.edp, m.edp);
 }
 
-TEST(Report, MetricsTreeRendersLikeTheParsedReport)
+/** Equal, or both NaN (an absent interval reads back as NaN). */
+template <class T>
+void
+expectSame(const T &want, const T &got, const std::string &what)
 {
-    // metricsTree is kept in step with metricsToJson by hand: every
-    // block (SMT threads, sampling with and without a CI, NaN values)
-    // must build the tree the text parses to.
+    if constexpr (std::is_floating_point_v<T>) {
+        if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got)) << what;
+            return;
+        }
+    }
+    EXPECT_EQ(want, got) << what;
+}
+
+/** Every value a Metrics report carries, one by one. */
+void
+expectSameMetrics(const Metrics &want, const Metrics &got)
+{
+#define SAME(f) expectSame(want.f, got.f, #f)
+    SAME(config); SAME(workload); SAME(insts); SAME(cycles); SAME(ipc);
+    SAME(cpi); SAME(avgOutstanding); SAME(avgLoadLatency);
+    SAME(dramReads); SAME(iqOcc); SAME(robOcc); SAME(lqOcc);
+    SAME(sqOcc); SAME(rfOcc); SAME(ltpOcc); SAME(ltpRegsOcc);
+    SAME(ltpLoadsOcc); SAME(ltpStoresOcc); SAME(ltpEnabledFrac);
+    SAME(parkedFrac); SAME(parked); SAME(unparked); SAME(forcedUnparks);
+    SAME(pressureUnparks); SAME(llpredAccuracy); SAME(bpAccuracy);
+    SAME(energy.iq); SAME(energy.rf); SAME(energy.ltp); SAME(ed2p);
+    SAME(edp); SAME(weightedSpeedup); SAME(sampling.samples);
+    SAME(sampling.fastForward); SAME(sampling.warmup);
+    SAME(sampling.detail); SAME(sampling.meanIpc);
+    SAME(sampling.ipcStdDev); SAME(sampling.ci95Half);
+    SAME(sampling.ffKips); SAME(sampling.sampleIpcs);
+    ASSERT_EQ(want.threads.size(), got.threads.size());
+    for (std::size_t i = 0; i < want.threads.size(); ++i) {
+        SAME(threads[i].workload); SAME(threads[i].insts);
+        SAME(threads[i].cycles); SAME(threads[i].ipc);
+    }
+#undef SAME
+}
+
+TEST(Report, SweepReportRoundTripsValueByValue)
+{
+    // An SMT cell, a sampled cell without a CI (n = 1) and a NaN IPC
+    // must all come back from the report text exactly.
     Metrics plain = distinctiveMetrics();
     Metrics smt = plain;
     smt.weightedSpeedup = 1.625;
@@ -470,27 +511,145 @@ TEST(Report, MetricsTreeRendersLikeTheParsedReport)
     t1.workload = "b\tc";
     t1.cycles = 987;
     smt.threads = {t0, t1};
-    Metrics sampled = plain;
-    sampled.sampling.samples = 3;
-    sampled.sampling.fastForward = 200000;
-    sampled.sampling.warmup = 2000;
-    sampled.sampling.detail = 5000;
-    sampled.sampling.meanIpc = 1.25;
-    sampled.sampling.ipcStdDev = 0.125;
-    sampled.sampling.ci95Half = 0.0625;
-    sampled.sampling.ffKips = 24500.5;
-    sampled.sampling.sampleIpcs = {1.0, 1.25, 1.5};
-    Metrics no_ci = sampled;
+    Metrics no_ci = plain;
+    no_ci.ipc = std::nan("");
     no_ci.sampling.samples = 1;
+    no_ci.sampling.fastForward = 200000;
+    no_ci.sampling.warmup = 2000;
+    no_ci.sampling.detail = 5000;
+    no_ci.sampling.meanIpc = 1.25;
     no_ci.sampling.ipcStdDev = std::nan("");
     no_ci.sampling.ci95Half = std::nan("");
-    no_ci.ipc = std::nan("");
-    for (const Metrics &m : {plain, smt, sampled, no_ci}) {
-        std::string want = writeJsonCompact(parseJson(metricsToJson(m)));
-        EXPECT_EQ(writeJsonCompact(metricsTree(m)), want);
-        EXPECT_EQ(metricsToJson(metricsFromJson(metricsTree(m))),
-                  metricsToJson(m));
-    }
+    no_ci.sampling.ffKips = 24500.5;
+    no_ci.sampling.sampleIpcs = {1.25};
+
+    SweepResult result;
+    result.name = "docs \"q\"";
+    result.threads = 3;
+    result.simulations = 3;
+    result.wallMs = 12.3456;
+    result.grid.put("r1", "plain", plain);
+    result.grid.put("r1", "smt", smt);
+    result.grid.put("r2", "no-ci", no_ci);
+
+    JsonValue root = parseJson(reportToJson(result));
+    const auto &f = root.object;
+    EXPECT_EQ(f.size(), 5u);
+    EXPECT_EQ(f.at("sweep").str, result.name);
+    EXPECT_EQ(jsonToU64(f.at("threads")), 3u);
+    EXPECT_EQ(jsonToU64(f.at("simulations")), 3u);
+    EXPECT_EQ(f.at("wall_ms").str, "12.346");
+    const auto &cells = f.at("results").array;
+    ASSERT_EQ(cells.size(), 3u);
+    std::size_t i = 0;
+    for (const std::string &row : result.grid.rows())
+        for (const std::string &series : result.grid.series(row)) {
+            const auto &c = cells[i++].object;
+            EXPECT_EQ(c.size(), 3u);
+            EXPECT_EQ(c.at("row").str, row);
+            EXPECT_EQ(c.at("series").str, series);
+            SCOPED_TRACE(row + " / " + series);
+            expectSameMetrics(result.grid.at(row, series),
+                              metricsFromJson(c.at("metrics")));
+        }
+    // "Unavailable" is an absent key, never a number.
+    const JsonValue &sampling =
+        cells[2].object.at("metrics").object.at("sampling");
+    EXPECT_EQ(sampling.object.count("ci95Half"), 0u);
+    EXPECT_EQ(sampling.object.count("ipcStdDev"), 0u);
+}
+
+TEST(Report, BenchReportRoundTripsValueByValue)
+{
+    SimSpeedReport r;
+    r.quick = true;
+    r.seed = 7;
+    r.reps = 3;
+    SimSpeedCell kernel;
+    kernel.label = "paper_loop";
+    kernel.config = "base-iq64-rf128";
+    kernel.detailedInsts = 24000;
+    kernel.wallMs = 8.25;
+    kernel.kips = 2909.0909090909090;
+    kernel.profile.ticks = 6100;
+    kernel.profile.sampled = 100;
+    kernel.profile.clockNs = 31;
+    for (int s = 0; s < TickProfile::kNumStages; ++s)
+        kernel.profile.ns[std::size_t(s)] = 1000 + std::uint64_t(s);
+    SimSpeedCell scenario;
+    scenario.label = "fig6_IQ";
+    scenario.config = "scenario";
+    scenario.simulations = 280;
+    scenario.detailedInsts = 1680000;
+    scenario.wallMs = 1234.5;
+    scenario.kips = 1360.875;
+    SimSpeedCell smt = scenario;
+    smt.label = "smt_pairs";
+    r.kernelCells = {kernel};
+    r.scenarioCells = {scenario};
+    r.reportOnlyCells = {smt};
+    r.totalInsts = 1704000;
+    r.totalWallMs = 1242.75;
+    r.totalKips = 1371.1529;
+    r.referenceKips = {{"fig6_IQ", 1000.0}, {"smt_pairs", 0.0}};
+
+    JsonValue root = parseJson(r.toJson());
+    const auto &f = root.object;
+    EXPECT_EQ(f.at("name").str, "simspeed");
+    EXPECT_TRUE(f.at("quick").boolean);
+    EXPECT_EQ(jsonToU64(f.at("seed")), 7u);
+    EXPECT_EQ(jsonToU64(f.at("reps")), 3u);
+    EXPECT_EQ(jsonToU64(f.at("threads")), 1u);
+    const auto &total = f.at("total").object;
+    EXPECT_EQ(jsonToU64(total.at("detailed_insts")), r.totalInsts);
+    EXPECT_EQ(total.at("wall_ms").num, r.totalWallMs);
+    EXPECT_EQ(total.at("kips").num, r.totalKips);
+
+    auto expectCell = [&](const JsonValue &v, const SimSpeedCell &want) {
+        SCOPED_TRACE(want.label);
+        const auto &c = v.object;
+        EXPECT_EQ(c.at("label").str, want.label);
+        EXPECT_EQ(c.at("config").str, want.config);
+        EXPECT_EQ(jsonToU64(c.at("simulations")), want.simulations);
+        EXPECT_EQ(jsonToU64(c.at("detailed_insts")), want.detailedInsts);
+        EXPECT_EQ(c.at("wall_ms").num, want.wallMs);
+        EXPECT_EQ(c.at("kips").num, want.kips);
+        auto ref = r.referenceKips.find(want.label);
+        EXPECT_EQ(c.count("reference_kips"),
+                  ref == r.referenceKips.end() ? 0u : 1u);
+        if (ref != r.referenceKips.end()) {
+            EXPECT_EQ(c.at("reference_kips").num, ref->second);
+            // No ratio against a zero reference.
+            EXPECT_EQ(c.count("speedup_vs_reference"),
+                      ref->second > 0.0 ? 1u : 0u);
+            if (ref->second > 0.0) {
+                EXPECT_EQ(c.at("speedup_vs_reference").num,
+                          want.kips / ref->second);
+            }
+        }
+        EXPECT_EQ(c.count("profile"), want.profiled() ? 1u : 0u);
+        if (!want.profiled())
+            return;
+        const auto &p = c.at("profile").object;
+        EXPECT_EQ(jsonToU64(p.at("ticks")), want.profile.ticks);
+        EXPECT_EQ(jsonToU64(p.at("sampled")), want.profile.sampled);
+        EXPECT_EQ(jsonToU64(p.at("clock_ns")), want.profile.clockNs);
+        EXPECT_EQ(jsonToU64(p.at("total_ns")), want.profile.totalNs());
+        const auto &stages = p.at("stage_ns").object;
+        EXPECT_EQ(stages.size(), std::size_t(TickProfile::kNumStages));
+        for (int s = 0; s < TickProfile::kNumStages; ++s)
+            EXPECT_EQ(jsonToU64(stages.at(TickProfile::stageName(s))),
+                      want.profile.stageNs(s));
+    };
+    auto cells = [&](const char *list) -> const auto & {
+        return f.at(list).array;
+    };
+    ASSERT_EQ(cells("kernels").size(), 1u);
+    ASSERT_EQ(cells("scenarios").size(), 1u);
+    ASSERT_EQ(cells("report_only_scenarios").size(), 1u);
+    expectCell(cells("kernels")[0], kernel);
+    expectCell(cells("scenarios")[0], scenario);
+    expectCell(cells("report_only_scenarios")[0], smt);
 }
 
 TEST(Report, MalformedJsonThrows)

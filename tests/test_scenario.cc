@@ -449,6 +449,56 @@ TEST(Scenario, NameOverrideAndSeedPropagate)
 // Explicit-jobs export round trip
 // ---------------------------------------------------------------------------
 
+TEST(Scenario, SweepSpecExportRoundTripsValueByValue)
+{
+    // The export's text read back value by value: staging, the
+    // sampling plan, and each job's keys, kernels and whole config.
+    SimConfig odd = SimConfig::limitStudy(LtpMode::NRNU)
+                        .withSeed(5)
+                        .withName("odd \"q\"");
+    odd.mem.dram.cpuCyclesPerDramCycle = 3.7;
+    SweepSpec spec;
+    spec.name = "export";
+    spec.lengths = RunLengths{4000, 800, 2000};
+    spec.sampling = SamplePlan::defaults();
+    spec.add("paper_loop", "base", SimConfig::baseline(), "paper_loop");
+    spec.addGroup("grp", "odd", odd, {"dense_compute", "reduction"},
+                  "grp");
+
+    JsonValue root = parseJson(sweepSpecToJson(spec));
+    const auto &f = root.object;
+    EXPECT_EQ(f.size(), 4u);
+    EXPECT_EQ(f.at("name").str, spec.name);
+    const auto &l = f.at("lengths").object;
+    EXPECT_EQ(jsonToU64(l.at("funcWarm")), spec.lengths.funcWarm);
+    EXPECT_EQ(jsonToU64(l.at("pipeWarm")), spec.lengths.pipeWarm);
+    EXPECT_EQ(jsonToU64(l.at("detail")), spec.lengths.detail);
+    const auto &sp = f.at("sampling").object;
+    EXPECT_EQ(jsonToU64(sp.at("fastForward")), spec.sampling.fastForward);
+    EXPECT_EQ(jsonToU64(sp.at("warmup")), spec.sampling.warmup);
+    EXPECT_EQ(jsonToU64(sp.at("detail")), spec.sampling.detail);
+    EXPECT_EQ(jsonToU64(sp.at("samples")),
+              std::uint64_t(spec.sampling.samples));
+    const auto &jobs = f.at("jobs").array;
+    ASSERT_EQ(jobs.size(), spec.jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &want = spec.jobs[i];
+        const auto &j = jobs[i].object;
+        EXPECT_EQ(j.size(), 5u);
+        EXPECT_EQ(j.at("row").str, want.row);
+        EXPECT_EQ(j.at("series").str, want.series);
+        EXPECT_EQ(j.at("label").str, want.label);
+        std::vector<std::string> kernels;
+        for (const JsonValue &k : j.at("kernels").array)
+            kernels.push_back(k.str);
+        EXPECT_EQ(kernels, want.kernels);
+        // The identity covers every registered field.
+        EXPECT_EQ(configIdentity(configFromJson(j.at("config"))),
+                  configIdentity(want.cfg))
+            << want.row;
+    }
+}
+
 TEST(Scenario, SweepSpecExportRoundTripsAndRunsIdentically)
 {
     std::vector<SimConfig> configs = {

@@ -344,24 +344,12 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
 
     if (cli.has("warm") || cli.has("pipewarm") || cli.has("detail")) {
         lengths = stagingLengths(cli, lengths);
-        JsonValue l;
-        l.kind = JsonValue::Kind::Object;
-        l.object["funcWarm"] = jsonU64(lengths.funcWarm);
-        l.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
-        l.object["detail"] = jsonU64(lengths.detail);
-        root.object["lengths"] = std::move(l);
+        root.object["lengths"] = lengthsTree(lengths);
     }
 
     sampling = samplePlanFromCli(cli, sampling);
-    if (sampling.enabled()) {
-        JsonValue sp;
-        sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jsonU64(sampling.fastForward);
-        sp.object["warmup"] = jsonU64(sampling.warmup);
-        sp.object["detail"] = jsonU64(sampling.detail);
-        sp.object["samples"] = jsonU64(std::uint64_t(sampling.samples));
-        root.object["sampling"] = std::move(sp);
-    }
+    if (sampling.enabled())
+        root.object["sampling"] = samplingTree(sampling);
 
     std::string host = "127.0.0.1";
     int port = kDefaultServePort;
@@ -822,23 +810,16 @@ cmdClassify(const Cli &cli)
     }
     std::string json = cli.str("json", "");
     if (!json.empty()) {
-        std::string out = "[\n";
-        for (std::size_t i = 0; i < p.groups.details.size(); ++i) {
-            const MlpClassification &d = p.groups.details[i];
-            JsonObjectBuilder o;
-            o.str("kernel", d.kernel);
-            o.boolean("sensitive", d.sensitive);
-            o.num("speedup", d.speedup);
-            o.num("outstandingRatio", d.outstandingRatio);
-            o.num("avgLoadLatency", d.avgLoadLatency);
-            out += "  " + o.render(2);
-            if (i + 1 < p.groups.details.size())
-                out += ",";
-            out += "\n";
-        }
-        out += "]\n";
+        JsonValue out = jsonArray();
+        for (const MlpClassification &d : p.groups.details)
+            out.array.push_back(jsonObject(
+                {{"kernel", jsonStr(d.kernel)},
+                 {"sensitive", jsonBool(d.sensitive)},
+                 {"speedup", jsonDouble(d.speedup)},
+                 {"outstandingRatio", jsonDouble(d.outstandingRatio)},
+                 {"avgLoadLatency", jsonDouble(d.avgLoadLatency)}}));
         std::string target = archiveTarget(json, "BENCH_classify.json");
-        writeFile(target, out);
+        writeFile(target, writeJson(out) + "\n");
         std::printf("json written to %s\n", target.c_str());
     }
     return 0;
@@ -952,28 +933,45 @@ cmdSampleCompare(const Cli &cli)
     };
     Report full = load(full_path);
     Report sampled = load(sampled_path);
+    if (full.cells.empty())
+        fatal("%s holds no result cells", full_path.c_str());
+
+    // The gate covers the whole grid: a report that holds only some
+    // of the cells must not pass on the ones it happens to hold.
+    auto absentFrom = [](const Report &from, const Report &in) {
+        std::string keys;
+        for (const auto &[key, m] : from.cells)
+            if (!in.cells.count(key))
+                keys += (keys.empty() ? "'" : ", '") + key + "'";
+        return keys;
+    };
+    if (std::string keys = absentFrom(full, sampled); !keys.empty())
+        fatal("%s lacks cells that %s holds: %s", sampled_path.c_str(),
+              full_path.c_str(), keys.c_str());
+    if (std::string keys = absentFrom(sampled, full); !keys.empty())
+        fatal("%s holds cells that %s lacks: %s", sampled_path.c_str(),
+              full_path.c_str(), keys.c_str());
 
     Table t({"cell", "full IPC", "sampled IPC", "ci95", "tolerance",
              "state"});
     int failures = 0;
     for (const auto &[key, sm] : sampled.cells) {
-        auto it = full.cells.find(key);
-        if (it == full.cells.end())
-            fatal("cell '%s' in %s has no counterpart in %s",
-                  key.c_str(), sampled_path.c_str(), full_path.c_str());
-        const Metrics &fm = it->second;
+        const Metrics &fm = full.cells.at(key);
+        if (!sm.sampling.enabled())
+            fatal("cell '%s' in %s has no sampling block — --sampled "
+                  "takes a report swept with --samples",
+                  key.c_str(), sampled_path.c_str());
         // Gating a sampled cell is a statistical statement; a cell
         // with no interval (--samples=1) cannot make one, so refuse
         // outright rather than trivially passing on the rtol floor.
-        if (sm.sampling.enabled() && !sm.sampling.hasCi())
+        if (!sm.sampling.hasCi())
             fatal("cell '%s' in %s has no confidence interval "
                   "(%d sample%s) — rerun with --samples>=2 to gate "
                   "a sampled result",
                   key.c_str(), sampled_path.c_str(),
                   sm.sampling.samples,
                   sm.sampling.samples == 1 ? "" : "s");
-        double sampled_ipc =
-            sm.sampling.enabled() ? sm.sampling.meanIpc : sm.ipc;
+        double sampled_ipc = sm.sampling.meanIpc;
         // The statistical tolerance is the sample CI; the rtol floor
         // covers low-variance runs whose CI collapses below the bias
         // the phase model introduces (cold-start, period alignment).

@@ -10,18 +10,17 @@ ByteReader::need(std::size_t n) const
 {
     // Guard off_ first: a construction offset past the end would make
     // the size_t subtraction wrap and defeat the bounds check.
-    if (off_ > bytes_.size() || n > bytes_.size() - off_)
+    if (off_ > end_ || n > end_ - off_)
         throw std::runtime_error(
             "binio: read of " + std::to_string(n) + " bytes at offset " +
-            std::to_string(off_) + " past end of " +
-            std::to_string(bytes_.size()) + "-byte buffer");
+            std::to_string(off_) + " past end " + std::to_string(end_));
 }
 
 std::uint8_t
 ByteReader::u8()
 {
     need(1);
-    return static_cast<std::uint8_t>(bytes_[off_++]);
+    return static_cast<std::uint8_t>(data_[off_++]);
 }
 
 std::uint16_t
@@ -49,7 +48,7 @@ std::string
 ByteReader::raw(std::size_t n)
 {
     need(n);
-    std::string out = bytes_.substr(off_, n);
+    std::string out(data_ + off_, n);
     off_ += n;
     return out;
 }

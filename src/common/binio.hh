@@ -1,11 +1,13 @@
 /**
  * @file
- * Little-endian binary I/O helpers shared by the trace subsystem:
- * byte-string appenders, a bounds-checked reader, and CRC-32.
+ * Little-endian binary I/O helpers shared by every binary format
+ * (the sealed container of common/file_io.hh, and the `.lttr` and
+ * `.ltcp` bodies inside it): byte-string appenders, a bounds-checked
+ * reader, and CRC-32.
  *
- * Everything is explicitly little-endian so `.lttr` trace files are
- * portable across hosts; the appenders and reader never reinterpret
- * memory, so they are also alignment- and strict-aliasing-safe.
+ * Everything is explicitly little-endian so the files are portable
+ * across hosts; the appenders and reader never reinterpret memory, so
+ * they are also alignment- and strict-aliasing-safe.
  */
 
 #ifndef LTP_COMMON_BINIO_HH
@@ -48,17 +50,20 @@ putU64le(std::string &out, std::uint64_t v)
 /// @}
 
 /**
- * Bounds-checked little-endian reader over an in-memory byte buffer
- * (the mmap-style access pattern: the whole file is resident, records
- * are decoded in place on demand).
+ * Bounds-checked little-endian reader over [offset, end) of an
+ * in-memory byte buffer, which must outlive it (the mmap-style access
+ * pattern: the whole file is resident, records are decoded in place on
+ * demand).  @p end bounds it to one region, such as a sealed body.
  *
- * @throws std::runtime_error on any read past the end of the buffer.
+ * @throws std::runtime_error on any read past the end bound.
  */
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes, std::size_t offset = 0)
-        : bytes_(bytes), off_(offset)
+    explicit ByteReader(const std::string &bytes, std::size_t offset = 0,
+                        std::size_t end = std::string::npos)
+        : data_(bytes.data()),
+          end_(end < bytes.size() ? end : bytes.size()), off_(offset)
     {
     }
 
@@ -78,14 +83,15 @@ class ByteReader
     std::size_t
     remaining() const
     {
-        return off_ > bytes_.size() ? 0 : bytes_.size() - off_;
+        return off_ > end_ ? 0 : end_ - off_;
     }
 
   private:
     /** Check that @p n more bytes exist; throws otherwise. */
     void need(std::size_t n) const;
 
-    const std::string &bytes_;
+    const char *data_;
+    std::size_t end_;
     std::size_t off_;
 };
 

@@ -1,11 +1,9 @@
 #include "sample/checkpoint.hh"
 
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/logging.hh"
 
 namespace ltp {
@@ -102,9 +100,6 @@ std::string
 checkpointToBytes(const Checkpoint &ckpt)
 {
     std::string out;
-    out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-    putU32le(out, kCheckpointVersion);
-    putU32le(out, 0); // reserved
     putU64le(out, ckpt.seed);
     if (ckpt.workload.size() > 0xffff)
         badCheckpoint("workload name too long to encode");
@@ -137,49 +132,19 @@ checkpointToBytes(const Checkpoint &ckpt)
         putU32le(out, std::uint32_t(e.confidence));
         putU8(out, e.valid ? 1 : 0);
     }
-    putU32le(out, crc32(out));
-    return out;
+    return seal(kCheckpointMagic, kCheckpointVersion, out);
 }
 
 Checkpoint
 checkpointFromBytes(const std::string &bytes)
 {
-    // Fixed prefix + name length + thread count + CRC footer.
-    constexpr std::size_t min_size = 8 + 4 + 4 + 8 + 2 + 4 + 4;
-    if (bytes.size() < min_size)
-        badCheckpoint("truncated file (" +
-                      std::to_string(bytes.size()) +
-                      " bytes, header alone needs " +
-                      std::to_string(min_size) + ")");
-
-    ByteReader in(bytes);
-    if (std::memcmp(in.raw(sizeof(kCheckpointMagic)).data(),
-                    kCheckpointMagic, sizeof(kCheckpointMagic)) != 0)
-        badCheckpoint("bad magic (not a .ltcp checkpoint file)");
-    std::uint32_t version = in.u32();
-    if (version != kCheckpointVersion)
-        badCheckpoint("unsupported version " + std::to_string(version) +
-                      " (this build reads version " +
-                      std::to_string(kCheckpointVersion) + ")");
-    if (in.u32() != 0)
-        badCheckpoint("reserved header field is not 0");
-
-    std::uint32_t stored = ByteReader(bytes, bytes.size() - 4).u32();
-    Crc32 crc;
-    crc.update(bytes.data(), bytes.size() - 4);
-    if (crc.value() != stored)
-        badCheckpoint(strprintf("CRC mismatch (stored %08x, computed "
-                                "%08x): file is corrupt",
-                                stored, crc.value()));
-
+    ByteReader in = openSealed(bytes, kCheckpointMagic,
+                               kCheckpointVersion, "checkpoint");
     Checkpoint ckpt;
     ckpt.seed = in.u64();
-    std::uint16_t name_len = in.u16();
-    if (in.remaining() < name_len + 4u)
-        badCheckpoint("truncated file inside the workload name");
-    ckpt.workload = in.raw(name_len);
+    ckpt.workload = in.raw(in.u16());
 
-    // The CRC gate above already rejects truncation and appended
+    // The container gate above already rejects truncation and appended
     // garbage; parsing after it can still overrun on absurd (but
     // CRC-resealed) counts, which ByteReader turns into a thrown
     // bounds error.
@@ -259,37 +224,21 @@ checkpointFromBytes(const std::string &bytes)
         }
     }
 
-    if (in.offset() != bytes.size() - 4)
+    if (in.remaining() != 0)
         badCheckpoint("trailing garbage after the state records (" +
-                      std::to_string(bytes.size() - 4 - in.offset()) +
-                      " bytes)");
+                      std::to_string(in.remaining()) + " bytes)");
     return ckpt;
 }
 
 Checkpoint
 loadCheckpointFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        badCheckpoint("cannot open '" + path + "'");
-    std::ostringstream data;
-    data << in.rdbuf();
+    std::string bytes = readFile(path);
     try {
-        return checkpointFromBytes(data.str());
+        return checkpointFromBytes(bytes);
     } catch (const std::runtime_error &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
-}
-
-void
-writeCheckpointFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        badCheckpoint("cannot open '" + path + "' for writing");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-        badCheckpoint("short write to '" + path + "'");
 }
 
 std::vector<ThreadImage>

@@ -7,11 +7,10 @@
  * file, so a long fast-forward can be paid once and resumed from many
  * times (`ltp checkpoint create` / `ltp sample --from=<ckpt>`).
  *
- * On-disk layout (all integers little-endian), version 2:
+ * On-disk layout: a sealed container (common/file_io.hh: magic
+ * "LTPCKPT\0", u32 version 2, u32 reserved 0, body, u32 CRC-32 of
+ * everything before it) whose body is (all integers little-endian):
  *
- *   magic   8B   "LTPCKPT\0"
- *   u32          version (2)
- *   u32          reserved (0)
  *   u64          seed
  *   u16          workload name length, + that many bytes
  *   u32          numThreads
@@ -27,7 +26,6 @@
  *                 u64 tag, u64 lastUse }
  *     prefetcher: u32 entryCount x { u64 pc, u64 lastAddr,
  *                 i64 stride, u32 confidence, u8 valid }
- *   u32          CRC-32 (IEEE) of everything above
  *
  * Transient timing state (in-flight fills, MSHRs, DRAM banks) is
  * deliberately *not* stored: the capture boundary is a settled
@@ -36,9 +34,9 @@
  * detailed phase ever read; version-1 files are rejected.
  *
  * Readers reject — with a thrown std::runtime_error naming the defect
- * — bad magic, unsupported versions, truncation, trailing garbage,
- * CRC mismatches, and semantically invalid (CRC-valid but crafted)
- * fields, mirroring the `.lttr` trace reader's posture.
+ * — every container defect (openSealed), trailing garbage, and
+ * semantically invalid (CRC-valid but crafted) fields, mirroring the
+ * `.lttr` trace reader's posture.
  */
 
 #ifndef LTP_SAMPLE_CHECKPOINT_HH
@@ -56,7 +54,8 @@
 
 namespace ltp {
 
-/** File magic ("LTPCKPT\0") and the version this build reads/writes. */
+/** Container magic ("LTPCKPT\0") and the version this build reads
+ *  and writes. */
 inline constexpr char kCheckpointMagic[8] = {'L', 'T', 'P', 'C',
                                             'K', 'P', 'T', '\0'};
 inline constexpr std::uint32_t kCheckpointVersion = 2;
@@ -90,7 +89,7 @@ struct Checkpoint
 /// @name Serialization (byte-exact round trip)
 /// @{
 
-/** Encode @p ckpt into the on-disk byte layout, CRC footer included. */
+/** Encode @p ckpt into its sealed on-disk image. */
 std::string checkpointToBytes(const Checkpoint &ckpt);
 
 /**
@@ -99,12 +98,9 @@ std::string checkpointToBytes(const Checkpoint &ckpt);
  */
 Checkpoint checkpointFromBytes(const std::string &bytes);
 
-/** Load + decode; errors are prefixed with @p path. */
+/** Load + decode; errors name @p path.  (Write an image with
+ *  writeFileAtomic, common/file_io.hh.) */
 Checkpoint loadCheckpointFile(const std::string &path);
-
-/** Write @p bytes to @p path (binary, truncating). */
-void writeCheckpointFile(const std::string &path,
-                         const std::string &bytes);
 
 /// @}
 

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/logging.hh"
 #include "cpu/core.hh"
 #include "sim/oracle_memo.hh"
@@ -43,7 +43,7 @@ Sampler::restoreFrom(const Checkpoint &ckpt)
 {
     sim_assert(!ran_);
     from_ = std::make_shared<const Checkpoint>(ckpt);
-    from_crc_ = crc32(checkpointToBytes(ckpt));
+    from_crc_ = sealedCrc(checkpointToBytes(ckpt));
 }
 
 ChainSpec

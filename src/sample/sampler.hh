@@ -59,7 +59,8 @@ class Sampler
      * Start from an architectural checkpoint instead of stream
      * position 0: the chain seeks each thread's stream to the stored
      * position and installs the predictor/memory images.  Must be
-     * called before run(); the checkpoint's CRC joins the chain key.
+     * called before run(); the checkpoint's content CRC (sealedCrc)
+     * joins the chain key.
      * @throws std::runtime_error (from run()) when the checkpoint does
      *         not match this run (workload, seed, geometry).
      */

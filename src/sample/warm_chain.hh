@@ -87,7 +87,7 @@ struct ChainSpec
     std::string workload;             ///< run name @p from must carry
     SamplePlan plan;
     std::shared_ptr<const Checkpoint> from; ///< start state, or null
-    std::uint32_t fromCrc = 0;              ///< CRC of @p from's encoding
+    std::uint32_t fromCrc = 0; ///< content CRC (sealedCrc) of @p from
 
     /** The registry key: every input the chain's points depend on. */
     std::string key() const;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
+#include "common/file_io.hh"
 #include "sim/cell_key.hh"
 
 namespace ltp {
@@ -247,13 +247,12 @@ WorkerPool::stats() const
 std::vector<std::string>
 loadWorkerSpecs(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open workers file '" + path +
-                                 "'");
+    std::string text = readFile(path);
     std::vector<std::string> out;
-    std::string line;
-    while (std::getline(in, line)) {
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t eol = std::min(text.find('\n', pos), text.size());
+        std::string line = text.substr(pos, eol - pos);
+        pos = eol + 1;
         auto hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);

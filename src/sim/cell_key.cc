@@ -1,6 +1,6 @@
 #include "sim/cell_key.hh"
 
-#include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sha256.hh"
@@ -33,21 +33,14 @@ workloadIdentity(const std::string &name)
         return out + "]";
     }
     if (isTraceName(name)) {
-        // Identity by content, not by path: the CRC-32 stored in the
-        // `.lttr` footer covers header + records, so two files with
-        // the same recording key identically wherever they live.
-        // (The footer itself must be excluded from any whole-file
-        // checksum: crc(data || crc(data)) is the same residue
-        // constant for EVERY valid file, which would alias all
-        // traces.)  TraceReader already verified footer == content
-        // CRC, so reading it back is both exact and free.
-        std::string path = tracePath(name);
-        std::shared_ptr<const TraceReader> trace = loadTraceCached(path);
-        const std::string &bytes = trace->bytes();
-        std::uint32_t content_crc =
-            ByteReader(bytes, bytes.size() - 4).u32();
+        // Identity by content, not by path: the container's content
+        // CRC covers header + records, so two files with the same
+        // recording key identically wherever they live.
+        std::shared_ptr<const TraceReader> trace =
+            loadTraceCached(tracePath(name));
         return strprintf("trace/%s@crc32:%08x",
-                         trace->info().kernel.c_str(), content_crc);
+                         trace->info().kernel.c_str(),
+                         sealedCrc(trace->bytes()));
     }
     return "kernel/" + name;
 }

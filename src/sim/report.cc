@@ -1,12 +1,8 @@
 #include "sim/report.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.hh"
@@ -289,6 +285,9 @@ csvField(const std::string &s)
 std::string
 reportToCsv(const SweepResult &result)
 {
+    // Numbers print as their JSON lexemes, so a CSV value reads back
+    // to the same double the JSON report holds.
+    auto num = [](double v) { return jsonDouble(v).str; };
     // Per-thread breakdowns ride along as semicolon-joined lists in
     // tid order, so the table stays rectangular whatever mix of
     // single-threaded and SMT cells a sweep produces.
@@ -301,54 +300,49 @@ reportToCsv(const SweepResult &result)
         }
         return out;
     };
-    std::ostringstream out;
-    out << "row,series,config,workload,insts,cycles,ipc,cpi,"
-        << "avgOutstanding,avgLoadLatency,dramReads,iqOcc,rfOcc,ltpOcc,"
-        << "parkedFrac,ed2p,edp,"
-        << "threads,threadWorkloads,threadInsts,threadCycles,"
-        << "threadIpcs,weightedSpeedup,samples,ipcCi95\n";
+    std::string out = "row,series,config,workload";
+    for (const ScalarField &f : kScalars)
+        out += std::string(",") + f.key;
+    out += ",threads,threadWorkloads,threadInsts,threadCycles,"
+           "threadIpcs,weightedSpeedup,samples,ipcCi95\n";
     for (const std::string &row : result.grid.rows()) {
         for (const std::string &series : result.grid.series(row)) {
             const Metrics &m = result.grid.at(row, series);
-            out << csvField(row) << ',' << csvField(series) << ','
-                << csvField(m.config) << ',' << csvField(m.workload)
-                << ',' << m.insts << ',' << m.cycles << ','
-                << m.ipc << ',' << m.cpi << ',' << m.avgOutstanding << ','
-                << m.avgLoadLatency << ',' << m.dramReads << ','
-                << m.iqOcc << ',' << m.rfOcc << ',' << m.ltpOcc << ','
-                << m.parkedFrac << ',' << m.ed2p << ',' << m.edp << ','
-                << m.threads.size() << ','
-                << csvField(joinThreads(
-                       m, [](const ThreadMetrics &t) {
-                           return t.workload;
-                       }))
-                << ','
-                << joinThreads(m,
+            out += csvField(row) + ',' + csvField(series) + ',' +
+                   csvField(m.config) + ',' + csvField(m.workload);
+            for (const ScalarField &f : kScalars)
+                out += ',' + (f.count ? std::to_string(m.*f.count)
+                                      : num(m.*f.real));
+            out += ',' + std::to_string(m.threads.size()) + ',' +
+                   csvField(joinThreads(m,
+                                        [](const ThreadMetrics &t) {
+                                            return t.workload;
+                                        })) +
+                   ',' +
+                   joinThreads(m,
                                [](const ThreadMetrics &t) {
                                    return std::to_string(t.insts);
-                               })
-                << ','
-                << joinThreads(m,
+                               }) +
+                   ',' +
+                   joinThreads(m,
                                [](const ThreadMetrics &t) {
                                    return std::to_string(t.cycles);
-                               })
-                << ','
-                << joinThreads(m,
-                               [](const ThreadMetrics &t) {
-                                   std::ostringstream v;
-                                   v << t.ipc;
-                                   return v.str();
-                               })
-                << ',' << m.weightedSpeedup << ','
-                << m.sampling.samples << ',';
+                               }) +
+                   ',' +
+                   joinThreads(m,
+                               [&num](const ThreadMetrics &t) {
+                                   return num(t.ipc);
+                               }) +
+                   ',' + num(m.weightedSpeedup) + ',' +
+                   std::to_string(m.sampling.samples) + ',';
             // Empty CI field = unavailable (non-sampled row, or a
             // sampled run with too few samples for an interval).
             if (m.sampling.hasCi())
-                out << m.sampling.ci95Half;
-            out << '\n';
+                out += num(m.sampling.ci95Half);
+            out += '\n';
         }
     }
-    return out.str();
+    return out;
 }
 
 bool
@@ -428,38 +422,6 @@ renderViews(const SweepResult &result,
                t.toString();
     }
     return out;
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    out << text;
-}
-
-std::string
-writeJsonReport(const SweepResult &result, const std::string &path)
-{
-    std::string target =
-        path == "1" ? "BENCH_" + result.name + ".json" : path;
-    writeFile(target, reportToJson(result));
-    std::printf("json report (%zu sims, %d threads, %.0f ms) written "
-                "to %s\n",
-                result.simulations, result.threads, result.wallMs,
-                target.c_str());
-    return target;
-}
-
-std::string
-writeCsvReport(const SweepResult &result, const std::string &path)
-{
-    std::string target =
-        path == "1" ? "BENCH_" + result.name + ".csv" : path;
-    writeFile(target, reportToCsv(result));
-    std::printf("csv written to %s\n", target.c_str());
-    return target;
 }
 
 } // namespace ltp

@@ -45,7 +45,12 @@ Metrics metricsFromJson(const JsonValue &root);
  */
 std::string reportToJson(const SweepResult &result);
 
-/** Flat CSV: row, series, then one column per Metrics field. */
+/**
+ * Flat CSV: row, series, config, workload, one column per top-level
+ * number of the JSON report (in its writer's order), then the thread
+ * breakdown, weightedSpeedup, samples and ipcCi95.  Numbers print as
+ * their JSON lexemes.
+ */
 std::string reportToCsv(const SweepResult &result);
 
 /**
@@ -63,21 +68,6 @@ bool isViewName(const std::string &view);
  */
 std::string renderViews(const SweepResult &result,
                         const std::vector<std::string> &views);
-
-/** Write @p text to @p path; fatal() if the file cannot be opened. */
-void writeFile(const std::string &path, const std::string &text);
-
-/**
- * Archive the JSON report at @p path ("1" selects the conventional
- * BENCH_<sweep name>.json) and print the summary line.
- * @return the path written.
- */
-std::string writeJsonReport(const SweepResult &result,
-                            const std::string &path);
-
-/** CSV sibling of writeJsonReport ("1" → BENCH_<sweep name>.csv). */
-std::string writeCsvReport(const SweepResult &result,
-                           const std::string &path);
 
 } // namespace ltp
 

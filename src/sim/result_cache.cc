@@ -1,17 +1,13 @@
 #include "sim/result_cache.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
@@ -22,10 +18,6 @@ namespace fs = std::filesystem;
 namespace ltp {
 
 namespace {
-
-/** Monotone suffix so concurrent writers in one process never share a
- *  temp file; cross-process uniqueness comes from the pid. */
-std::atomic<std::uint64_t> tmp_counter{0};
 
 bool
 isHexKey(const std::string &s)
@@ -140,15 +132,13 @@ ResultCache::entryPath(const std::string &hexKey) const
 bool
 ResultCache::lookup(const CellKey &key, Metrics *out) const
 {
-    std::ifstream in(entryPath(key.hex), std::ios::binary);
-    if (!in)
+    std::string text;
+    if (!tryReadFile(entryPath(key.hex), &text))
         return false;
-    std::ostringstream text;
-    text << in.rdbuf();
     Metrics m;
     try {
         // Another build's number is a miss, whatever key it sits at.
-        if (parseEntry(key.hex, text.str(), &m).model != modelFingerprint())
+        if (parseEntry(key.hex, text, &m).model != modelFingerprint())
             return false;
     } catch (const std::runtime_error &) {
         return false; // damaged or future-versioned: a miss, not data
@@ -181,24 +171,13 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
                                  {"lengths", lengthsTree(lengths)}});
     body.object["metrics"] = metricsTree(m);
 
-    std::string tmp = path + strprintf(".tmp.%d.%llu", getpid(),
-                                       static_cast<unsigned long long>(
-                                           tmp_counter.fetch_add(1)));
-    {
-        std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-        if (!outf) {
-            warn("result cache: cannot write %s", tmp.c_str());
-            return;
-        }
-        // The seal leads; the body's own keys follow in sorted order.
-        std::string rest = "\",\n" + writeJson(body).substr(2) + "\n";
-        outf << kSealLead << strprintf("%08x", crc32(rest)) << rest;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: rename to %s failed: %s", path.c_str(),
-             ec.message().c_str());
-        fs::remove(tmp, ec);
+    // The seal leads; the body's own keys follow in sorted order.
+    std::string rest = "\",\n" + writeJson(body).substr(2) + "\n";
+    try {
+        writeFileAtomic(path, kSealLead + strprintf("%08x", crc32(rest)) +
+                                  rest);
+    } catch (const std::runtime_error &e) {
+        warn("result cache: %s", e.what());
     }
 }
 
@@ -210,11 +189,8 @@ ResultCache::list() const
                            std::uint64_t bytes) {
         CacheEntryInfo info;
         info.key = std::move(key);
-        std::ifstream in(p, std::ios::binary);
-        std::ostringstream text;
-        text << in.rdbuf();
         try {
-            info = parseEntry(info.key, text.str(), nullptr);
+            info = parseEntry(info.key, readFile(p.string()), nullptr);
         } catch (const std::runtime_error &) {
             info.valid = false;
         }

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/file_io.hh"
 #include "sim/report.hh"
 #include "trace/suite.hh"
 #include "trace/trace_workload.hh"
@@ -727,17 +726,13 @@ scenarioViews(const JsonValue &root)
 Scenario
 loadScenarioFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("scenario: cannot open '" + path + "'");
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::string text = readFile(path);
     // Trace paths inside the file resolve relative to the file itself.
     std::size_t slash = path.find_last_of("/\\");
     std::string base_dir =
         slash == std::string::npos ? "" : path.substr(0, slash);
     try {
-        return scenarioFromJson(text.str(), base_dir);
+        return scenarioFromJson(text, base_dir);
     } catch (const std::runtime_error &e) {
         throw std::runtime_error(path + ": " + e.what());
     }

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/runner.hh"
@@ -98,7 +97,6 @@ SimSpeedReport::toJson() const
     };
     cells("kernels", kernelCells);
     cells("scenarios", scenarioCells);
-    cells("report_only_scenarios", reportOnlyCells);
     return writeJson(doc) + "\n";
 }
 
@@ -147,7 +145,7 @@ runSimSpeedBench(const SimSpeedOptions &opts)
     // A multiprogrammed (smt:) cell commits its quota *per thread*;
     // crediting one quota keeps the number a conservative per-cell
     // throughput, consistent with the single-threaded cells.
-    auto timeScenario = [reps](const std::string &path) {
+    for (const std::string &path : opts.scenarios) {
         Scenario scenario = loadScenarioFile(path);
         SweepSpec spec = scenario.compile(/*threads=*/1);
         std::uint64_t per_cell =
@@ -166,14 +164,8 @@ runSimSpeedBench(const SimSpeedOptions &opts)
         cell.config = "scenario";
         cell.detailedInsts = per_cell * cell.simulations;
         cell.kips = kips(cell.detailedInsts, cell.wallMs);
-        return cell;
-    };
-    for (const std::string &path : opts.scenarios)
-        report.scenarioCells.push_back(timeScenario(path));
-    // Report-only cells are measured identically but stay out of the
-    // gated total below.
-    for (const std::string &path : opts.reportOnlyScenarios)
-        report.reportOnlyCells.push_back(timeScenario(path));
+        report.scenarioCells.push_back(cell);
+    }
 
     for (const auto &cells :
          {report.kernelCells, report.scenarioCells}) {
@@ -191,13 +183,7 @@ namespace {
 JsonValue
 loadBaseline(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("simspeed baseline not readable: " +
-                                 path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseJson(text.str());
+    return parseJson(readFile(path));
 }
 
 } // namespace

@@ -55,12 +55,6 @@ struct SimSpeedOptions
     RunLengths lengths = RunLengths::bench(); ///< per-kernel cells
     /** Scenario files swept serially (their own staging plans). */
     std::vector<std::string> scenarios;
-    /**
-     * Scenarios measured and archived but excluded from the gated
-     * total (new scenario classes — e.g. the SMT pairs sweep — record
-     * a perf trajectory before they grow a regression gate).
-     */
-    std::vector<std::string> reportOnlyScenarios;
 };
 
 /** One measured cell: a (config, kernel) run or a whole scenario. */
@@ -89,8 +83,6 @@ struct SimSpeedReport
     int reps = 1; ///< best-of-N wall times (SimSpeedOptions::reps)
     std::vector<SimSpeedCell> kernelCells;
     std::vector<SimSpeedCell> scenarioCells;
-    /** Measured but ungated (not part of totalKips). */
-    std::vector<SimSpeedCell> reportOnlyCells;
     std::uint64_t totalInsts = 0;
     double totalWallMs = 0.0;
     double totalKips = 0.0;

@@ -1,11 +1,9 @@
 #include "trace/trace_file.hh"
 
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/logging.hh"
 #include "trace/suite.hh"
 
@@ -36,25 +34,6 @@ unpackReg(std::uint16_t wire)
     return r;
 }
 
-std::string
-encodeHeader(const TraceInfo &info, std::uint64_t count)
-{
-    std::string out;
-    out.append(kTraceMagic, sizeof(kTraceMagic));
-    putU32le(out, info.version);
-    putU32le(out, 0); // reserved
-    putU64le(out, info.seed);
-    putU64le(out, info.funcWarm);
-    putU64le(out, info.pipeWarm);
-    putU64le(out, info.detail);
-    putU64le(out, count);
-    if (info.kernel.size() > 0xffff)
-        badTrace("kernel name too long to encode");
-    putU16le(out, static_cast<std::uint16_t>(info.kernel.size()));
-    out += info.kernel;
-    return out;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -81,10 +60,18 @@ TraceWriter::append(const MicroOp &op)
 std::string
 TraceWriter::finish() const
 {
-    std::string out = encodeHeader(info_, count_);
-    out += records_;
-    putU32le(out, crc32(out));
-    return out;
+    std::string body;
+    putU64le(body, info_.seed);
+    putU64le(body, info_.funcWarm);
+    putU64le(body, info_.pipeWarm);
+    putU64le(body, info_.detail);
+    putU64le(body, count_);
+    if (info_.kernel.size() > 0xffff)
+        badTrace("kernel name too long to encode");
+    putU16le(body, static_cast<std::uint16_t>(info_.kernel.size()));
+    body += info_.kernel;
+    body += records_;
+    return seal(kTraceMagic, kTraceVersion, body);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,38 +80,19 @@ TraceWriter::finish() const
 
 TraceReader::TraceReader(std::string bytes) : bytes_(std::move(bytes))
 {
-    // Fixed header prefix + name length field + CRC footer.
-    constexpr std::size_t min_size = 8 + 4 + 4 + 5 * 8 + 2 + 4;
-    if (bytes_.size() < min_size)
-        badTrace("truncated file (" + std::to_string(bytes_.size()) +
-                 " bytes, header alone needs " +
-                 std::to_string(min_size) + ")");
-
-    ByteReader in(bytes_);
-    if (std::memcmp(in.raw(sizeof(kTraceMagic)).data(), kTraceMagic,
-                    sizeof(kTraceMagic)) != 0)
-        badTrace("bad magic (not a .lttr trace file)");
-    info_.version = in.u32();
-    if (info_.version != kTraceVersion)
-        badTrace("unsupported version " + std::to_string(info_.version) +
-                 " (this build reads version " +
-                 std::to_string(kTraceVersion) + ")");
-    if (in.u32() != 0)
-        badTrace("nonzero reserved header field");
+    ByteReader in = openSealed(bytes_, kTraceMagic, kTraceVersion, "trace");
     info_.seed = in.u64();
     info_.funcWarm = in.u64();
     info_.pipeWarm = in.u64();
     info_.detail = in.u64();
     info_.count = in.u64();
-    std::uint16_t name_len = in.u16();
-    if (in.remaining() < name_len + 4u)
-        badTrace("truncated file inside the kernel name");
-    info_.kernel = in.raw(name_len);
+    info_.kernel = in.raw(in.u16());
     recordsOff_ = in.offset();
 
-    // Divide instead of multiplying the (untrusted) count so an absurd
-    // header value cannot wrap the size check mod 2^64.
-    std::size_t payload = bytes_.size() - recordsOff_ - 4;
+    // The records consume the body exactly.  Divide instead of
+    // multiplying the (untrusted) count so an absurd header value
+    // cannot wrap the size check mod 2^64.
+    std::size_t payload = in.remaining();
     if (payload % kTraceRecordBytes != 0 ||
         info_.count != payload / kTraceRecordBytes)
         badTrace("size mismatch: header promises " +
@@ -132,15 +100,6 @@ TraceReader::TraceReader(std::string bytes) : bytes_(std::move(bytes))
                  std::to_string(payload) + " payload bytes (" +
                  std::to_string(payload / kTraceRecordBytes) +
                  " records)");
-
-    std::uint32_t stored =
-        ByteReader(bytes_, bytes_.size() - 4).u32();
-    Crc32 crc;
-    crc.update(bytes_.data(), bytes_.size() - 4);
-    if (crc.value() != stored)
-        badTrace(strprintf("CRC mismatch (stored %08x, computed %08x): "
-                           "file is corrupt",
-                           stored, crc.value()));
 
     // Validate every record's enum-like fields up front: a CRC-valid
     // but crafted file must be rejected here, not fed to the pipeline
@@ -193,28 +152,12 @@ TraceReader::record(std::uint64_t i) const
 TraceReader
 loadTraceFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        badTrace("cannot open '" + path + "'");
-    std::ostringstream data;
-    data << in.rdbuf();
+    std::string bytes = readFile(path);
     try {
-        return TraceReader(data.str());
+        return TraceReader(std::move(bytes));
     } catch (const std::runtime_error &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
-}
-
-void
-writeTraceFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        badTrace("cannot open '" + path + "' for writing");
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-        badTrace("short write to '" + path + "'");
 }
 
 // ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@
  * kernel is executed through the DSL front-end once and replayed many
  * times (sweeps, golden regression runs, CI determinism smoke).
  *
- * On-disk layout (all integers little-endian):
+ * On-disk layout: a sealed container (common/file_io.hh: magic
+ * "LTPTRACE", u32 version 1, u32 reserved 0, body, u32 CRC-32 of
+ * everything before it) whose body is (all integers little-endian):
  *
- *   header   magic "LTPTRACE" (8 bytes)
- *            u32 version (currently 1)
- *            u32 reserved (0)
- *            u64 seed            — workload seed the stream was
+ *   header   u64 seed            — workload seed the stream was
  *                                  recorded with
  *            u64 funcWarm        — staging plan at record time, so
  *            u64 pipeWarm          `ltp replay` can reproduce the
@@ -23,7 +22,6 @@
  *            u16 dst, u16 src0, u16 src1, u16 src2
  *            (each register is regClass << 8 | index; 0xff index =
  *             invalid/unused slot)
- *   footer   u32 CRC-32 (IEEE) over header + records
  *
  * The reader keeps the raw file bytes resident and decodes records in
  * place on demand (memory-mapped-style access), so replay costs no
@@ -40,7 +38,7 @@
 
 namespace ltp {
 
-/** File magic, version, and fixed record size of the current format. */
+/** Container magic and version, and the fixed record size. */
 inline constexpr char kTraceMagic[8] = {'L', 'T', 'P', 'T',
                                         'R', 'A', 'C', 'E'};
 inline constexpr std::uint32_t kTraceVersion = 1;
@@ -56,7 +54,6 @@ inline constexpr std::uint64_t kTraceFetchSlack = 16384;
 /** Decoded `.lttr` header. */
 struct TraceInfo
 {
-    std::uint32_t version = kTraceVersion;
     std::string kernel;       ///< source kernel name (Workload::name())
     std::uint64_t seed = 1;   ///< workload seed at record time
     std::uint64_t funcWarm = 0; ///< staging plan at record time
@@ -83,7 +80,7 @@ class TraceWriter
 
     std::uint64_t count() const { return count_; }
 
-    /** Assemble header + records + CRC footer. */
+    /** The sealed image: header + records in the container. */
     std::string finish() const;
 
   private:
@@ -94,10 +91,11 @@ class TraceWriter
 
 /**
  * Validated `.lttr` view over an in-memory file image.  Construction
- * checks magic, version, the reserved field, structural sizes, the CRC
- * footer, and every record's enum-like fields (op class, taken flag,
- * register class/index), so a reader that constructs can be replayed
- * without further checking, and re-encodes to exactly its bytes.
+ * checks the container (openSealed), the record count against the
+ * body size, and every record's enum-like fields (op class, taken
+ * flag, register class/index), so a reader that constructs can be
+ * replayed without further checking, and re-encodes to exactly its
+ * bytes.
  *
  * @throws std::runtime_error naming the defect on malformed input.
  */
@@ -112,7 +110,7 @@ class TraceReader
     /** Decode record @p i; panics when out of range (caller checks). */
     MicroOp record(std::uint64_t i) const;
 
-    /** The raw validated file image (byte-identity tests). */
+    /** The raw validated file image (sealedCrc is its identity). */
     const std::string &bytes() const { return bytes_; }
 
   private:
@@ -121,12 +119,9 @@ class TraceReader
     std::size_t recordsOff_ = 0; ///< byte offset of record 0
 };
 
-/** Read @p path and validate it; errors are prefixed with the path. */
+/** Read @p path and validate it; errors name the path.  (Write an
+ *  image with writeFileAtomic, common/file_io.hh.) */
 TraceReader loadTraceFile(const std::string &path);
-
-/** Write an encoded trace image to @p path (binary-safe).
- *  @throws std::runtime_error when the file cannot be written. */
-void writeTraceFile(const std::string &path, const std::string &bytes);
 
 /**
  * Execute @p kernel through the DSL front-end and encode the stream the

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "common/binio.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sha256.hh"
@@ -249,11 +250,11 @@ TEST_F(CacheTest, TraceIdentityIsContentAddressed)
     info.detail = tiny().detail;
     std::string bytes = recordTrace(info);
     std::string path = dir_ + "/a.lttr";
-    writeTraceFile(path, bytes);
+    writeFileAtomic(path, bytes);
 
     // A byte-identical copy under another name keys identically...
     std::string copy = dir_ + "/renamed_copy.lttr";
-    writeTraceFile(copy, bytes);
+    writeFileAtomic(copy, bytes);
     std::string idA = workloadIdentity("trace:" + path);
     EXPECT_EQ(idA, workloadIdentity("trace:" + copy));
     EXPECT_NE(idA.find("trace/paper_loop@crc32:"), std::string::npos);
@@ -261,7 +262,7 @@ TEST_F(CacheTest, TraceIdentityIsContentAddressed)
     // ...while a re-recording with another seed does not.
     info.seed = 4;
     std::string other = dir_ + "/b.lttr";
-    writeTraceFile(other, recordTrace(info));
+    writeFileAtomic(other, recordTrace(info));
     EXPECT_NE(idA, workloadIdentity("trace:" + other));
 }
 

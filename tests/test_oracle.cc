@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "ltp/oracle.hh"
 #include "sample/sampler.hh"
@@ -416,7 +417,7 @@ class OracleMemoTrace : public ::testing::Test
         info.pipeWarm = 400;
         info.detail = detail;
         std::string path = (dir_ / file).string();
-        writeTraceFile(path, recordTrace(info));
+        writeFileAtomic(path, recordTrace(info));
         return "trace:" + path;
     }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <map>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -586,8 +587,7 @@ TEST(Report, BenchReportRoundTripsValueByValue)
     SimSpeedCell smt = scenario;
     smt.label = "smt_pairs";
     r.kernelCells = {kernel};
-    r.scenarioCells = {scenario};
-    r.reportOnlyCells = {smt};
+    r.scenarioCells = {scenario, smt};
     r.totalInsts = 1704000;
     r.totalWallMs = 1242.75;
     r.totalKips = 1371.1529;
@@ -645,11 +645,11 @@ TEST(Report, BenchReportRoundTripsValueByValue)
         return f.at(list).array;
     };
     ASSERT_EQ(cells("kernels").size(), 1u);
-    ASSERT_EQ(cells("scenarios").size(), 1u);
-    ASSERT_EQ(cells("report_only_scenarios").size(), 1u);
+    ASSERT_EQ(cells("scenarios").size(), 2u);
+    EXPECT_EQ(f.count("report_only_scenarios"), 0u);
     expectCell(cells("kernels")[0], kernel);
     expectCell(cells("scenarios")[0], scenario);
-    expectCell(cells("report_only_scenarios")[0], smt);
+    expectCell(cells("scenarios")[1], smt);
 }
 
 TEST(Report, MalformedJsonThrows)
@@ -681,6 +681,71 @@ TEST(Report, SweepReportContainsEveryCell)
     std::string csv = reportToCsv(result);
     // Header + one line per cell.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
+}
+
+TEST(Report, CsvCarriesEveryTopLevelNumberAsItsJsonLexeme)
+{
+    Metrics m = distinctiveMetrics();
+    m.ipc = 0.1564746327742473; // six significant digits would lose it
+    m.threads.resize(2);
+    m.threads[0].workload = "a";
+    m.threads[0].ipc = 0.1234567890123456;
+    m.threads[1].workload = "b";
+    m.threads[1].ipc = 2.0 / 3.0;
+    m.weightedSpeedup = 1.0 / 7.0;
+    m.sampling.samples = 4;
+    m.sampling.ci95Half = 0.0123456789012345;
+    SweepResult result;
+    result.name = "mini";
+    result.grid.put("r1", "s1", m);
+
+    auto split = [](const std::string &line) {
+        std::vector<std::string> out(1);
+        for (char c : line) {
+            if (c == ',')
+                out.emplace_back();
+            else
+                out.back() += c;
+        }
+        return out;
+    };
+    std::string csv = reportToCsv(result);
+    std::size_t eol = csv.find('\n');
+    ASSERT_EQ(csv.back(), '\n');
+    std::vector<std::string> header = split(csv.substr(0, eol));
+    std::vector<std::string> row =
+        split(csv.substr(eol + 1, csv.size() - eol - 2));
+    ASSERT_EQ(header.size(), row.size());
+    std::map<std::string, std::string> cell;
+    for (std::size_t i = 0; i < header.size(); ++i)
+        cell[header[i]] = row[i];
+
+    // Every top-level number of the JSON report has a column holding
+    // its exact JSON lexeme.
+    JsonValue tree = metricsTree(m);
+    std::size_t numbers = 0;
+    for (const auto &[key, v] : tree.object) {
+        if (!v.isNumber() || key == "schemaVersion")
+            continue;
+        numbers += 1;
+        ASSERT_EQ(cell.count(key), 1u) << key;
+        EXPECT_EQ(cell[key], v.str) << key;
+    }
+    EXPECT_EQ(numbers, 26u);
+    EXPECT_EQ(std::stod(cell["ipc"]), m.ipc); // reads back exactly
+
+    // The thread, samples and CI columns stay, at full precision too.
+    EXPECT_EQ(cell["threads"], "2");
+    EXPECT_EQ(cell["threadWorkloads"], "a;b");
+    EXPECT_EQ(cell["threadIpcs"],
+              jsonDouble(m.threads[0].ipc).str + ";" +
+                  jsonDouble(m.threads[1].ipc).str);
+    EXPECT_EQ(cell["weightedSpeedup"], jsonDouble(m.weightedSpeedup).str);
+    EXPECT_EQ(cell["samples"], "4");
+    EXPECT_EQ(cell["ipcCi95"], jsonDouble(m.sampling.ci95Half).str);
+    for (const char *key : {"row", "series", "config", "workload",
+                            "threadInsts", "threadCycles"})
+        EXPECT_EQ(cell.count(key), 1u) << key;
 }
 
 } // namespace

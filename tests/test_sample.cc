@@ -16,6 +16,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -672,16 +673,15 @@ TEST(SharedChainTest, SweepIsIdenticalSoloSharedAndRerun)
     EXPECT_EQ(WarmChain::stats().liveChains, 0u);
 }
 
-TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
+/**
+ * Run two samplers on two threads, holding whichever reports first
+ * until the other has joined too, so both are enrolled before any
+ * point can be freed: samplers with one chain key share one chain,
+ * deterministically.
+ */
+void
+runTogether(Sampler &a, Sampler &b, Metrics *ma, Metrics *mb)
 {
-    SamplePlan plan = smallPlan();
-    SimConfig base = SimConfig::baseline();
-    SimConfig ltp = SimConfig::ltpProposal(LtpMode::NRNU);
-    Sampler a(base, "graph_walk", plan), b(ltp, "graph_walk", plan);
-
-    // Hold whichever thread reports first until the other has joined
-    // too, so both are enrolled before any point can be freed: one
-    // chain, deterministically.
     std::mutex mutex;
     std::condition_variable cv;
     int arrived = 0;
@@ -697,12 +697,21 @@ TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
         };
     };
     bool a_first = true, b_first = true;
-    std::size_t built = WarmChain::stats().built;
-    Metrics ma, mb;
-    std::thread ta([&] { ma = a.run(rendezvous(&a_first)); });
-    std::thread tb([&] { mb = b.run(rendezvous(&b_first)); });
+    std::thread ta([&] { *ma = a.run(rendezvous(&a_first)); });
+    std::thread tb([&] { *mb = b.run(rendezvous(&b_first)); });
     ta.join();
     tb.join();
+}
+
+TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
+{
+    SamplePlan plan = smallPlan();
+    SimConfig base = SimConfig::baseline();
+    SimConfig ltp = SimConfig::ltpProposal(LtpMode::NRNU);
+    Sampler a(base, "graph_walk", plan), b(ltp, "graph_walk", plan);
+    std::size_t built = WarmChain::stats().built;
+    Metrics ma, mb;
+    runTogether(a, b, &ma, &mb);
     EXPECT_EQ(WarmChain::stats().built, built + 1);
     EXPECT_NE(resultJson(ma), resultJson(mb)); // the configs differ
 
@@ -754,6 +763,44 @@ TEST(SharedChainTest, MatchedPairsStartFromIdenticalPoints)
               resultJson(ma));
     EXPECT_EQ(resultJson(Sampler::runOnce(ltp, "graph_walk", plan)),
               resultJson(mb));
+}
+
+TEST(SharedChainTest, CheckpointsKeyTheirOwnChains)
+{
+    SimConfig base = SimConfig::baseline();
+    SimConfig ltp = SimConfig::ltpProposal(LtpMode::NU);
+    auto checkpointAt = [&base](std::uint64_t at) {
+        MemSystem mem(base.mem);
+        FastForward ff(base, {"graph_walk"}, mem);
+        ff.advanceTo(at);
+        return checkpointFromBytes(checkpointToBytes(
+            captureCheckpoint(ff, mem, "graph_walk", base.seed)));
+    };
+    const Checkpoint early = checkpointAt(4000);
+    const Checkpoint late = checkpointAt(300000);
+    SamplePlan plan;
+    plan.fastForward = 20000;
+    plan.warmup = 500;
+    plan.detail = 2000;
+    plan.samples = 4;
+    auto from = [&plan](const SimConfig &cfg, const Checkpoint &ckpt) {
+        auto s = std::make_unique<Sampler>(cfg, "graph_walk", plan);
+        s->restoreFrom(ckpt);
+        return s;
+    };
+
+    // Different start states, different chains; one start state keeps
+    // one chain across configs (matched pairs).
+    auto a = from(base, early), b = from(ltp, late);
+    EXPECT_NE(a->chainSpec().sampleStart(0), b->chainSpec().sampleStart(0));
+    EXPECT_NE(a->chainSpec().key(), b->chainSpec().key());
+    EXPECT_EQ(from(ltp, early)->chainSpec().key(), a->chainSpec().key());
+
+    // Run side by side, each measures what it measures alone.
+    Metrics ma, mb;
+    runTogether(*a, *b, &ma, &mb);
+    EXPECT_EQ(resultJson(ma), resultJson(from(base, early)->run()));
+    EXPECT_EQ(resultJson(mb), resultJson(from(ltp, late)->run()));
 }
 
 TEST(SharedChainTest, FreedChainIsRecomputedBitIdentically)

@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "common/file_io.hh"
 #include "sim/exec_backend.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
@@ -707,7 +708,7 @@ TEST(Scenario, EveryScenarioFileCompilesToItsPinnedShape)
         info.funcWarm = 4000;
         info.pipeWarm = 800;
         info.detail = 2000;
-        writeTraceFile(scratchDir() + "/traces/" + kernel + ".lttr",
+        writeFileAtomic(scratchDir() + "/traces/" + kernel + ".lttr",
                        recordTrace(info));
     }
 

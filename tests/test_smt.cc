@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/file_io.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -244,7 +245,7 @@ TEST(SmtRun, BoundedTraceMembersSurviveCoRunnerSkew)
         info.pipeWarm = l.pipeWarm;
         info.detail = l.detail;
         std::string path = dir + "/" + kernel + ".lttr";
-        writeTraceFile(path, recordTrace(info));
+        writeFileAtomic(path, recordTrace(info));
         return traceName(path);
     };
     // dense_compute finishes its quota many times faster than

@@ -24,16 +24,16 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -199,15 +199,27 @@ printSweepSummary(const SweepResult &result)
                 result.wallMs);
 }
 
+/** --json/--csv archiving: write @p render()'s text where --<flag>
+ *  says ("1" selects @p dflt, the conventional BENCH_ name). */
+void
+archive(const Cli &cli, const char *flag, const std::string &dflt,
+        const std::function<std::string()> &render)
+{
+    std::string path = cli.str(flag, "");
+    if (path.empty())
+        return;
+    std::string target = path == "1" ? dflt : path;
+    writeFileAtomic(target, render());
+    std::printf("%s written to %s\n", flag, target.c_str());
+}
+
 void
 maybeArchive(const Cli &cli, const SweepResult &result)
 {
-    std::string json = cli.str("json", "");
-    if (!json.empty())
-        writeJsonReport(result, json);
-    std::string csv = cli.str("csv", "");
-    if (!csv.empty())
-        writeCsvReport(result, csv);
+    archive(cli, "json", "BENCH_" + result.name + ".json",
+            [&result] { return reportToJson(result); });
+    archive(cli, "csv", "BENCH_" + result.name + ".csv",
+            [&result] { return reportToCsv(result); });
 }
 
 /** Apply the standard --warm/--pipewarm/--detail staging flags onto
@@ -222,18 +234,9 @@ stagingLengths(const Cli &cli, const RunLengths &dflt)
     return lengths;
 }
 
-/** The shared "--flag=1 means the conventional BENCH_ name" rule for
- *  artifacts that are not a SweepResult report. */
-std::string
-archiveTarget(const std::string &path, const std::string &dflt)
-{
-    return path == "1" ? dflt : path;
-}
-
 SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
 ProgressFn sampleProgressFn(const Cli &cli, const std::string &name,
                             bool caching);
-std::string readFileText(const std::string &path);
 
 /** Commands without a positional must not silently swallow one. */
 void
@@ -317,12 +320,13 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
         fatal("--set is not supported with --submit; put the overrides "
               "in the scenario file");
 
+    std::string text = readFile(path);
     JsonValue root;
     std::vector<std::string> views;
     RunLengths lengths;
     SamplePlan sampling;
     try {
-        root = parseJson(readFileText(path));
+        root = parseJson(text);
         if (!root.isObject())
             throw std::runtime_error("scenario root is not an object");
         // The daemon compiles the scenario; only its views render here.
@@ -358,29 +362,19 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     topts.replyTimeoutMs =
         int(cli.integer("server-timeout", topts.replyTimeoutMs));
     ServeBackend client(host, port, topts);
-    if (cli.flag("progress")) {
-        // The daemon streams progress during the run; render it as
-        // the same heartbeat a local --progress sweep prints.
-        auto start = std::chrono::steady_clock::now();
-        client.setProgressHandler(
-            [start](std::uint64_t done, std::uint64_t total,
-                    std::uint64_t hits) {
-                double secs =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                std::fprintf(
-                    stderr,
-                    "\r%llu/%llu cells, %llu hits, %.1fs elapsed   ",
-                    static_cast<unsigned long long>(done),
-                    static_cast<unsigned long long>(total),
-                    static_cast<unsigned long long>(hits), secs);
-                std::fflush(stderr);
-            });
-    }
+    // The daemon streams progress frames during the run; they feed the
+    // heartbeat a local --progress sweep prints.
+    auto name = root.object.find("name");
+    if (ProgressFn progress = sampleProgressFn(
+            cli, name != root.object.end() ? name->second.str : path,
+            true))
+        client.setProgressHandler([progress](std::uint64_t done,
+                                             std::uint64_t total,
+                                             std::uint64_t hits) {
+            progress(Progress{std::size_t(done), std::size_t(total),
+                              std::size_t(hits), ""});
+        });
     SweepResult result = client.submitScenario(root);
-    if (cli.flag("progress"))
-        std::fprintf(stderr, "\n");
     std::printf("scenario %s: ran on %s:%d (%zu simulations, %d "
                 "daemon threads)\n",
                 result.name.c_str(), host.c_str(), port,
@@ -462,12 +456,10 @@ cmdBench(const Cli &cli)
                   path.c_str());
         opts.scenarios.push_back(path);
     }
-    // The SMT pairs sweep is a gated cell: its trajectory stabilised
-    // over PRs 5-7, so it now counts toward the total the perf-smoke
-    // gate compares (promoted from report_only_scenarios when the
-    // LTP hot path was rebuilt event-driven).  Like the fig6 default
-    // above, it is required when the default cell list is in play — a
-    // missing file must not silently punch a hole in the trajectory.
+    // The SMT pairs sweep counts toward the total the perf-smoke gate
+    // compares.  Like the fig6 default above, it is required when the
+    // default cell list is in play — a missing file must not silently
+    // punch a hole in the trajectory.
     if (cli.list("scenario").empty()) {
         const char *smt = "scenarios/smt_pairs.json";
         if (!std::filesystem::exists(smt))
@@ -492,7 +484,6 @@ cmdBench(const Cli &cli)
     };
     addRows(report.kernelCells);
     addRows(report.scenarioCells);
-    addRows(report.reportOnlyCells);
     t.print(strprintf("simulator throughput (%s, seed %llu): %.1f kIPS "
                       "over %llu detailed insts",
                       report.quick ? "quick" : "full",
@@ -550,12 +541,8 @@ cmdBench(const Cli &cli)
                            static_cast<unsigned long long>(clock_ns)));
     }
 
-    std::string json = cli.str("json", "");
-    if (!json.empty()) {
-        std::string target = archiveTarget(json, "BENCH_simspeed.json");
-        writeFile(target, report.toJson());
-        std::printf("json written to %s\n", target.c_str());
-    }
+    archive(cli, "json", "BENCH_simspeed.json",
+            [&report] { return report.toJson(); });
 
     if (cli.flag("check")) {
         if (baseline.empty())
@@ -654,7 +641,7 @@ cmdRecord(const std::string &what, const Cli &cli)
         info.detail = lengths.detail;
         std::string path = out_dir + "/" + kernel + ".lttr";
         std::string bytes = recordTrace(info);
-        writeTraceFile(path, bytes);
+        writeFileAtomic(path, bytes);
         t.addRow({kernel, path, std::to_string(info.recordLength()),
                   std::to_string(bytes.size())});
     }
@@ -802,14 +789,8 @@ cmdClassify(const Cli &cli)
                   Table::num(d.avgLoadLatency, 1)});
     t.print("Section 4.1 classification (IQ32 vs IQ256)");
 
-    std::string csv = cli.str("csv", "");
-    if (!csv.empty()) {
-        std::string target = archiveTarget(csv, "BENCH_classify.csv");
-        writeFile(target, t.toCsv());
-        std::printf("csv written to %s\n", target.c_str());
-    }
-    std::string json = cli.str("json", "");
-    if (!json.empty()) {
+    archive(cli, "csv", "BENCH_classify.csv", [&t] { return t.toCsv(); });
+    archive(cli, "json", "BENCH_classify.json", [&p] {
         JsonValue out = jsonArray();
         for (const MlpClassification &d : p.groups.details)
             out.array.push_back(jsonObject(
@@ -818,10 +799,8 @@ cmdClassify(const Cli &cli)
                  {"speedup", jsonDouble(d.speedup)},
                  {"outstandingRatio", jsonDouble(d.outstandingRatio)},
                  {"avgLoadLatency", jsonDouble(d.avgLoadLatency)}}));
-        std::string target = archiveTarget(json, "BENCH_classify.json");
-        writeFile(target, writeJson(out) + "\n");
-        std::printf("json written to %s\n", target.c_str());
-    }
+        return writeJson(out) + "\n";
+    });
     return 0;
 }
 
@@ -871,17 +850,6 @@ sampleProgressFn(const Cli &cli, const std::string &name, bool caching)
     };
 }
 
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 /** Gate a sampled report against a full-detail one (CI smoke). */
 int
 cmdSampleCompare(const Cli &cli)
@@ -901,9 +869,10 @@ cmdSampleCompare(const Cli &cli)
     };
     auto load = [](const std::string &path) {
         Report r;
+        std::string text = readFile(path);
         JsonValue root;
         try {
-            root = parseJson(readFileText(path));
+            root = parseJson(text);
         } catch (const std::runtime_error &e) {
             fatal("%s: %s", path.c_str(), e.what());
         }
@@ -1039,15 +1008,16 @@ cmdSample(const std::string &positional, const Cli &cli)
         Checkpoint ckpt = loadCheckpointFile(from);
         Sampler sampler(cfg, kernels[0], plan);
         sampler.restoreFrom(ckpt);
+        ProgressFn progress =
+            sampleProgressFn(cli, "sample:" + cfg.name, false);
         PhaseFn phase;
-        if (cli.flag("progress"))
-            phase = [](const std::string &p) {
-                std::fprintf(stderr, "\r[%s]        ", p.c_str());
-                std::fflush(stderr);
+        if (progress)
+            phase = [&progress](const std::string &p) {
+                progress(Progress{0, 1, 0, p});
             };
         Metrics m = sampler.run(phase);
-        if (phase)
-            std::fprintf(stderr, "\n");
+        if (progress)
+            progress(Progress{1, 1, 0, ""});
         result.grid.put(kernels[0], cfg.name, m);
         result.name = "sample:" + cfg.name;
         result.threads = 1;
@@ -1117,7 +1087,7 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
             name += "+" + ff.stream(tid).name();
         Checkpoint ckpt = captureCheckpoint(ff, mem, name, cfg.seed);
         std::string bytes = checkpointToBytes(ckpt);
-        writeCheckpointFile(out, bytes);
+        writeFileAtomic(out, bytes);
         std::printf("%s: %s (%zu bytes, fast-forward %.0f kIPS)\n",
                     out.c_str(), checkpointSummary(ckpt).c_str(),
                     bytes.size(), ff.kips());
@@ -1128,7 +1098,7 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
         if (file.empty())
             fatal("checkpoint %s needs --file=<file.ltcp>",
                   action.c_str());
-        std::string bytes = readFileText(file);
+        std::string bytes = readFile(file);
         Checkpoint ckpt = checkpointFromBytes(bytes);
         if (action == "ls") {
             std::printf("%s: %s\n", file.c_str(),
